@@ -44,6 +44,7 @@ from .spectrum import (
     eigensolve,
     parity_weights,
     parse_transition_label,
+    solve_flux_grid,
     spectrum_vs_flux,
     transition_frequencies,
 )

@@ -6,7 +6,7 @@ over a list of gate points; outputs are plot-ready tables, not figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .potentials import (
     fourier_v,
     parity_sums,
 )
-from .spectrum import ChargeBasisConfig, build_hamiltonian, eigensolve, parity_weights
+from .spectrum import ChargeBasisConfig, parity_weights, solve_flux_grid
 
 __all__ = [
     "GateHarmonics",
@@ -209,9 +209,9 @@ def parity_table(
     """
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
-    spec = combine_harmonics(u, v, flux)
-    h = build_hamiltonian(spec, params.ec, cfg)
-    energies, vectors = eigensolve(h, max(n_states, 1))
+    basis = replace(cfg, n_levels=max(n_states, 1))
+    # wrapping is idempotent, so the canonical phi_e passes through unchanged
+    ((energies, vectors),) = solve_flux_grid(u, v, [flux.phi_e], params.ec, basis)
     charges = cfg.charges
     rows = []
     for m in range(n_states):

@@ -33,6 +33,16 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
+def _env_int(name: str) -> int | None:
+    text = _env(name)
+    if text is None or text == "":
+        return None
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"environment {ENV_PREFIX}{name}: not an integer: {text!r}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpqkit",
@@ -44,14 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config and _env("CONFIG") is None,
                        default=_env("CONFIG"), help="run configuration document")
         p.add_argument("--out-dir", default=_env("OUT_DIR") or ".", help="output directory")
-        p.add_argument("--threads", type=int,
-                       default=int(_env("THREADS")) if _env("THREADS") else os.cpu_count(),
-                       help="max worker threads for flux grids")
-        p.add_argument("--kmax", type=int,
-                       default=int(_env("KMAX")) if _env("KMAX") else None,
+        p.add_argument("--kmax", type=int, default=_env_int("KMAX"),
                        help="harmonic truncation override")
-        p.add_argument("--ncut", type=int,
-                       default=int(_env("NCUT")) if _env("NCUT") else None,
+        p.add_argument("--ncut", type=int, default=_env_int("NCUT"),
                        help="charge-basis cutoff override")
 
     p = sub.add_parser("decompose", help="Fourier-decompose the potential and summarize parity")
@@ -62,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic two-tone map")
     common(p)
-    p.add_argument("--seed", type=int,
-                   default=int(_env("SEED")) if _env("SEED") else None,
+    p.add_argument("--seed", type=int, default=_env_int("SEED"),
                    help="noise seed (required here or in [synth])")
 
     p = sub.add_parser("fit", help="fit transmissions (and optionally globals) to datasets")
@@ -99,6 +103,22 @@ def _basis_from(cfg: RunConfig, args: argparse.Namespace, k_max: int) -> spectru
     )
 
 
+def _check_levels(
+    basis: spectrum.ChargeBasisConfig,
+    labels: Sequence[str],
+    pairs: Sequence[tuple[int, int]],
+    section: str,
+) -> None:
+    """Reject labels and level pairs that need more levels than the basis solves."""
+    needs = {lab: spectrum.parse_transition_label(lab)[1] for lab in labels}
+    needs.update({f"{i}-{j}": max(i, j) for i, j in pairs})
+    for name, level in needs.items():
+        if level >= basis.n_levels:
+            raise ConfigError(
+                f"{section}: {name} needs level {level}, but basis.n_levels = {basis.n_levels}"
+            )
+
+
 def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
     if args.kmax is not None:
         return args.kmax
@@ -120,10 +140,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     regime = potentials.find_phi_min(params, channels, flux, include_bo=include_bo)
 
     basis = _basis_from(cfg, args, k_max)
+    _check_levels(basis, _DEFAULT_LABELS, _DEFAULT_PAIRS, "decompose")
     table = spectrum.spectrum_vs_flux(
         params, channels, np.array([flux.phi_e]), basis,
         k_max=k_max, include_bo=include_bo, labels=_DEFAULT_LABELS,
-        me_pairs=_DEFAULT_PAIRS, threads=1,
+        me_pairs=_DEFAULT_PAIRS,
     )
     max_freq = float(np.nanmax([table.frequencies[lab][0] for lab in _DEFAULT_LABELS]))
     validity = potentials.validate_bo(params, max_transition_freq=max_freq)
@@ -183,11 +204,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     )
     basis = _basis_from(cfg, args, k_max)
+    _check_levels(basis, labels, pairs, "sweep")
     grid = _flux_grid(cfg, "sweep")
     table = spectrum.spectrum_vs_flux(
         params, channels, grid, basis,
         k_max=k_max, include_bo=include_bo, labels=labels, me_pairs=pairs,
-        threads=args.threads,
     )
     path = _out(args, "transitions.csv")
     table.to_csv(path)
@@ -222,10 +243,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     freqs = np.linspace(f_start, f_stop, f_points)
     grid = _flux_grid(cfg, "synth")
     basis = _basis_from(cfg, args, k_max)
+    _check_levels(basis, labels, (), "synth")
 
     traces, _ = synth.synthesize_map(
         params, channels, grid, freqs, scfg,
-        labels=labels, basis=basis, k_max=k_max, threads=args.threads,
+        labels=labels, basis=basis, k_max=k_max,
     )
     map_path = _out(args, "map.csv")
     synth.write_map_csv(traces, map_path)
@@ -410,9 +432,9 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # the parser reads its defaults from the environment, which may be malformed
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, fitstack.DatasetFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

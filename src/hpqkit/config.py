@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 
 from .potentials import CircuitParams, FluxBias, NanowireChannels
+from .spectrum import parse_transition_label
 
 __all__ = [
     "ConfigError",
@@ -162,6 +163,11 @@ def parse_labels(text: str, *, field: str = "labels") -> tuple[str, ...]:
     labels = tuple(cell.strip() for cell in text.split(",") if cell.strip())
     if not labels:
         raise ConfigError(f"{field}: no transition labels given")
+    for label in labels:
+        try:
+            parse_transition_label(label)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
     return labels
 
 
@@ -242,7 +248,7 @@ def read_gate_channels(cfg: RunConfig, section: str = "gates") -> list[tuple[flo
                 gate = float(key)
             except ValueError as exc:
                 raise ConfigError(f"section [{section}]: gate tag {key!r} is not a number") from exc
-            gates.append((gate, NanowireChannels(tuple(parse_float_list(value, field=f"{section}.{key}")))))
+            gates.append((gate, _gate_channels(value, f"{section}.{key}")))
     for name in cfg.sections():
         if name.startswith("gate:"):
             try:
@@ -250,6 +256,13 @@ def read_gate_channels(cfg: RunConfig, section: str = "gates") -> list[tuple[flo
             except ValueError as exc:
                 raise ConfigError(f"section [{name}]: gate tag is not a number") from exc
             text = cfg.get_str(name, "transmissions", default="")
-            gates.append((gate, NanowireChannels(tuple(parse_float_list(text, field=f"{name}.transmissions")))))
+            gates.append((gate, _gate_channels(text, f"{name}.transmissions")))
     gates.sort(key=lambda item: item[0])
     return gates
+
+
+def _gate_channels(text: str, field: str) -> NanowireChannels:
+    try:
+        return NanowireChannels(tuple(parse_float_list(text, field=field)))
+    except ValueError as exc:
+        raise ConfigError(f"field {field}: {exc}") from exc

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -26,8 +26,8 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
-from .potentials import CircuitParams, FluxBias, NanowireChannels, combine_harmonics, fourier_u, fourier_v
-from .spectrum import ChargeBasisConfig, SolverError, build_hamiltonian, eigensolve, parse_transition_label
+from .potentials import CircuitParams, NanowireChannels, fourier_u, fourier_v
+from .spectrum import ChargeBasisConfig, SolverError, parse_transition_label, solve_flux_grid
 from .synth import Trace
 
 __all__ = [
@@ -72,16 +72,23 @@ class DatasetFormatError(Exception):
 
 @dataclass(frozen=True)
 class TransitionPoint:
-    """One labeled frequency point: (flux, transition) -> f +/- sigma."""
+    """One labeled frequency point: (flux, transition) -> f +/- sigma.
+
+    ``levels`` is the parsed label ``(i, j, divisor)``.
+    """
 
     flux: float
     label: str
     freq: float
     sigma: float
     used: bool = True
+    levels: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        parse_transition_label(self.label)
+        object.__setattr__(self, "levels", parse_transition_label(self.label))
+        for name in ("flux", "freq", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.sigma > 0.0):
             raise ValueError(f"sigma must be > 0, got {self.sigma!r}")
 
@@ -218,9 +225,11 @@ def extract_transitions(
 
     Labels whose hint centers collide within ``separation_factor`` times
     the window halfwidth at a given flux are skipped there (both of
-    them), so crossings never swap labels. Failed fits are logged and
-    dropped; the per-point frequency uncertainty is floored at
-    ``sigma_floor`` GHz.
+    them), so crossings never swap labels. So are hints whose window
+    reaches past either end of the trace's frequency grid: a fit on a
+    cut-off line is pulled toward the grid's edge. Failed fits are
+    logged and dropped; the per-point frequency uncertainty is floored
+    at ``sigma_floor`` GHz.
     """
     points: list[TransitionPoint] = []
     labels = list(hints)
@@ -240,8 +249,14 @@ def extract_transitions(
             if crowded:
                 logger.debug("skip %s at flux index %d: overlapping windows", lab, idx)
                 continue
+            window = (center - hw, center + hw)
+            if window[0] < trace.freqs[0] or window[1] > trace.freqs[-1]:
+                logger.debug(
+                    "skip %s at flux index %d: window %s leaves the drive grid", lab, idx, window
+                )
+                continue
             try:
-                fit = lorentzian_fit(trace, (center - hw, center + hw))
+                fit = lorentzian_fit(trace, window)
             except (FitRejection, ValueError) as exc:
                 logger.debug("reject %s at flux index %d: %s", lab, idx, exc)
                 continue
@@ -377,20 +392,12 @@ def _model_freqs_for_points(
     cfg: FitConfig,
 ) -> np.ndarray:
     """Model frequency for each point, solving each distinct flux once."""
-    max_level = max(parse_transition_label(p.label)[1] for p in points)
-    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=max_level + 1)
-    cache: dict[float, np.ndarray] = {}
-    out = np.empty(len(points))
-    for idx, point in enumerate(points):
-        energies = cache.get(point.flux)
-        if energies is None:
-            spec = combine_harmonics(u, v, FluxBias(point.flux))
-            h = build_hamiltonian(spec, cfg.ec, basis)
-            energies, _ = eigensolve(h, basis.n_levels)
-            cache[point.flux] = energies
-        i, j, divisor = parse_transition_label(point.label)
-        out[idx] = (energies[j] - energies[i]) / divisor
-    return out
+    rows: dict[float, int] = {}
+    point_rows = [rows.setdefault(p.flux, len(rows)) for p in points]
+    i, j, divisor = np.array([p.levels for p in points]).T
+    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(j.max()) + 1)
+    energies = np.array([e for e, _ in solve_flux_grid(u, v, list(rows), cfg.ec, basis)])
+    return (energies[point_rows, j] - energies[point_rows, i]) / divisor
 
 
 def dataset_model_frequencies(

@@ -13,21 +13,14 @@ from __future__ import annotations
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .potentials import (
-    CircuitParams,
-    FluxBias,
-    HarmonicSpectrum,
-    NanowireChannels,
-    combine_harmonics,
-    fourier_u,
-    fourier_v,
-)
+from .potentials import CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
 
 __all__ = [
     "ChargeBasisConfig",
@@ -40,6 +33,7 @@ __all__ = [
     "transition_frequencies",
     "charge_matrix_element",
     "parity_weights",
+    "solve_flux_grid",
     "spectrum_vs_flux",
 ]
 
@@ -47,6 +41,10 @@ logger = logging.getLogger(__name__)
 
 #: energies closer than this (GHz) count as degenerate for state labeling
 DEGENERACY_TOL = 1e-9
+
+#: flux points whose Hamiltonians are assembled at once; bounds the memory
+#: of a block (64 complex 61x61 matrices are 3.8 MB) on long sweeps
+GRID_BLOCK = 64
 
 _LABEL_RE = re.compile(r"^f(\d)(\d)(?:/(\d))?$")
 
@@ -92,25 +90,47 @@ def build_hamiltonian(spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig)
     The constant term ``c[0]`` is dropped (pure energy offset). The basis
     must leave headroom beyond the coupling range: ``n_cut >= k_max + 5``.
     """
-    if spec.k_max >= 1 and cfg.n_cut < spec.k_max + 5:
+    return _hamiltonian_stack(spec.c[np.newaxis], spec.s[np.newaxis], ec, cfg)[0]
+
+
+@lru_cache(maxsize=16)
+def _band_index(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # flat positions of the upper and lower band entries of a dim x dim
+    # matrix, with the harmonic order k = col - row of each
+    rows, cols = np.triu_indices(dim, 1)
+    keep = cols - rows <= k_max
+    rows, cols = rows[keep], cols[keep]
+    index = (rows * dim + cols, cols * dim + rows, cols - rows)
+    for arr in index:
+        arr.flags.writeable = False
+    return index
+
+
+def _hamiltonian_stack(
+    c: np.ndarray, s: np.ndarray, ec: float, cfg: ChargeBasisConfig
+) -> np.ndarray:
+    """Hamiltonians for rows of cosine/sine amplitudes, shape ``(rows, dim, dim)``.
+
+    The stack is real unless some row has sine content.
+    """
+    k_max = c.shape[1] - 1
+    if k_max >= 1 and cfg.n_cut < k_max + 5:
         raise ValueError(
-            f"n_cut={cfg.n_cut} too small for k_max={spec.k_max}; need n_cut >= k_max + 5"
+            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + 5"
         )
     dim = cfg.dim
-    n = cfg.charges
-    complex_needed = bool(np.any(spec.s[1:] != 0.0))
-    h = np.zeros((dim, dim), dtype=complex if complex_needed else float)
-    h[np.diag_indices(dim)] = 4.0 * ec * (n - cfg.n_g) ** 2
-    for k in range(1, spec.k_max + 1):
-        if k >= dim:
-            break
-        rows = np.arange(dim - k)
-        upper = spec.c[k] / 2.0
-        if complex_needed:
-            upper = upper + 1j * spec.s[k] / 2.0
-        h[rows, rows + k] += upper
-        h[rows + k, rows] += np.conj(upper)
-    return h
+    upper, lower, ks = _band_index(dim, k_max)
+    band = c[:, ks] / 2.0
+    complex_needed = bool(np.any(s[:, 1:] != 0.0))
+    if complex_needed:
+        band = band + 1j * s[:, ks] / 2.0
+    h = np.zeros((len(c), dim * dim), dtype=complex if complex_needed else float)
+    h[:, :: dim + 1] = 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
+    # adding +0.0 stores a -0.0 amplitude as +0.0, as accumulating into the
+    # zeroed matrix does; the sign of a zero steers LAPACK's reflections
+    h[:, upper] = band + 0.0
+    h[:, lower] = np.conj(band) + 0.0
+    return h.reshape(len(c), dim, dim)
 
 
 def _degeneracy_reorder(
@@ -245,24 +265,53 @@ class TransitionTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def _solve_point(
+def solve_flux_grid(
     u: np.ndarray,
     v: np.ndarray,
-    phi_e: float,
+    flux_values: Sequence[float] | np.ndarray,
     ec: float,
     cfg: ChargeBasisConfig,
-    labels: tuple[str, ...],
-    me_pairs: tuple[tuple[int, int], ...],
-) -> tuple[np.ndarray, dict[str, float], dict[tuple[int, int], float]]:
-    spec = combine_harmonics(u, v, FluxBias(phi_e))
-    h = build_hamiltonian(spec, ec, cfg)
-    energies, vectors = eigensolve(h, cfg.n_levels)
-    freqs = transition_frequencies(energies, labels)
-    mes = {
-        (i, j): charge_matrix_element(vectors[:, i], vectors[:, j], cfg.n_g)
-        for i, j in me_pairs
-    }
-    return energies, freqs, mes
+    *,
+    strict: bool = True,
+) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+    """Lowest eigenpairs of the Hamiltonian at each flux, in grid order.
+
+    ``u`` and ``v`` are the arm amplitudes of
+    :func:`~hpqkit.potentials.combine_harmonics`; each flux is wrapped
+    into [-pi, pi) exactly as :class:`~hpqkit.potentials.FluxBias` does.
+    The Hamiltonians of up to :data:`GRID_BLOCK` points are assembled in
+    one vectorised fill, and each point's lowest ``cfg.n_levels`` states
+    are solved with :func:`eigensolve`; a point without sine content
+    gets a real matrix, exactly as :func:`build_hamiltonian` gives it. A point whose solve fails raises a :class:`SolverError`
+    naming its index when ``strict``; otherwise it logs a warning and
+    yields ``None``.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError(f"u and v must be 1-d arrays of equal length, got {u.shape} vs {v.shape}")
+    flux_values = np.asarray(flux_values, dtype=float)
+    if not np.all(np.isfinite(flux_values)):
+        raise ValueError("flux values must be finite")
+    phi_e = (flux_values + math.pi) % (2.0 * math.pi) - math.pi
+    k = np.arange(len(u))
+    for start in range(0, len(phi_e), GRID_BLOCK):
+        angles = phi_e[start : start + GRID_BLOCK, np.newaxis] * k
+        c = u + np.cos(angles) * v
+        s = np.sin(angles) * v
+        real = ~np.any(s[:, 1:] != 0.0, axis=1)
+        for offset, h in enumerate(_hamiltonian_stack(c, s, ec, cfg)):
+            idx = start + offset
+            try:
+                solution = eigensolve(h.real if real[offset] else h, cfg.n_levels)
+            except SolverError as exc:
+                if strict:
+                    raise SolverError(
+                        f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}"
+                    ) from exc
+                logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
+                solution = None
+            yield solution
 
 
 def spectrum_vs_flux(
@@ -275,17 +324,14 @@ def spectrum_vs_flux(
     include_bo: bool = True,
     labels: tuple[str, ...] = ("f01", "f12", "f02"),
     me_pairs: tuple[tuple[int, int], ...] = ((0, 1), (1, 2)),
-    threads: int | None = None,
     strict: bool = False,
 ) -> TransitionTable:
     """Tabulate eigenenergies, transitions, and matrix elements over flux.
 
     The arm Fourier amplitudes are flux independent and computed once;
-    each grid point only re-interferes them, rebuilds the matrix, and
-    solves. Points are independent, so evaluation parallelizes across a
-    thread pool (LAPACK releases the GIL) with results kept in grid
-    order. A failed point raises when ``strict``, otherwise it logs a
-    warning and leaves a NaN row.
+    :func:`solve_flux_grid` re-interferes them and solves at each grid
+    point. A failed point raises when ``strict``, otherwise it logs a
+    warning and leaves a NaN row flagged in ``failed``.
     """
     flux_values = np.asarray(flux_values, dtype=float)
     u = fourier_u(params, k_max, include_bo=include_bo)
@@ -297,29 +343,16 @@ def spectrum_vs_flux(
     mes = {pair: np.full(n_points, np.nan) for pair in me_pairs}
     failed = np.zeros(n_points, dtype=bool)
 
-    def run(idx: int) -> None:
-        try:
-            e, f, m = _solve_point(u, v, flux_values[idx], params.ec, cfg, labels, me_pairs)
-        except SolverError as exc:
-            if strict:
-                raise SolverError(
-                    f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}"
-                ) from exc
-            logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
+    solutions = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=strict)
+    for idx, solution in enumerate(solutions):
+        if solution is None:
             failed[idx] = True
-            return
-        energies[idx] = e
-        for lab in labels:
-            freqs[lab][idx] = f[lab]
-        for pair in me_pairs:
-            mes[pair][idx] = m[pair]
-
-    if threads is not None and threads > 1 and n_points > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(n_points)))
-    else:
-        for idx in range(n_points):
-            run(idx)
+            continue
+        energies[idx], vectors = solution
+        for lab, f in transition_frequencies(energies[idx], labels).items():
+            freqs[lab][idx] = f
+        for i, j in me_pairs:
+            mes[(i, j)][idx] = charge_matrix_element(vectors[:, i], vectors[:, j], cfg.n_g)
 
     return TransitionTable(
         flux_radians=flux_values,

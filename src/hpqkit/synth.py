@@ -55,8 +55,8 @@ class SynthConfig:
 
     ``fwhm`` and ``amplitude`` may be single numbers or per-label
     mappings. Noise is additive Gaussian in signal units; the seed makes
-    output bit-reproducible, with per-flux-point substreams so parallel
-    and serial generation agree.
+    output bit-reproducible, and each flux point draws from its own
+    substream, so a point's noise does not depend on the rest of the grid.
     """
 
     seed: int
@@ -130,8 +130,8 @@ def synthesize_trace(
 
 
 def _point_rng(seed: int, index: int) -> np.random.Generator:
-    # independent substream per flux point; identical whether points are
-    # generated serially or concurrently
+    # independent substream per flux point: a point's noise depends only on
+    # the seed and its index
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
@@ -146,7 +146,6 @@ def synthesize_map(
     basis: ChargeBasisConfig | None = None,
     k_max: int = 10,
     include_bo: bool = True,
-    threads: int | None = None,
 ) -> tuple[list[Trace], TransitionTable]:
     """Generate one trace per flux point from the circuit model.
 
@@ -168,7 +167,6 @@ def synthesize_map(
         include_bo=include_bo,
         labels=labels,
         me_pairs=pairs,
-        threads=threads,
     )
     traces: list[Trace] = []
     for idx, phi_e in enumerate(flux_values):

@@ -1,5 +1,6 @@
 import configparser
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestDecompose:
         main(["decompose", "--config", cfg, "--out-dir", str(tmp_path)])
         assert (tmp_path / "harmonics.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("name", ["KMAX", "NCUT", "SEED"])
+    def test_malformed_integer_env_exits_two(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv(f"HPQKIT_{name}", "abc")
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
+        assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"HPQKIT_{name}" in capsys.readouterr().err
+
     def test_env_out_dir_override(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("HPQKIT_OUT_DIR", str(out))
@@ -135,6 +143,15 @@ class TestSweep:
             params, NanowireChannels(()), np.array([0.0]), ChargeBasisConfig()
         )
         assert f01[0] == pytest.approx(float(oracle.frequencies["f01"][0]), rel=1e-9)
+
+    @pytest.mark.parametrize("command", ["sweep", "synth"])
+    def test_label_beyond_solved_levels_exits_two(self, tmp_path, capsys, command):
+        base = SWEEP_CONFIG if command == "sweep" else SYNTH_CONFIG
+        text = re.sub(r"labels = .*", "labels = f01, f07", base)
+        cfg = write(tmp_path / "run.ini", text + "\n[basis]\nn_levels = 6\n")
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "f07" in err and "n_levels = 6" in err
 
     def test_symmetric_grid_symmetric_table(self, tmp_path):
         text = SWEEP_CONFIG.replace("transmissions =", "transmissions = 0.94, 0.58, 0.58")
@@ -285,6 +302,15 @@ class TestFit:
         assert main(["fit", str(data), "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "no fittable points" in capsys.readouterr().err
 
+    def test_non_finite_frequency_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        data = tmp_path / "bad.csv"
+        data.write_text(
+            "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n0.0,0.1,f01,nan,0.01,1\n"
+        )
+        assert main(["fit", str(data), "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "bad.csv:2" in capsys.readouterr().err
+
     def test_unparseable_row_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
         data = tmp_path / "bad.csv"
@@ -355,6 +381,11 @@ class TestClassify:
         first = (tmp_path / "regimes.csv").read_bytes()
         main(["classify", "--config", cfg, "--out-dir", str(tmp_path)])
         assert (tmp_path / "regimes.csv").read_bytes() == first
+
+    def test_transmission_outside_unit_interval_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG.replace("0.98, 0.98", "1.5, 0.98"))
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "gates.7.2" in capsys.readouterr().err
 
     def test_empty_gate_list(self, tmp_path):
         text = CLASSIFY_CONFIG.split("[gates]")[0] + "[gates]\n"

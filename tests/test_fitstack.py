@@ -158,6 +158,19 @@ class TestExtraction:
         hints = {"f01": TransitionHint(centers=np.array([np.nan]), halfwidth=0.2)}
         assert extract_transitions(traces, hints) == []
 
+    def test_window_cut_off_by_grid_edge_skipped(self):
+        # a 0.011 GHz line on a grid starting at 0.05 GHz: the fit would
+        # land on the line's tail at the grid edge (about 0.054 GHz)
+        grid = np.arange(0.05, 1.0, 0.001)
+        traces = [synthesize_trace([(0.011, 1.0, 0.025), (0.6, 1.0, 0.025)], grid, phi_e=0.0)]
+        hints = {
+            "f01": TransitionHint(centers=np.array([0.011]), halfwidth=0.06),
+            "f12": TransitionHint(centers=np.array([0.6]), halfwidth=0.06),
+        }
+        points = extract_transitions(traces, hints)
+        assert [p.label for p in points] == ["f12"]
+        assert points[0].freq == pytest.approx(0.6, abs=1e-6)
+
 
 # ---------------------------------------------------------------------------
 # residuals and parameter packing
@@ -483,6 +496,21 @@ class TestDatasetFiles:
             "0.0,oops,f01,5.0,0.01,1\n"
         )
         with pytest.raises(DatasetFormatError, match=r"broken\.csv:3"):
+            read_dataset_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "column, value", [("flux_phi0", "nan"), ("freq_ghz", "inf"), ("sigma_ghz", "nan")]
+    )
+    def test_non_finite_value_reports_line_number(self, tmp_path, column, value):
+        cells = {"gate_v": "0.0", "flux_phi0": "0.1", "label": "f01", "freq_ghz": "5.0",
+                 "sigma_ghz": "0.01", "used": "1"}
+        cells[column] = value
+        path = tmp_path / "broken.csv"
+        path.write_text(
+            "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n"
+            "0.0,0.0,f01,5.0,0.01,1\n" + ",".join(cells.values()) + "\n"
+        )
+        with pytest.raises(DatasetFormatError, match=r"broken\.csv:3: .* must be finite"):
             read_dataset_csv(str(path))
 
     def test_bad_header_rejected(self, tmp_path):

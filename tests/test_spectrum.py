@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hpqkit import (
     FluxBias,
     HarmonicSpectrum,
     NanowireChannels,
+    SolverError,
     build_hamiltonian,
     charge_matrix_element,
     combine_harmonics,
@@ -17,9 +19,11 @@ from hpqkit import (
     fourier_v,
     parity_weights,
     parse_transition_label,
+    solve_flux_grid,
     spectrum_vs_flux,
     transition_frequencies,
 )
+from hpqkit.spectrum import GRID_BLOCK
 
 
 def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) -> np.ndarray:
@@ -33,6 +37,24 @@ def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) 
 
 def transmon_spectrum(ej: float) -> HarmonicSpectrum:
     return HarmonicSpectrum.from_cosine([0.0, -ej])
+
+
+def banded_loop_hamiltonian(
+    spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig
+) -> np.ndarray:
+    """Band-by-band accumulation of the charge-basis matrix, sharing no code with the package."""
+    dim = cfg.dim
+    complex_needed = bool(np.any(spec.s[1:] != 0.0))
+    h = np.zeros((dim, dim), dtype=complex if complex_needed else float)
+    h[np.diag_indices(dim)] = 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
+    for k in range(1, spec.k_max + 1):
+        rows = np.arange(dim - k)
+        upper = spec.c[k] / 2.0
+        if complex_needed:
+            upper = upper + 1j * spec.s[k] / 2.0
+        h[rows, rows + k] += upper
+        h[rows + k, rows] += np.conj(upper)
+    return h
 
 
 class TestBuildHamiltonian:
@@ -260,16 +282,6 @@ class TestSpectrumVsFlux:
         assert int(np.argmin(f01)) == len(grid) - 1
         assert f01[-1] < 1.5
 
-    def test_threaded_evaluation_identical(self, hpq_params, even_channels):
-        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
-        grid = 2.0 * math.pi * np.linspace(0.0, 0.5, 9)
-        serial = spectrum_vs_flux(hpq_params, even_channels, grid, cfg, threads=1)
-        threaded = spectrum_vs_flux(hpq_params, even_channels, grid, cfg, threads=4)
-        for label in serial.labels:
-            assert np.array_equal(serial.frequencies[label], threaded.frequencies[label])
-        for pair in serial.me_pairs:
-            assert np.array_equal(serial.matrix_elements[pair], threaded.matrix_elements[pair])
-
     def test_csv_export(self, tmp_path, hpq_params, odd_channels):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         grid = 2.0 * math.pi * np.linspace(0.0, 0.5, 3)
@@ -282,3 +294,108 @@ class TestSpectrumVsFlux:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.0)
         assert float(first[1]) == pytest.approx(table.frequencies["f01"][0], rel=1e-11)
+
+
+class TestSolveFluxGrid:
+    """The vectorised grid solver against per-point assembly and solve."""
+
+    #: 0, +-pi, points outside [-pi, pi), and a sweep that spills into a second block
+    GRID = np.concatenate(
+        [[0.0, math.pi, -math.pi, 7.5, -9.0], np.linspace(-math.pi, math.pi, GRID_BLOCK + 4)]
+    )
+
+    def cases(self, hpq_params, mixed_channels):
+        u = fourier_u(hpq_params, 10)
+        even_u = np.zeros(11)
+        even_u[2], even_u[4] = -150.0, 2.0
+        even_v = np.zeros(11)
+        even_v[2] = -4.0
+        return {
+            "mixed": (u, fourier_v(mixed_channels, hpq_params.gap, 10), 0.0),
+            "mixed, n_g = 0.3": (u, fourier_v(mixed_channels, hpq_params.gap, 10), 0.3),
+            "open nanowire": (u, fourier_v(NanowireChannels(()), hpq_params.gap, 10), 0.0),
+            "even-only doublet": (even_u, even_v, 0.0),
+        }
+
+    def test_bit_identical_to_per_point_solve(self, hpq_params, mixed_channels):
+        assert len(self.GRID) > GRID_BLOCK
+        for name, (u, v, n_g) in self.cases(hpq_params, mixed_channels).items():
+            cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4)
+            solutions = list(solve_flux_grid(u, v, self.GRID, 0.28, cfg))
+            assert len(solutions) == len(self.GRID), name
+            for phi, (energies, vectors) in zip(self.GRID, solutions):
+                spec = combine_harmonics(u, v, FluxBias(phi))
+                h = build_hamiltonian(spec, 0.28, cfg)
+                loop = banded_loop_hamiltonian(spec, 0.28, cfg)
+                assert h.dtype == loop.dtype and h.tobytes() == loop.tobytes(), (name, phi)
+                want_e, want_v = eigensolve(h, cfg.n_levels)
+                assert vectors.dtype == want_v.dtype, (name, phi)
+                assert np.array_equal(energies, want_e), (name, phi)
+                assert np.array_equal(vectors, want_v), (name, phi)
+
+    def test_cases_cover_real_complex_and_degenerate_points(self, hpq_params, mixed_channels):
+        cases = self.cases(hpq_params, mixed_channels)
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        u, v, _ = cases["mixed"]
+        dtypes = {vectors.dtype for _, vectors in solve_flux_grid(u, v, self.GRID, 0.28, cfg)}
+        assert dtypes == {np.dtype(float), np.dtype(complex)}
+        u, v, _ = cases["open nanowire"]
+        solutions = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+        assert all(vectors.dtype == float for _, vectors in solutions)
+        u, v, _ = cases["even-only doublet"]
+        for energies, vectors in solve_flux_grid(u, v, self.GRID, 0.28, cfg):
+            # inside DEGENERACY_TOL, so the pair is ordered by even weight
+            assert energies[1] - energies[0] < 1e-9
+            w0, w1 = (parity_weights(vectors[:, m]).even_weight for m in (0, 1))
+            assert w0 > 0.5 > w1
+
+    def test_wraps_flux_like_flux_bias(self, hpq_params, mixed_channels):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        raw = np.array([7.5, -9.0, 3.0 * math.pi, -math.pi, 1e-20])
+        wrapped = [FluxBias(phi).phi_e for phi in raw]
+        for (e_raw, _), (e_wrapped, _) in zip(
+            solve_flux_grid(u, v, raw, 0.28, cfg), solve_flux_grid(u, v, wrapped, 0.28, cfg)
+        ):
+            assert np.array_equal(e_raw, e_wrapped)
+
+    @pytest.fixture
+    def fail_solve(self, monkeypatch):
+        """``fail_solve(n)`` makes the LAPACK call of the n-th solve from then on fail."""
+        eigh = scipy.linalg.eigh
+
+        def arm(n: int) -> None:
+            calls = []
+
+            def flaky(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == n:
+                    raise scipy.linalg.LinAlgError("injected failure")
+                return eigh(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, "eigh", flaky)
+
+        return arm
+
+    def test_failed_point_leaves_nan_row(self, hpq_params, mixed_channels, fail_solve, caplog):
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        grid = np.linspace(0.0, math.pi, 5)
+        clean = spectrum_vs_flux(hpq_params, mixed_channels, grid, cfg)
+        fail_solve(3)
+        with caplog.at_level(logging.WARNING, logger="hpqkit.spectrum"):
+            table = spectrum_vs_flux(hpq_params, mixed_channels, grid, cfg)
+        assert table.failed.tolist() == [False, False, True, False, False]
+        assert "flux point 2" in caplog.text
+        assert np.all(np.isnan(table.energies[2]))
+        keep = ~table.failed
+        for label in table.labels:
+            assert math.isnan(table.frequencies[label][2])
+            assert np.array_equal(table.frequencies[label][keep], clean.frequencies[label][keep])
+        for pair in table.me_pairs:
+            assert math.isnan(table.matrix_elements[pair][2])
+
+    def test_strict_failure_names_flux_index(self, hpq_params, mixed_channels, fail_solve):
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        fail_solve(3)
+        with pytest.raises(SolverError, match=r"flux point 2 \(phi_e="):
+            spectrum_vs_flux(hpq_params, mixed_channels, np.linspace(0.0, math.pi, 5), cfg, strict=True)
