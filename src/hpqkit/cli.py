@@ -120,9 +120,10 @@ def _check_levels(
 
 
 def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
-    if args.kmax is not None:
-        return args.kmax
-    return cfg.get_int(section, "k_max", default=10)
+    k_max = args.kmax if args.kmax is not None else cfg.get_int(section, "k_max", default=10)
+    if k_max < 1:
+        raise ConfigError(f"{section}: k_max must be >= 1, got {k_max}")
+    return k_max
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:

@@ -19,7 +19,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -371,18 +370,8 @@ class ThetaLayout:
         return params, channels
 
 
-@lru_cache(maxsize=128)
-def _junction_arm_coefficients(
-    params: CircuitParams, k_max: int, include_bo: bool
-) -> tuple[float, ...]:
-    # the junction arm depends only on the shared constants, not on the
-    # per-gate channels, so fits with fixed globals reuse it across every
-    # residual evaluation
-    return tuple(fourier_u(params, k_max, include_bo=include_bo))
-
-
 def _u_for(params: CircuitParams, cfg: FitConfig) -> np.ndarray:
-    return np.array(_junction_arm_coefficients(params, cfg.k_max, cfg.include_bo))
+    return fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
 
 
 def _model_freqs_for_points(

@@ -19,14 +19,13 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import minimize_scalar
+from scipy.special import binom, hyp2f1
 
 __all__ = [
     "CircuitParams",
@@ -329,76 +328,42 @@ def total_potential(
 
 
 # ---------------------------------------------------------------------------
-# quadrature backend
+# harmonic kernel
 #
-# Two routes, picked per integrand:
-#  * periodic trapezoid (FFT) for strictly sub-unity transmissions, where
-#    the integrand is analytic and the rule converges spectrally;
-#  * adaptive Gauss-Kronrod on [0, pi] when the effective transmission is
-#    at (or within 1e-6 of) unity and the integrand has a |cos(phi/2)|
-#    cusp at phi = pi.
-# Both deliver ~1e-13 of the leading coefficient, comfortably below the
-# 1e-10 relative contract of fourier_u / fourier_v.
-
-_CUSP_EDGE = 1.0 - 1e-6
-_TRAP_MIN = 4096
-_TRAP_MAX = 1 << 17
-
-
-def _trapezoid_samples(sharpness: float) -> int:
-    """Sample count for spectral accuracy given the branch transmission."""
-    if sharpness <= 0.0:
-        return _TRAP_MIN
-    # Fourier amplitudes decay as exp(-eta k); eta from the complex
-    # singularity of sqrt(1 - sharpness sin^2(phi/2)).
-    eta = 2.0 * math.acosh(1.0 / math.sqrt(sharpness)) if sharpness < 1.0 else 0.0
-    if eta <= 0.0:
-        return _TRAP_MAX
-    n = 2 ** math.ceil(math.log2(max(60.0 / eta, 1.0)))
-    return min(max(n, _TRAP_MIN), _TRAP_MAX)
+# Both arms are sums of g(phi) = (1 - m sin^2(phi/2))**nu with nu = 1/2
+# (junction and nanowire dispersions) or nu = 1/4 (internal-mode
+# correction). Their cosine amplitudes are Gauss hypergeometric
+# functions (DLMF 15.2, 15.4(ii)):
+#
+#   A_0 = 2F1(-nu, 1/2; 1; m),
+#   A_k = 2 (-m/4)^k (-nu)_k / k! * 2F1(k - nu, k + 1/2; 2k + 1; m).
+#
+# For nu = 1/2 that 2F1 has c - a - b = 1, where scipy's hyp2f1 loses up
+# to 3e-4 of the leading amplitude near m = 0.9 by k = 60. The kernel
+# evaluates the same amplitudes after the change of variable
+# m = 4 rho / (1 + rho)^2 (DLMF 15.8(iii)), i.e. rho = (1 - r)/(1 + r)
+# with r = sqrt(1 - m):
+#
+#   A_k = eps_k ((1 + r)/2)^(2 nu) binom(nu, k) rho^k 2F1(-nu, k - nu; k + 1; rho^2),
+#
+# with eps_0 = 1 and eps_k = 2. This series has terms of one sign and
+# the cusp m = 1 is Gauss's sum, so every amplitude is accurate to about
+# 1e-13 relative over m in [0, 1].
 
 
-def _trapezoid_cosine(fn: Callable[[np.ndarray], np.ndarray], k_max: int, n: int) -> np.ndarray:
-    phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
-    y = np.asarray(fn(phi), dtype=float)
-    spectrum = np.fft.rfft(y)
-    coef = np.empty(k_max + 1)
-    coef[0] = spectrum[0].real / n
-    k = np.arange(1, k_max + 1)
-    coef[1:] = (2.0 / n) * ((-1.0) ** k) * spectrum[1 : k_max + 1].real
-    return coef
+def _power_amplitudes(m: np.ndarray | float, nu: np.ndarray | float, k_max: int) -> np.ndarray:
+    """Cosine amplitudes A_0..A_k_max of ``(1 - m sin^2(phi/2))**nu``.
 
-
-def _quad_cosine(fn: Callable[[float], float], k_max: int) -> np.ndarray:
-    coef = np.empty(k_max + 1)
-    with warnings.catch_warnings():
-        # tolerances sit at the roundoff floor on purpose; QUADPACK
-        # reports that as a warning while still returning ~1e-13 accuracy
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for k in range(k_max + 1):
-            val, _ = quad(
-                lambda p: fn(p) * math.cos(k * p),
-                0.0,
-                math.pi,
-                epsabs=1e-13,
-                epsrel=1e-12,
-                limit=400,
-            )
-            coef[k] = (2.0 / math.pi) * val if k >= 1 else val / math.pi
-    return coef
-
-
-def _cosine_coefficients(
-    fn: Callable[[np.ndarray], np.ndarray], k_max: int, sharpness: float
-) -> np.ndarray:
-    """Cosine amplitudes of an even 2pi-periodic function.
-
-    ``sharpness`` is the effective transmission of the branch; it decides
-    between the spectral trapezoid rule and the cusp-safe adaptive rule.
+    ``m`` and ``nu`` broadcast against each other; the result has their
+    broadcast shape plus a trailing axis of length ``k_max + 1``.
     """
-    if sharpness < _CUSP_EDGE:
-        return _trapezoid_cosine(fn, k_max, _trapezoid_samples(sharpness))
-    return _quad_cosine(lambda p: float(fn(np.asarray(p))), k_max)
+    m = np.asarray(m, dtype=float)[..., None]
+    nu = np.asarray(nu, dtype=float)[..., None]
+    k = np.arange(k_max + 1)
+    r = np.sqrt(1.0 - m)
+    rho = m / (1.0 + r) ** 2
+    scale = np.where(k == 0, 1.0, 2.0) * ((1.0 + r) / 2.0) ** (2.0 * nu)
+    return scale * binom(nu, k) * rho**k * hyp2f1(-nu, k - nu, k + 1, rho * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +374,10 @@ def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> 
     """Cosine amplitudes of the double-junction arm.
 
     Index 0 stores the mean value; indices k >= 1 are the full amplitudes
-    of cos(k phi).
+    of cos(k phi). The arm is ``-E_Jsigma * A(lam, 1/2)``, plus
+    ``sqrt(E_Jsigma * E_CJ) * A(lam, 1/4)`` with the internal-mode
+    correction, where ``A(m, nu)`` are the closed-form amplitudes of
+    ``(1 - m sin^2(phi/2))**nu``.
 
     Parameters
     ----------
@@ -423,32 +391,25 @@ def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> 
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-
-    def branch(phi: np.ndarray) -> np.ndarray:
-        out = np.asarray(sissis_potential(phi, params), dtype=float)
-        if include_bo:
-            out = out + bo_correction(phi, params)
-        return out
-
-    return _cosine_coefficients(branch, k_max, params.lam)
+    junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), k_max)
+    u = -params.ej_sigma * junction
+    if include_bo:
+        u = u + math.sqrt(params.ej_sigma * params.ecj) * correction
+    return u
 
 
 def fourier_v(channels: NanowireChannels, gap: float, k_max: int) -> np.ndarray:
     """Cosine amplitudes of the nanowire arm at zero flux offset.
 
-    Channels are decomposed one at a time so each integrand gets the
-    quadrature route matching its own transmission.
+    The arm is ``-gap * sum_i A(T_i, 1/2)``, with every channel's
+    closed-form amplitudes evaluated in one call; an open nanowire gives
+    all zeros.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    coef = np.zeros(k_max + 1)
-    for t in channels:
-        coef += _cosine_coefficients(
-            lambda phi, t=t: -gap * np.sqrt(1.0 - t * np.sin(phi / 2.0) ** 2),
-            k_max,
-            t,
-        )
-    return coef
+    amplitudes = _power_amplitudes(np.array(channels.transmissions), 0.5, k_max)
+    # subtracting from +0.0 keeps zero amplitudes from printing as -0
+    return np.zeros(k_max + 1) - gap * amplitudes.sum(axis=0)
 
 
 def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicSpectrum:

@@ -42,10 +42,10 @@ def even_channels() -> NanowireChannels:
 
 
 def project_cosine_sine(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Fourier projector used as a quadrature oracle.
+    """Independent Fourier projector used as an oracle for the harmonic kernel.
 
     Direct Riemann sums on a uniform periodic grid, deliberately not
-    sharing code with the package's quadrature backend.
+    sharing code with the package's closed-form amplitudes.
     """
     n = len(values)
     phi = -np.pi + 2.0 * np.pi * np.arange(n) / n

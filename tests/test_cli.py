@@ -103,6 +103,23 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"HPQKIT_{name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, env, section",
+        [
+            (["--kmax", "0"], None, ""),
+            (["--kmax", "-3"], None, ""),
+            ([], "0", ""),
+            ([], None, "\n[decompose]\nk_max = 0\n"),
+        ],
+        ids=["flag-zero", "flag-negative", "env", "section-key"],
+    )
+    def test_kmax_below_one_exits_two(self, tmp_path, monkeypatch, capsys, argv, env, section):
+        if env is not None:
+            monkeypatch.setenv("HPQKIT_KMAX", env)
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG + section)
+        assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
+        assert "decompose: k_max must be >= 1" in capsys.readouterr().err
+
     def test_env_out_dir_override(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
         monkeypatch.setenv("HPQKIT_OUT_DIR", str(out))

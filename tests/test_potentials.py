@@ -190,8 +190,8 @@ class TestFourierU:
     def test_closed_form_at_unit_lambda_without_correction(self):
         # analytic oracle: the series of -E * |cos(phi/2)|
         p = CircuitParams(ej1=59.96, ej2=59.96, ecj=0.583, ec=0.28, gap=40.06)
-        u = fourier_u(p, 10, include_bo=False)
-        for k in range(1, 11):
+        u = fourier_u(p, 40, include_bo=False)
+        for k in range(1, 41):
             expected = closed_form_sqrt_series(p.ej_sigma, k)
             assert u[k] == pytest.approx(expected, rel=1e-8), f"k={k}"
 
@@ -232,8 +232,8 @@ class TestFourierV:
 
     def test_unit_transmission_closed_form(self):
         gap = 40.06
-        v = fourier_v(NanowireChannels((1.0,)), gap, 10)
-        for k in range(1, 11):
+        v = fourier_v(NanowireChannels((1.0,)), gap, 40)
+        for k in range(1, 41):
             assert v[k] == pytest.approx(closed_form_sqrt_series(gap, k), rel=1e-8), f"k={k}"
 
     def test_empty_channels_all_zero(self):
@@ -262,6 +262,63 @@ class TestFourierV:
     def test_rejects_bad_truncation(self):
         with pytest.raises(ValueError):
             fourier_v(NanowireChannels((0.5,)), 40.0, 0)
+
+
+def params_with_lambda(m: float) -> CircuitParams:
+    """Junction pair with ej_sigma = 110 and effective transmission m (0 < m <= 1)."""
+    r = math.sqrt(1.0 - m)
+    return CircuitParams(
+        ej1=55.0 * (1.0 + r), ej2=55.0 * m / (1.0 + r), ecj=0.675, ec=0.28, gap=40.06
+    )
+
+
+def oracle_cosines(values: np.ndarray, k_max: int) -> tuple[np.ndarray, float]:
+    cos_ref, _ = project_cosine_sine(values, k_max)
+    return cos_ref, float(np.max(np.abs(cos_ref)))
+
+
+ORACLE_PHI = -np.pi + 2.0 * np.pi * np.arange(1 << 15) / (1 << 15)
+
+
+class TestKernelAgainstOracles:
+    @given(
+        st.floats(0.0, 0.99, exclude_min=True),
+        st.integers(1, 40),
+        st.booleans(),
+    )
+    def test_fourier_u_matches_independent_projector(self, m, k_max, include_bo):
+        p = params_with_lambda(m)
+        sampled = total_potential(ORACLE_PHI, p, NanowireChannels(()), FluxBias(0.0), include_bo=include_bo)
+        cos_ref, scale = oracle_cosines(sampled, k_max)
+        assert np.allclose(fourier_u(p, k_max, include_bo=include_bo), cos_ref, rtol=0.0, atol=1e-9 * scale)
+
+    @given(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4), st.integers(1, 40))
+    def test_fourier_v_matches_independent_projector(self, transmissions, k_max):
+        channels = NanowireChannels(tuple(transmissions))
+        cos_ref, scale = oracle_cosines(sns_potential(ORACLE_PHI, channels, 40.06), k_max)
+        assert np.allclose(fourier_v(channels, 40.06, k_max), cos_ref, rtol=0.0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("m", [0.9125, 0.95, 1.0 - 1e-7])
+    def test_high_harmonics_near_the_cusp(self, m):
+        # near m = 0.91 the unreduced 2F1(k - 1/2, k + 1/2; 2k + 1; m) loses
+        # accuracy by k ~ 40; at m = 1 - 1e-7 the cusp is rounded over
+        # |phi - pi| ~ 6e-4, which the oracle grid resolves but which moves
+        # the amplitudes ~1e-6 of scale away from the m = 1 closed form
+        p = params_with_lambda(m)
+        channels = NanowireChannels((m,))
+        for got, sampled in (
+            (fourier_u(p, 60), total_potential(ORACLE_PHI, p, NanowireChannels(()), FluxBias(0.0))),
+            (fourier_v(channels, 40.06, 60), sns_potential(ORACLE_PHI, channels, 40.06)),
+        ):
+            cos_ref, scale = oracle_cosines(sampled, 60)
+            assert np.allclose(got, cos_ref, rtol=0.0, atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("m", [1.0 - 1e-7, 1.0])
+    def test_k60_amplitudes_finite_at_the_cusp(self, m):
+        p = params_with_lambda(m)
+        for include_bo in (True, False):
+            assert np.all(np.isfinite(fourier_u(p, 60, include_bo=include_bo)))
+        assert np.all(np.isfinite(fourier_v(NanowireChannels((m, 0.5)), 40.06, 60)))
 
 
 class TestCombineHarmonics:
