@@ -24,6 +24,7 @@ from .potentials import (
     parity_sums,
 )
 from .spectrum import ChargeBasisConfig, parity_weights, solve_flux_grid
+from .tables import fmt, write_csv
 
 __all__ = [
     "GateHarmonics",
@@ -235,14 +236,9 @@ def parity_table(
 # table exports
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_gate_harmonics_csv(rows: Sequence[GateHarmonics], path: str) -> None:
     if not rows:
-        _write_lines(path, ["gate"])
+        write_csv(path, ["gate"], ())
         return
     k_max = len(rows[0].c) - 1
     header = (
@@ -252,54 +248,40 @@ def write_gate_harmonics_csv(rows: Sequence[GateHarmonics], path: str) -> None:
         + ["c_even", "c_odd", "parity_ratio"]
         + [f"c{k}_norm" for k in range(1, k_max + 1)]
     )
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{row.gate:.12g}"]
-        cells += [f"{row.c[k]:.12g}" for k in range(1, k_max + 1)]
-        cells += [f"{row.s[k]:.12g}" for k in range(1, k_max + 1)]
-        cells += [f"{row.c_even:.12g}", f"{row.c_odd:.12g}", f"{row.ratio:.12g}"]
-        cells += [f"{row.c_normalized[k]:.12g}" for k in range(1, k_max + 1)]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+    harmonics = slice(1, k_max + 1)
+    write_csv(path, header, (
+        (row.gate, *row.c[harmonics], *row.s[harmonics], row.c_even, row.c_odd, row.ratio,
+         *row.c_normalized[harmonics])
+        for row in rows
+    ))
 
 
 def write_regimes_csv(rows: Sequence[RegimeRow], path: str) -> None:
-    lines = ["gate,phi_min_rad,regime"]
-    for row in rows:
-        lines.append(f"{row.gate:.12g},{row.phi_min:.12g},{row.regime.value}")
-    _write_lines(path, lines)
+    write_csv(path, ("gate", "phi_min_rad", "regime"),
+              ((row.gate, row.phi_min, row.regime.value) for row in rows))
 
 
 def write_sns_report_csv(report: SnsBranchReport, path: str) -> None:
     k_max = len(report.rows[0].v) - 1 if report.rows else 0
     header = ["gate"] + [f"v{k}" for k in range(1, k_max + 1)] + ["v_even", "v_odd", "t_sum"]
+    u_cells: tuple[float, ...] = ()
     if report.u_even is not None:
         header += ["u_even", "u_odd"]
-    lines = [",".join(header)]
-    for row in report.rows:
-        cells = [f"{row.gate:.12g}"]
-        cells += [f"{row.v[k]:.12g}" for k in range(1, k_max + 1)]
-        cells += [f"{row.v_even:.12g}", f"{row.v_odd:.12g}", f"{row.t_sum:.12g}"]
-        if report.u_even is not None:
-            cells += [f"{report.u_even:.12g}", f"{report.u_odd:.12g}"]
-        lines.append(",".join(cells))
-    _write_lines(path, lines)
+        u_cells = (report.u_even, report.u_odd)
+    write_csv(path, header, (
+        (row.gate, *row.v[1 : k_max + 1], row.v_even, row.v_odd, row.t_sum, *u_cells)
+        for row in report.rows
+    ))
 
 
 def write_parity_csv(rows: Sequence[ParityRow], path: str) -> None:
-    lines = ["state,energy_ghz,even_weight,odd_weight,dominant"]
-    for row in rows:
-        dominant = ";".join(f"{n}:{p:.12g}" for n, p in row.dominant)
-        lines.append(
-            f"{row.state},{row.energy:.12g},{row.even_weight:.12g},"
-            f"{row.odd_weight:.12g},{dominant}"
-        )
-    _write_lines(path, lines)
+    write_csv(path, ("state", "energy_ghz", "even_weight", "odd_weight", "dominant"), (
+        (row.state, row.energy, row.even_weight, row.odd_weight,
+         ";".join(f"{n}:{fmt(p)}" for n, p in row.dominant))
+        for row in rows
+    ))
 
 
 def write_plot_data(rows: Sequence[tuple[float, float, str]], path: str) -> None:
     """Long-format (x, y, series) CSV consumable by any plotting tool."""
-    lines = ["x,y,series"]
-    for x, y, series in rows:
-        lines.append(f"{x:.12g},{y:.12g},{series}")
-    _write_lines(path, lines)
+    write_csv(path, ("x", "y", "series"), ((x, y, series) for x, y, series in rows))

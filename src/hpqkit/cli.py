@@ -15,13 +15,15 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
 
 from . import analysis, config as cfgmod, fitstack, potentials, spectrum, synth
-from .config import ConfigError, RunConfig, fmt
+from .config import ConfigError, RunConfig
 from .potentials import FluxBias
+from .tables import fmt, write_csv, write_ini, write_lines
 
 ENV_PREFIX = "HPQKIT_"
 
@@ -173,8 +175,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         ),
     ]
     summary_path = _out(args, "summary.txt")
-    with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(summary_path, lines)
     print("\n".join(lines))
     print(f"wrote {csv_path} and {summary_path}")
     return 0
@@ -254,35 +255,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
     synth.write_map_csv(traces, map_path)
 
     meta_path = _out(args, "map_meta.ini")
-    meta = [
-        "[synth]",
-        f"seed = {seed}",
-        f"fwhm = {fmt(float(scfg.fwhm))}",
-        f"amplitude = {fmt(float(scfg.amplitude))}",
-        f"noise_sigma = {fmt(scfg.noise_sigma)}",
-        f"weight_by_matrix_element = {'true' if scfg.weight_by_matrix_element else 'false'}",
-        f"labels = {', '.join(labels)}",
-        f"flux_start = {fmt(grid[0] / (2.0 * math.pi))}",
-        f"flux_stop = {fmt(grid[-1] / (2.0 * math.pi))}",
-        f"flux_points = {len(grid)}",
-        f"freq_start = {fmt(f_start)}",
-        f"freq_stop = {fmt(f_stop)}",
-        f"freq_points = {f_points}",
-        f"k_max = {k_max}",
-        "",
-        "[circuit]",
-        f"ej1 = {fmt(params.ej1)}",
-        f"ej2 = {fmt(params.ej2)}",
-        f"ecj = {fmt(params.ecj)}",
-        f"ec = {fmt(params.ec)}",
-        f"gap = {fmt(params.gap)}",
-        "",
-        "[channels]",
-        "transmissions = " + ", ".join(fmt(t) for t in channels),
-        "",
-    ]
-    with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(meta))
+    write_ini(meta_path, {
+        "synth": {
+            "seed": seed,
+            "fwhm": float(scfg.fwhm),
+            "amplitude": float(scfg.amplitude),
+            "noise_sigma": scfg.noise_sigma,
+            "weight_by_matrix_element": scfg.weight_by_matrix_element,
+            "labels": ", ".join(labels),
+            "flux_start": grid[0] / (2.0 * math.pi),
+            "flux_stop": grid[-1] / (2.0 * math.pi),
+            "flux_points": len(grid),
+            "freq_start": f_start,
+            "freq_stop": f_stop,
+            "freq_points": f_points,
+            "k_max": k_max,
+        },
+        "circuit": asdict(params),
+        "channels": {"transmissions": channels},
+    })
     print(f"wrote {map_path} and {meta_path}")
     return 0
 
@@ -291,25 +282,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     initial = cfgmod.circuit_from_config(cfg)
     globals_mode = cfg.get_str("fit", "globals", default="fixed")
+    if globals_mode not in ("free", "fixed"):
+        raise ConfigError(f"fit.globals must be 'free' or 'fixed', got {globals_mode!r}")
     ec = cfg.get_float("fit", "ec", default=initial.ec)
     k_max = _kmax_from(cfg, args, "fit")
     counts_text = args.channels or cfg.get_str("fit", "channels", default="3")
     counts = cfgmod.parse_counts(counts_text, field="fit.channels")
 
-    fit_cfg = fitstack.FitConfig(
-        ec=ec,
-        k_max=k_max,
-        n_cut=args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=25),
-        n_g=cfg.get_float("fit", "n_g", default=0.0),
-        include_bo=cfg.get_bool("fit", "include_bo", default=True),
-        globals_mode=globals_mode if globals_mode in ("free", "fixed") else "fixed",
-        fixed_params=initial if globals_mode != "free" else None,
-        sigma_floor=cfg.get_float("fit", "sigma_floor", default=1e-6),
-        max_nfev=(lambda n: n if n > 0 else None)(cfg.get_int("fit", "max_nfev", default=0)),
-        rmse_factor=cfg.get_float("fit", "rmse_factor", default=1.5),
-    )
-    if globals_mode not in ("free", "fixed"):
-        raise ConfigError(f"fit.globals must be 'free' or 'fixed', got {globals_mode!r}")
+    try:
+        fit_cfg = fitstack.FitConfig(
+            ec=ec,
+            k_max=k_max,
+            n_cut=args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=25),
+            n_g=cfg.get_float("fit", "n_g", default=0.0),
+            include_bo=cfg.get_bool("fit", "include_bo", default=True),
+            globals_mode=globals_mode,
+            fixed_params=initial if globals_mode == "fixed" else None,
+            sigma_floor=cfg.get_float("fit", "sigma_floor", default=1e-6),
+            max_nfev=(lambda n: n if n > 0 else None)(cfg.get_int("fit", "max_nfev", default=0)),
+            rmse_factor=cfg.get_float("fit", "rmse_factor", default=1.5),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"section [fit]: {exc}") from exc
 
     datasets: list[fitstack.SpectroscopyDataset] = []
     for path in args.datasets:
@@ -319,13 +313,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise ConfigError(f"dataset gate={fmt(dataset.gate)}: no fittable points")
 
     gates = [d.gate for d in datasets]
+    if len({fmt(gate) for gate in gates}) != len(gates):
+        raise ConfigError("datasets: each gate tag may appear in only one dataset file")
     chosen_counts: dict[float, int] = {}
     warnings_seen = False
 
     if len(counts) > 1:
         if fit_cfg.globals_mode != "fixed":
             raise ConfigError("channel-count selection requires fit.globals = fixed")
-        rmse_rows = ["gate_v,channels,rmse_ghz,chosen"]
+        rmse_rows: list[tuple[float, int, float, int]] = []
         per_gate_results: list[fitstack.FitResult] = []
         for dataset in datasets:
             selection = fitstack.select_channel_count(dataset, counts, fit_cfg)
@@ -333,9 +329,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             per_gate_results.append(selection.fits_by_count[selection.chosen])
             for count in sorted(selection.rmse_by_count):
                 chosen = 1 if count == selection.chosen else 0
-                rmse_rows.append(
-                    f"{fmt(dataset.gate)},{count},{fmt(selection.rmse_by_count[count])},{chosen}"
-                )
+                rmse_rows.append((dataset.gate, count, selection.rmse_by_count[count], chosen))
             print(
                 f"gate {fmt(dataset.gate)}: chose {selection.chosen} channels, "
                 "T = [" + ", ".join(fmt(t) for t in selection.fits_by_count[selection.chosen].channels[0]) + "], "
@@ -344,10 +338,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
             if not selection.fits_by_count[selection.chosen].converged:
                 warnings_seen = True
         rmse_path = _out(args, "rmse_by_count.csv")
-        with open(rmse_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rmse_rows) + "\n")
+        write_csv(rmse_path, ("gate_v", "channels", "rmse_ghz", "chosen"), rmse_rows)
         print(f"wrote {rmse_path}")
-        result = _merge_single_gate_fits(per_gate_results, datasets)
+        result = fitstack._merge_single_gate_fits(per_gate_results, datasets)
     else:
         count = counts[0]
         result = fitstack.fit_global(
@@ -371,30 +364,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("warning: at least one fit hit its iteration budget (best-so-far reported)",
               file=sys.stderr)
     return 0
-
-
-def _merge_single_gate_fits(
-    results: Sequence[fitstack.FitResult], datasets: Sequence[fitstack.SpectroscopyDataset]
-) -> fitstack.FitResult:
-    """Stitch per-gate fixed-globals fits into one result document payload."""
-    residuals = np.concatenate([r.residuals for r in results])
-    n_points = sum(len(d.used_points) for d in datasets)
-    total_sq = sum(r.rmse**2 * len(d.used_points) for r, d in zip(results, datasets))
-    return fitstack.FitResult(
-        params=results[0].params,
-        channels=tuple(r.channels[0] for r in results),
-        rmse=math.sqrt(total_sq / n_points),
-        rmse_per_dataset=tuple(r.rmse for r in results),
-        residuals=residuals,
-        cost=float(sum(r.cost for r in results)),
-        converged=all(r.converged for r in results),
-        message="; ".join(r.message for r in results),
-        n_evaluations=sum(r.n_evaluations for r in results),
-        boundary_active=tuple(r.boundary_active[0] for r in results),
-        cost_history=(),
-        start_costs=(),
-        covariance=None,
-    )
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

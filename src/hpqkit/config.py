@@ -2,16 +2,18 @@
 
 All documents are INI-style text: sections mirror the domain type names,
 energies are in GHz, flux in flux-quantum units, transmissions are a
-comma-separated list. Floats are written with 12 significant digits so
-identical runs produce byte-identical files.
+comma-separated list. Documents are written by :mod:`hpqkit.tables`.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
+from dataclasses import asdict
 
 from .potentials import CircuitParams, FluxBias, NanowireChannels
 from .spectrum import parse_transition_label
+from .tables import fmt, write_ini
 
 __all__ = [
     "ConfigError",
@@ -29,11 +31,6 @@ __all__ = [
     "read_gate_channels",
     "fmt",
 ]
-
-
-def fmt(value: float) -> str:
-    """Locale-independent float form with 12 significant digits."""
-    return f"{value:.12g}"
 
 
 class ConfigError(Exception):
@@ -78,9 +75,12 @@ class RunConfig:
                 raise ConfigError(f"missing field {section}.{key} in {self.path}")
             return default
         try:
-            return float(value)
+            number = float(value)
         except ValueError as exc:
             raise ConfigError(f"field {section}.{key}: not a number: {value!r}") from exc
+        if not math.isfinite(number):
+            raise ConfigError(f"field {section}.{key}: not a finite number: {value!r}")
+        return number
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
         value = self.raw(section, key)
@@ -210,23 +210,11 @@ def write_params_document(
     path: str,
 ) -> None:
     """Serialize a parameter set (energies GHz, flux in flux quanta)."""
-    lines = [
-        "[circuit]",
-        f"ej1 = {fmt(params.ej1)}",
-        f"ej2 = {fmt(params.ej2)}",
-        f"ecj = {fmt(params.ecj)}",
-        f"ec = {fmt(params.ec)}",
-        f"gap = {fmt(params.gap)}",
-        "",
-        "[channels]",
-        "transmissions = " + ", ".join(fmt(t) for t in channels),
-        "",
-        "[flux]",
-        f"phi_e = {fmt(flux.phi0_units)}",
-        "",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    write_ini(path, {
+        "circuit": asdict(params),
+        "channels": {"transmissions": channels},
+        "flux": {"phi_e": flux.phi0_units},
+    })
 
 
 def read_params_document(path: str) -> tuple[CircuitParams, NanowireChannels, FluxBias]:
@@ -244,21 +232,25 @@ def read_gate_channels(cfg: RunConfig, section: str = "gates") -> list[tuple[flo
     gates: list[tuple[float, NanowireChannels]] = []
     if cfg.has_section(section):
         for key, value in cfg.items(section):
-            try:
-                gate = float(key)
-            except ValueError as exc:
-                raise ConfigError(f"section [{section}]: gate tag {key!r} is not a number") from exc
+            gate = _gate_tag(key, f"section [{section}]")
             gates.append((gate, _gate_channels(value, f"{section}.{key}")))
     for name in cfg.sections():
         if name.startswith("gate:"):
-            try:
-                gate = float(name[5:])
-            except ValueError as exc:
-                raise ConfigError(f"section [{name}]: gate tag is not a number") from exc
+            gate = _gate_tag(name[5:], f"section [{name}]")
             text = cfg.get_str(name, "transmissions", default="")
             gates.append((gate, _gate_channels(text, f"{name}.transmissions")))
     gates.sort(key=lambda item: item[0])
     return gates
+
+
+def _gate_tag(text: str, where: str) -> float:
+    try:
+        gate = float(text)
+    except ValueError:
+        gate = math.nan
+    if not math.isfinite(gate):
+        raise ConfigError(f"{where}: gate tag {text!r} is not a finite number")
+    return gate
 
 
 def _gate_channels(text: str, field: str) -> NanowireChannels:

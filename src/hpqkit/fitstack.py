@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from scipy.special import expit, logit
 from .potentials import CircuitParams, NanowireChannels, fourier_u, fourier_v
 from .spectrum import ChargeBasisConfig, SolverError, parse_transition_label, solve_flux_grid
 from .synth import Trace
+from .tables import fmt, write_csv, write_ini
 
 __all__ = [
     "TransitionPoint",
@@ -633,6 +634,30 @@ def select_channel_count(
     )
 
 
+def _merge_single_gate_fits(
+    results: Sequence[FitResult], datasets: Sequence[SpectroscopyDataset]
+) -> FitResult:
+    """Stitch per-gate fixed-globals fits into one result document payload."""
+    residuals = np.concatenate([r.residuals for r in results])
+    n_points = sum(len(d.used_points) for d in datasets)
+    total_sq = sum(r.rmse**2 * len(d.used_points) for r, d in zip(results, datasets))
+    return FitResult(
+        params=results[0].params,
+        channels=tuple(r.channels[0] for r in results),
+        rmse=math.sqrt(total_sq / n_points),
+        rmse_per_dataset=tuple(r.rmse for r in results),
+        residuals=residuals,
+        cost=float(sum(r.cost for r in results)),
+        converged=all(r.converged for r in results),
+        message="; ".join(r.message for r in results),
+        n_evaluations=sum(r.n_evaluations for r in results),
+        boundary_active=tuple(r.boundary_active[0] for r in results),
+        cost_history=(),
+        start_costs=(),
+        covariance=None,
+    )
+
+
 @dataclass(frozen=True)
 class HarmonicAgreementRow:
     """Relative nanowire-harmonic deviation of one (gate, count) model."""
@@ -684,18 +709,16 @@ def harmonic_agreement(
 # dataset and result files
 
 
+_DATASET_COLUMNS = ("gate_v", "flux_phi0", "label", "freq_ghz", "sigma_ghz", "used")
+
+
 def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> None:
     """CSV with columns gate_v, flux_phi0, label, freq_ghz, sigma_ghz, used."""
-    lines = ["gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used"]
-    for dataset in datasets:
-        for p in dataset.points:
-            flux_phi0 = p.flux / (2.0 * math.pi)
-            lines.append(
-                f"{dataset.gate:.12g},{flux_phi0:.12g},{p.label},"
-                f"{p.freq:.12g},{p.sigma:.12g},{1 if p.used else 0}"
-            )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, _DATASET_COLUMNS, (
+        (dataset.gate, p.flux / (2.0 * math.pi), p.label, p.freq, p.sigma, 1 if p.used else 0)
+        for dataset in datasets
+        for p in dataset.points
+    ))
 
 
 def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
@@ -703,7 +726,7 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
     grouped: dict[float, list[TransitionPoint]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        expected = "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used"
+        expected = ",".join(_DATASET_COLUMNS)
         if header != expected:
             raise DatasetFormatError(f"{path}:1: header must be '{expected}', got '{header}'")
         for line_no, line in enumerate(fh, start=2):
@@ -715,6 +738,8 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
                 raise DatasetFormatError(f"{path}:{line_no}: expected 6 fields, got {len(cells)}")
             try:
                 gate = float(cells[0])
+                if not math.isfinite(gate):
+                    raise ValueError(f"gate_v must be finite, got {gate!r}")
                 flux = 2.0 * math.pi * float(cells[1])
                 label = cells[2]
                 point = TransitionPoint(
@@ -738,31 +763,21 @@ def write_fit_result(
     chosen_counts: Mapping[float, int] | None = None,
 ) -> None:
     """Persist a fit as a key-value document: globals, per-gate channels, diagnostics."""
-    p = result.params
-    lines = [
-        "[globals]",
-        f"ej1 = {p.ej1:.12g}",
-        f"ej2 = {p.ej2:.12g}",
-        f"ecj = {p.ecj:.12g}",
-        f"ec = {p.ec:.12g}",
-        f"gap = {p.gap:.12g}",
-        "",
-        "[fit]",
-        f"rmse_ghz = {result.rmse:.12g}",
-        f"converged = {'true' if result.converged else 'false'}",
-        f"n_evaluations = {result.n_evaluations}",
-        f"message = {result.message}",
-        "",
-    ]
+    sections: dict[str, dict[str, object]] = {
+        "globals": asdict(result.params),
+        "fit": {"rmse_ghz": result.rmse, "converged": bool(result.converged),
+                "n_evaluations": result.n_evaluations, "message": result.message},
+    }
     for gate, channels, gate_rmse, boundary in zip(
         gates, result.channels, result.rmse_per_dataset, result.boundary_active
     ):
-        lines.append(f"[gate:{gate:.12g}]")
-        lines.append("transmissions = " + ", ".join(f"{t:.12g}" for t in channels))
-        lines.append(f"rmse_ghz = {gate_rmse:.12g}")
-        lines.append(f"boundary_active = {'true' if any(boundary) else 'false'}")
+        section: dict[str, object] = {
+            "transmissions": channels, "rmse_ghz": gate_rmse, "boundary_active": any(boundary)
+        }
         if chosen_counts is not None and gate in chosen_counts:
-            lines.append(f"channel_count = {chosen_counts[gate]}")
-        lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+            section["channel_count"] = chosen_counts[gate]
+        name = f"gate:{fmt(gate)}"
+        if name in sections:
+            raise ValueError(f"gate tag {fmt(gate)} appears more than once")
+        sections[name] = section
+    write_ini(path, sections)

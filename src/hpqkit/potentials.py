@@ -27,6 +27,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import binom, hyp2f1
 
+from .tables import write_csv
+
 __all__ = [
     "CircuitParams",
     "NanowireChannels",
@@ -558,10 +560,5 @@ def validate_bo(
 
 def write_harmonics_csv(spec: HarmonicSpectrum, path: str) -> None:
     """Write the harmonic table as CSV with columns k, u_k, v_k, c_k, s_k (GHz)."""
-    lines = ["k,u_k,v_k,c_k,s_k"]
-    for k in range(spec.k_max + 1):
-        lines.append(
-            f"{k},{spec.u[k]:.12g},{spec.v[k]:.12g},{spec.c[k]:.12g},{spec.s[k]:.12g}"
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = zip(range(spec.k_max + 1), spec.u, spec.v, spec.c, spec.s)
+    write_csv(path, ("k", "u_k", "v_k", "c_k", "s_k"), rows)

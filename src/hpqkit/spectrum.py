@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .potentials import CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
+from .tables import write_csv
 
 __all__ = [
     "ChargeBasisConfig",
@@ -255,14 +256,10 @@ class TransitionTable:
     def to_csv(self, path: str) -> None:
         """CSV with flux in flux-quantum units, one column per label, then matrix elements."""
         header = ["flux_phi0"] + list(self.labels) + [f"n{i}{j}" for i, j in self.me_pairs]
-        lines = [",".join(header)]
-        for row in range(len(self.flux_radians)):
-            cells = [f"{self.flux_phi0[row]:.12g}"]
-            cells += [f"{self.frequencies[lab][row]:.12g}" for lab in self.labels]
-            cells += [f"{self.matrix_elements[p][row]:.12g}" for p in self.me_pairs]
-            lines.append(",".join(cells))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        columns = [self.flux_phi0]
+        columns += [self.frequencies[lab] for lab in self.labels]
+        columns += [self.matrix_elements[p] for p in self.me_pairs]
+        write_csv(path, header, zip(*columns))
 
 
 def solve_flux_grid(

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .potentials import CircuitParams, NanowireChannels
 from .spectrum import ChargeBasisConfig, TransitionTable, parse_transition_label, spectrum_vs_flux
+from .tables import write_csv
 
 __all__ = [
     "Trace",
@@ -194,10 +196,8 @@ def synthesize_map(
 
 def write_map_csv(traces: Sequence[Trace], path: str) -> None:
     """Long-format CSV: one row per (flux, drive frequency) cell."""
-    lines = ["flux_phi0,drive_freq_ghz,signal"]
-    for trace in traces:
-        flux = trace.phi_e / (2.0 * math.pi)
-        for f, s in zip(trace.freqs, trace.signal):
-            lines.append(f"{flux:.12g},{f:.12g},{s:.12g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = chain.from_iterable(
+        zip(repeat(trace.phi_e / (2.0 * math.pi)), trace.freqs.tolist(), trace.signal.tolist())
+        for trace in traces
+    )
+    write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), rows)

@@ -263,6 +263,9 @@ channels = 2
 """
 
 
+ONE_POINT_DATASET = "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n0.0,0.1,f01,5.0,0.01,1\n"
+
+
 @pytest.fixture(scope="module")
 def fit_dataset_csv(tmp_path_factory):
     """Small single-gate corpus extracted from a synthetic map."""
@@ -327,6 +330,22 @@ class TestFit:
         )
         assert main(["fit", str(data), "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "bad.csv:2" in capsys.readouterr().err
+
+    def test_n_cut_too_small_for_k_max_exits_two(self, tmp_path, capsys):
+        text = FIT_CONFIG.replace("k_max = 6", "k_max = 10").replace("n_cut = 11", "n_cut = 10")
+        cfg = write(tmp_path / "run.ini", text)
+        data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "n_cut=10" in err and "runtime failure" not in err
+
+    def test_gate_repeated_across_files_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        first = write(tmp_path / "a.csv", ONE_POINT_DATASET)
+        second = write(tmp_path / "b.csv", ONE_POINT_DATASET)
+        assert main(["fit", first, second, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "gate tag" in capsys.readouterr().err
+        assert not (tmp_path / "fit_result.ini").exists()
 
     def test_unparseable_row_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
@@ -404,6 +423,12 @@ class TestClassify:
         assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "gates.7.2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag", ["nan", "inf", "minus-seven"])
+    def test_gate_tag_not_a_finite_number_exits_two(self, tmp_path, capsys, tag):
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG.replace("-7.0 = ", f"{tag} = "))
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"gate tag '{tag}' is not a finite number" in capsys.readouterr().err
+
     def test_empty_gate_list(self, tmp_path):
         text = CLASSIFY_CONFIG.split("[gates]")[0] + "[gates]\n"
         cfg = write(tmp_path / "run.ini", text)
@@ -420,3 +445,23 @@ class TestClassify:
         lines = (tmp_path / "regimes.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith("EvenDominated")
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("decompose", HPQ_CONFIG + "\n[basis]\nn_g = nan\n", "basis.n_g"),
+        ("decompose", HPQ_CONFIG.replace("phi_e = 0.5", "phi_e = inf"), "flux.phi_e"),
+        ("synth", SYNTH_CONFIG.replace("fwhm = 0.05", "fwhm = nan"), "synth.fwhm"),
+        ("sweep", SWEEP_CONFIG.replace("flux_start = -0.3", "flux_start = nan"), "sweep.flux_start"),
+        ("fit", FIT_CONFIG.replace("channels = 2", "channels = 2..3\nrmse_factor = nan"),
+         "fit.rmse_factor"),
+    ],
+    ids=["basis-n_g", "flux-phi_e", "synth-fwhm", "sweep-flux_start", "fit-rmse_factor"],
+)
+def test_non_finite_config_number_exits_two(tmp_path, capsys, command, config, field):
+    argv = [command, "--config", write(tmp_path / "run.ini", config), "--out-dir", str(tmp_path)]
+    if command == "fit":
+        argv.append(write(tmp_path / "data.csv", ONE_POINT_DATASET))
+    assert main(argv) == 2
+    assert field in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -425,6 +426,35 @@ class TestChannelCountSelection:
         assert selection.chosen == 2
 
 
+class TestMergeSingleGateFits:
+    def test_two_gates_merge_in_gate_order(self):
+        rng = np.random.default_rng(4)
+        gates = [
+            make_dataset(TRUE_PARAMS, (0.8, 0.45), -7.0, SMALL_CFG_FIXED, sigma=2e-4,
+                         noise_rng=rng),
+            make_dataset(TRUE_PARAMS, (0.95, 0.3), 0.5, SMALL_CFG_FIXED, labels=("f01",),
+                         sigma=2e-4, noise_rng=rng, flux_values=FLUX_GRID[::2]),
+        ]
+        fits = [
+            fit_global([ds], [2], SMALL_CFG_FIXED, initial_transmissions=[[0.7, 0.4]])
+            for ds in gates
+        ]
+        merged = fitstack._merge_single_gate_fits(fits, gates)
+        assert merged.channels == (fits[0].channels[0], fits[1].channels[0])
+        assert merged.rmse_per_dataset == (fits[0].rmse, fits[1].rmse)
+        assert merged.n_evaluations == fits[0].n_evaluations + fits[1].n_evaluations
+        for flags in [(True, True), (True, False), (False, True)]:
+            parts = [dataclasses.replace(fit, converged=flag) for fit, flag in zip(fits, flags)]
+            assert fitstack._merge_single_gate_fits(parts, gates).converged is all(flags)
+        model = np.concatenate([
+            dataset_model_frequencies(TRUE_PARAMS, fit.channels[0], ds.used_points,
+                                      SMALL_CFG_FIXED)
+            for fit, ds in zip(fits, gates)
+        ])
+        data = [p.freq for ds in gates for p in ds.used_points]
+        assert merged.rmse == pytest.approx(rmse(model, data), rel=1e-12)
+
+
 class TestHarmonicAgreement:
     @staticmethod
     def _fake_fit(transmissions: tuple[float, ...], fit_rmse: float) -> FitResult:
@@ -499,7 +529,8 @@ class TestDatasetFiles:
             read_dataset_csv(str(path))
 
     @pytest.mark.parametrize(
-        "column, value", [("flux_phi0", "nan"), ("freq_ghz", "inf"), ("sigma_ghz", "nan")]
+        "column, value",
+        [("gate_v", "nan"), ("flux_phi0", "nan"), ("freq_ghz", "inf"), ("sigma_ghz", "nan")],
     )
     def test_non_finite_value_reports_line_number(self, tmp_path, column, value):
         cells = {"gate_v": "0.0", "flux_phi0": "0.1", "label": "f01", "freq_ghz": "5.0",
@@ -529,3 +560,14 @@ class TestDatasetFiles:
         assert "[gate:-7]" in text
         assert "transmissions = 0.8, 0.4" in text
         assert "channel_count = 2" in text
+
+    def test_fit_result_rejects_repeated_gate(self, tmp_path):
+        result = TestHarmonicAgreement._fake_fit((0.8, 0.4), 0.001)
+        twice = dataclasses.replace(
+            result,
+            channels=result.channels * 2,
+            rmse_per_dataset=result.rmse_per_dataset * 2,
+            boundary_active=result.boundary_active * 2,
+        )
+        with pytest.raises(ValueError, match="gate tag -7 appears more than once"):
+            write_fit_result(twice, [-7.0, -7.0], str(tmp_path / "fit.ini"))
