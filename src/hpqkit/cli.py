@@ -94,15 +94,22 @@ def _out(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.out_dir, name)
 
 
+def _n_g_from(cfg: RunConfig, section: str) -> float:
+    # the spectrum repeats with period 1 in n_g, so [-1, 1] holds every distinct offset
+    n_g = cfg.get_float(section, "n_g", default=0.0)
+    if abs(n_g) > 1.0:
+        raise ConfigError(f"{section}.n_g must lie in [-1, 1], got {n_g!r}")
+    return n_g
+
+
 def _basis_from(cfg: RunConfig, args: argparse.Namespace, k_max: int) -> spectrum.ChargeBasisConfig:
     n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=30)
     if n_cut < k_max + 5:
         raise ConfigError(f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+5)")
-    return spectrum.ChargeBasisConfig(
-        n_cut=n_cut,
-        n_g=cfg.get_float("basis", "n_g", default=0.0),
-        n_levels=cfg.get_int("basis", "n_levels", default=6),
-    )
+    n_levels = cfg.get_int("basis", "n_levels", default=6)
+    if not 1 <= n_levels <= 2 * n_cut + 1:
+        raise ConfigError(f"basis.n_levels must be in [1, {2 * n_cut + 1}], got {n_levels}")
+    return spectrum.ChargeBasisConfig(n_cut=n_cut, n_g=_n_g_from(cfg, "basis"), n_levels=n_levels)
 
 
 def _check_levels(
@@ -226,22 +233,39 @@ def cmd_synth(args: argparse.Namespace) -> int:
     params = cfgmod.circuit_from_config(cfg)
     channels = cfgmod.channels_from_config(cfg)
     k_max = _kmax_from(cfg, args, "synth")
-    seed = args.seed if args.seed is not None else cfg.get_int("synth", "seed", default=-1)
-    if seed < 0:
+    if args.seed is not None:
+        seed, where = args.seed, "--seed"
+    elif cfg.raw("synth", "seed") is not None:
+        seed, where = cfg.get_int("synth", "seed"), "synth.seed"
+    else:
         raise ConfigError("synth needs a seed (--seed or synth.seed)")
+    if seed < 0:
+        raise ConfigError(f"{where} must be >= 0, got {seed}")
     labels = cfgmod.parse_labels(
         cfg.get_str("synth", "labels", default=",".join(_DEFAULT_LABELS)), field="synth.labels"
     )
+    fwhm = cfg.get_energy("synth", "fwhm", default=0.05)
+    noise_sigma = cfg.get_float("synth", "noise_sigma", default=0.0)
+    if noise_sigma < 0.0:
+        raise ConfigError(f"synth.noise_sigma must be >= 0, got {noise_sigma!r}")
     scfg = synth.SynthConfig(
         seed=seed,
-        fwhm=cfg.get_float("synth", "fwhm", default=0.05),
+        fwhm=fwhm,
         amplitude=cfg.get_float("synth", "amplitude", default=1.0),
-        noise_sigma=cfg.get_float("synth", "noise_sigma", default=0.0),
+        noise_sigma=noise_sigma,
         weight_by_matrix_element=cfg.get_bool("synth", "weight_by_matrix_element", default=True),
     )
     f_start = cfg.get_float("synth", "freq_start", default=0.1)
     f_stop = cfg.get_float("synth", "freq_stop", default=20.0)
     f_points = cfg.get_int("synth", "freq_points", default=2000)
+    if not 0.0 <= f_start < f_stop <= cfgmod.MAX_ENERGY_GHZ:
+        raise ConfigError(
+            "synth.freq_start and synth.freq_stop need "
+            f"0 <= freq_start < freq_stop <= {cfgmod.MAX_ENERGY_GHZ:g} GHz, "
+            f"got {f_start!r} and {f_stop!r}"
+        )
+    if f_points < 2:
+        raise ConfigError(f"synth.freq_points must be >= 2, got {f_points}")
     freqs = np.linspace(f_start, f_stop, f_points)
     grid = _flux_grid(cfg, "synth")
     basis = _basis_from(cfg, args, k_max)
@@ -284,7 +308,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
     globals_mode = cfg.get_str("fit", "globals", default="fixed")
     if globals_mode not in ("free", "fixed"):
         raise ConfigError(f"fit.globals must be 'free' or 'fixed', got {globals_mode!r}")
-    ec = cfg.get_float("fit", "ec", default=initial.ec)
+    ec = cfg.get_energy("fit", "ec", default=initial.ec)
+    sigma_floor = cfg.get_float("fit", "sigma_floor", default=1e-6)
+    if sigma_floor < 0.0:
+        raise ConfigError(f"fit.sigma_floor must be >= 0, got {sigma_floor!r}")
+    rmse_factor = cfg.get_float("fit", "rmse_factor", default=1.5)
+    if rmse_factor < 1.0:
+        raise ConfigError(f"fit.rmse_factor must be >= 1, got {rmse_factor!r}")
     k_max = _kmax_from(cfg, args, "fit")
     counts_text = args.channels or cfg.get_str("fit", "channels", default="3")
     counts = cfgmod.parse_counts(counts_text, field="fit.channels")
@@ -294,13 +324,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
             ec=ec,
             k_max=k_max,
             n_cut=args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=25),
-            n_g=cfg.get_float("fit", "n_g", default=0.0),
+            n_g=_n_g_from(cfg, "fit"),
             include_bo=cfg.get_bool("fit", "include_bo", default=True),
             globals_mode=globals_mode,
             fixed_params=initial if globals_mode == "fixed" else None,
-            sigma_floor=cfg.get_float("fit", "sigma_floor", default=1e-6),
+            sigma_floor=sigma_floor,
             max_nfev=(lambda n: n if n > 0 else None)(cfg.get_int("fit", "max_nfev", default=0)),
-            rmse_factor=cfg.get_float("fit", "rmse_factor", default=1.5),
+            rmse_factor=rmse_factor,
         )
     except ValueError as exc:
         raise ConfigError(f"section [fit]: {exc}") from exc

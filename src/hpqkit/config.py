@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+#: largest accepted energy or linewidth (GHz); devices sit below 1e3, and
+#: far larger values overflow the charge-basis solve and the line shapes
+MAX_ENERGY_GHZ = 1e6
+
+
 class ConfigError(Exception):
     """Bad or missing configuration value; message names the field."""
 
@@ -81,6 +86,15 @@ class RunConfig:
         if not math.isfinite(number):
             raise ConfigError(f"field {section}.{key}: not a finite number: {value!r}")
         return number
+
+    def get_energy(self, section: str, key: str, default: float | None = None) -> float:
+        """A float in (0, MAX_ENERGY_GHZ]: an energy or linewidth in GHz."""
+        value = self.get_float(section, key, default)
+        if not 0.0 < value <= MAX_ENERGY_GHZ:
+            raise ConfigError(
+                f"field {section}.{key}: must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
+            )
+        return value
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
         value = self.raw(section, key)
@@ -138,10 +152,14 @@ def parse_counts(text: str, *, field: str = "channels") -> list[int]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError("empty range")
-            return list(range(lo, hi + 1))
-        return [int(cell) for cell in text.split(",")]
+            counts = list(range(lo, hi + 1))
+        else:
+            counts = [int(cell) for cell in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{field}: expected counts like '3', '2,3' or '2..5': {text!r}") from exc
+    if min(counts) < 1:
+        raise ConfigError(f"{field}: channel counts must be >= 1, got {text!r}")
+    return counts
 
 
 def parse_pairs(text: str, *, field: str = "matrix_elements") -> list[tuple[int, int]]:
@@ -176,16 +194,9 @@ def parse_labels(text: str, *, field: str = "labels") -> tuple[str, ...]:
 
 
 def circuit_from_config(cfg: RunConfig, section: str = "circuit") -> CircuitParams:
-    try:
-        return CircuitParams(
-            ej1=cfg.get_float(section, "ej1"),
-            ej2=cfg.get_float(section, "ej2"),
-            ecj=cfg.get_float(section, "ecj"),
-            ec=cfg.get_float(section, "ec"),
-            gap=cfg.get_float(section, "gap"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"section [{section}]: {exc}") from exc
+    return CircuitParams(
+        **{name: cfg.get_energy(section, name) for name in ("ej1", "ej2", "ecj", "ec", "gap")}
+    )
 
 
 def channels_from_config(cfg: RunConfig, section: str = "channels") -> NanowireChannels:

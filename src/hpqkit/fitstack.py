@@ -9,8 +9,10 @@ is chosen as the smallest model whose RMSE is comparable to the best.
 
 Transmissions are optimized through a logit transform (and the shared
 energies through a log transform), so every iterate respects the
-physical boxes without active-set logic. Everything here is
-deterministic for a given configuration and start.
+physical boxes without active-set logic. The Jacobian is analytic: the
+Hellmann-Feynman theorem gives it from the eigenvectors the residual
+evaluation already solved for. Everything here is deterministic for a
+given configuration and start.
 """
 
 from __future__ import annotations
@@ -25,8 +27,14 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
-from .potentials import CircuitParams, NanowireChannels, fourier_u, fourier_v
-from .spectrum import ChargeBasisConfig, SolverError, parse_transition_label, solve_flux_grid
+from .potentials import CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
+from .spectrum import (
+    DEGENERACY_TOL,
+    ChargeBasisConfig,
+    SolverError,
+    parse_transition_label,
+    solve_flux_grid,
+)
 from .synth import Trace
 from .tables import fmt, write_csv, write_ini
 
@@ -375,19 +383,42 @@ def _u_for(params: CircuitParams, cfg: FitConfig) -> np.ndarray:
     return fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
 
 
-def _model_freqs_for_points(
+@dataclass(frozen=True)
+class _GridSolution:
+    """One dataset's solved flux grid: each distinct flux once, in first-seen order.
+
+    ``rows`` maps each point to its flux's row, ``levels`` holds each
+    point's ``(i, j, divisor)`` as three rows, and ``vectors`` has shape
+    ``(fluxes, dim, levels)``.
+    """
+
+    flux: np.ndarray
+    rows: np.ndarray
+    levels: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+
+    def model(self) -> np.ndarray:
+        """Model frequency of each point."""
+        i, j, divisor = self.levels
+        return (self.energies[self.rows, j] - self.energies[self.rows, i]) / divisor
+
+
+def _solve_points(
     u: np.ndarray,
     v: np.ndarray,
     points: Sequence[TransitionPoint],
     cfg: FitConfig,
-) -> np.ndarray:
-    """Model frequency for each point, solving each distinct flux once."""
+) -> _GridSolution:
+    """Solve each distinct flux of ``points`` once."""
     rows: dict[float, int] = {}
-    point_rows = [rows.setdefault(p.flux, len(rows)) for p in points]
-    i, j, divisor = np.array([p.levels for p in points]).T
-    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(j.max()) + 1)
-    energies = np.array([e for e, _ in solve_flux_grid(u, v, list(rows), cfg.ec, basis)])
-    return (energies[point_rows, j] - energies[point_rows, i]) / divisor
+    point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
+    levels = np.array([p.levels for p in points]).T
+    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
+    energies, vectors = zip(*solve_flux_grid(u, v, list(rows), cfg.ec, basis))
+    return _GridSolution(
+        np.array(list(rows)), point_rows, levels, np.array(energies), np.array(vectors)
+    )
 
 
 def dataset_model_frequencies(
@@ -399,7 +430,11 @@ def dataset_model_frequencies(
     """Model frequencies for arbitrary labeled points (used points or not)."""
     u = _u_for(params, cfg)
     v = fourier_v(channels, params.gap, cfg.k_max)
-    return _model_freqs_for_points(u, v, points, cfg)
+    return _solve_points(u, v, points, cfg).model()
+
+
+def _sigmas(points: Sequence[TransitionPoint], cfg: FitConfig) -> np.ndarray:
+    return np.array([max(p.sigma, cfg.sigma_floor) for p in points])
 
 
 def model_residuals(
@@ -407,11 +442,16 @@ def model_residuals(
     datasets: Sequence[SpectroscopyDataset],
     cfg: FitConfig,
     layout: ThetaLayout,
+    *,
+    grids: list | None = None,
 ) -> np.ndarray:
     """Weighted residuals ``(f_model - f_data) / sigma`` over all used points.
 
     Points flagged unused never enter; a solver failure aborts the
-    evaluation with the offending dataset identified.
+    evaluation with the offending dataset identified. When ``grids`` is
+    a list, each dataset's solved flux grid (energies and eigenvectors)
+    is appended to it, so the Jacobian at the same ``theta`` needs no
+    new solve.
     """
     params, channel_sets = layout.unpack(theta, cfg)
     u = _u_for(params, cfg)
@@ -422,13 +462,145 @@ def model_residuals(
             raise ValueError(f"dataset gate={dataset.gate} has no usable points")
         v = fourier_v(channels, params.gap, cfg.k_max)
         try:
-            model = _model_freqs_for_points(u, v, points, cfg)
+            grid = _solve_points(u, v, points, cfg)
         except SolverError as exc:
             raise SolverError(f"dataset gate={dataset.gate}: {exc}") from exc
+        if grids is not None:
+            grids.append(grid)
         data = np.array([p.freq for p in points])
-        sigma = np.array([max(p.sigma, cfg.sigma_floor) for p in points])
-        chunks.append((model - data) / sigma)
+        chunks.append((grid.model() - data) / _sigmas(points, cfg))
     return np.concatenate(chunks)
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobian
+#
+# In the charge basis H couples n to n + k with (u_k + v_k e^{i k phi_e})/2,
+# so by Hellmann-Feynman each level moves as
+#
+#   dE_n/du_k = Re g_k,   dE_n/dv_k = Re(e^{i k phi_e} g_k),
+#   g_k = sum_m conj(psi_m) psi_{m+k},
+#
+# with psi the level's eigenvector from the residual's own solve. The arm
+# amplitudes follow from dA(m, nu)/dm = (nu/m) (A(m, nu) - A(m, nu - 1)):
+# through the logit, dT/dx = T (1 - T) cancels the 1/m, so a channel's
+# column is -gap/2 (1 - T) (A(T, 1/2) - A(T, -1/2)). With free globals
+# (lam = 1, E_Jsigma = 2 ej) the junction term -E_Jsigma A(1, 1/2) is
+# linear in ej and the correction sqrt(E_Jsigma E_CJ) A(1, 1/4) goes as
+# sqrt(ej ecj), and dv/dlog(gap) = v. Hellmann-Feynman needs a
+# nondegenerate level, so a flux point whose used levels sit in a cluster
+# within DEGENERACY_TOL takes central differences for its rows instead.
+
+#: relative step of the degenerate-point central difference (scipy's 3-point default)
+_CENTRAL_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
+
+def _u_derivatives(params: CircuitParams, cfg: FitConfig, layout: ThetaLayout) -> np.ndarray:
+    """d u_k / d theta for k = 1..k_max; nonzero only in the free-globals columns."""
+    du = np.zeros((cfg.k_max, layout.n_params))
+    if layout.globals_free:
+        junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), cfg.k_max)[:, 1:]
+        junction = -params.ej_sigma * junction
+        if cfg.include_bo:
+            correction = math.sqrt(params.ej_sigma * params.ecj) * correction
+        else:
+            correction = 0.0
+        du[:, 0] = junction + correction / 2.0
+        du[:, 1] = correction / 2.0
+    return du
+
+
+def _v_derivatives(
+    theta: np.ndarray, gap: float, cfg: FitConfig, layout: ThetaLayout, d: int
+) -> np.ndarray:
+    """d v_k / d theta for k = 1..k_max of dataset ``d``'s nanowire arm."""
+    dv = np.zeros((cfg.k_max, layout.n_params))
+    logits = theta[layout.t_slice(d)]
+    amplitudes = _power_amplitudes(expit(logits)[:, None], (0.5, -0.5), cfg.k_max)[..., 1:]
+    dv[:, layout.t_slice(d)] = (
+        -0.5 * gap * expit(-logits)[:, None] * (amplitudes[:, 0] - amplitudes[:, 1])
+    ).T
+    if layout.globals_free:
+        dv[:, 2] = -gap * amplitudes[:, 0].sum(axis=0)
+    return dv
+
+
+def _level_derivatives(grid: _GridSolution, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Hellmann-Feynman dE/d theta of every solved level, shape ``(fluxes, levels, params)``."""
+    k = np.arange(1, len(du) + 1)
+    vectors = grid.vectors
+    g = np.stack(
+        [np.einsum("rml,rml->rl", vectors[:, :-kk].conj(), vectors[:, kk:]) for kk in k], axis=-1
+    )
+    phase = np.exp(1j * np.outer(grid.flux, k))[:, np.newaxis, :]
+    return g.real @ du + (phase * g).real @ dv
+
+
+def _degenerate_rows(grid: _GridSolution) -> np.ndarray:
+    """Flux rows where a point's level lies within DEGENERACY_TOL of a neighbour."""
+    close = np.diff(grid.energies, axis=1) < DEGENERACY_TOL
+    clustered = np.zeros(grid.energies.shape, dtype=bool)
+    clustered[:, 1:] |= close
+    clustered[:, :-1] |= close
+    i, j, _ = grid.levels
+    return np.unique(grid.rows[clustered[grid.rows, i] | clustered[grid.rows, j]])
+
+
+def _central_rows(
+    theta: np.ndarray,
+    points: Sequence[TransitionPoint],
+    d: int,
+    cfg: FitConfig,
+    layout: ThetaLayout,
+) -> np.ndarray:
+    """Central-difference Jacobian rows of some of dataset ``d``'s points."""
+    columns = [*range(layout.n_globals), *range(layout.n_params)[layout.t_slice(d)]]
+    rows = np.zeros((len(points), layout.n_params))
+    for c in columns:
+        h = _CENTRAL_STEP * max(1.0, abs(theta[c]))
+        model = []
+        for step in (h, -h):
+            x = theta.copy()
+            x[c] += step
+            params, channel_sets = layout.unpack(x, cfg)
+            v = fourier_v(channel_sets[d], params.gap, cfg.k_max)
+            model.append(_solve_points(_u_for(params, cfg), v, points, cfg).model())
+        rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
+    return rows / _sigmas(points, cfg)[:, None]
+
+
+def _model_jacobian(
+    theta: np.ndarray,
+    datasets: Sequence[SpectroscopyDataset],
+    cfg: FitConfig,
+    layout: ThetaLayout,
+    grids: Sequence[_GridSolution],
+) -> tuple[np.ndarray, int]:
+    """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there.
+
+    Returns the Jacobian and the number of flux points that fell back to
+    central differences.
+    """
+    params, _ = layout.unpack(theta, cfg)
+    du = _u_derivatives(params, cfg, layout)
+    blocks: list[np.ndarray] = []
+    fallbacks = 0
+    for d, (dataset, grid) in enumerate(zip(datasets, grids)):
+        points = dataset.used_points
+        d_energy = _level_derivatives(grid, du, _v_derivatives(theta, params.gap, cfg, layout, d))
+        i, j, divisor = grid.levels
+        block = (d_energy[grid.rows, j] - d_energy[grid.rows, i]) / (
+            divisor * _sigmas(points, cfg)
+        )[:, None]
+        degenerate = _degenerate_rows(grid)
+        if len(degenerate):
+            fallbacks += len(degenerate)
+            mask = np.isin(grid.rows, degenerate)
+            block[mask] = _central_rows(
+                theta, [p for p, m in zip(points, mask) if m], d, cfg, layout
+            )
+        blocks.append(block)
+    return np.vstack(blocks), fallbacks
 
 
 @dataclass(frozen=True)
@@ -438,7 +610,10 @@ class FitResult:
     ``rmse`` follows the unweighted definition
     ``sqrt(mean((f_model - f_data)^2))`` over all used points; the
     residual vector kept here is the sigma-weighted one the optimizer
-    actually minimized.
+    actually minimized. ``n_jacobian_evaluations`` sums the Jacobian
+    evaluations of every start, and ``jacobian_fallbacks`` counts the
+    flux points whose Jacobian rows took central differences because a
+    used level was degenerate.
     """
 
     params: CircuitParams
@@ -454,6 +629,8 @@ class FitResult:
     cost_history: tuple[float, ...]
     start_costs: tuple[float, ...]
     covariance: np.ndarray | None
+    n_jacobian_evaluations: int = 0
+    jacobian_fallbacks: int = 0
 
 
 def rmse(model_freqs: Sequence[float], data_freqs: Sequence[float]) -> float:
@@ -516,26 +693,43 @@ def fit_global(
     upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), bound)])
 
     eval_costs: list[float] = []
+    # x and grids of the latest evaluation; trf asks for the Jacobian
+    # only at an accepted step, i.e. at the x it evaluated last
+    latest: dict[str, object] = {"x": None}
+    fallbacks = 0
 
     def objective(x: np.ndarray) -> np.ndarray:
-        r = model_residuals(x, datasets, cfg, layout)
+        grids: list[_GridSolution] = []
+        r = model_residuals(x, datasets, cfg, layout, grids=grids)
+        latest.update(x=x.copy(), grids=grids)
         eval_costs.append(0.5 * float(r @ r))
         return r
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        nonlocal fallbacks
+        if not np.array_equal(x, latest["x"]):
+            objective(x)
+        jac, n_fallbacks = _model_jacobian(x, datasets, cfg, layout, latest["grids"])
+        fallbacks += n_fallbacks
+        return jac
 
     best = None
     start_costs: list[float] = []
     total_evals = 0
+    total_jacobians = 0
     for start_index, transmissions in enumerate(start_sets):
         x0 = layout.pack(base_params, transmissions, logit_bound=bound)
         result = least_squares(
             objective,
             x0,
+            jac=jacobian,
             method="trf",
             bounds=(lower[: layout.n_params], upper[: layout.n_params]),
             max_nfev=cfg.max_nfev,
             x_scale="jac",
         )
         total_evals += result.nfev
+        total_jacobians += result.njev
         start_costs.append(float(result.cost))
         if best is None or result.cost < best[1].cost:
             best = (start_index, result)
@@ -550,7 +744,7 @@ def fit_global(
     for dataset, channels in zip(datasets, channel_sets):
         points = dataset.used_points
         v = fourier_v(channels, params.gap, cfg.k_max)
-        model = _model_freqs_for_points(u, v, points, cfg)
+        model = _solve_points(u, v, points, cfg).model()
         data = [p.freq for p in points]
         rmse_each.append(rmse(model, data))
         all_model.extend(model)
@@ -578,6 +772,8 @@ def fit_global(
         cost_history=history,
         start_costs=tuple(start_costs),
         covariance=covariance,
+        n_jacobian_evaluations=total_jacobians,
+        jacobian_fallbacks=fallbacks,
     )
 
 
@@ -655,6 +851,8 @@ def _merge_single_gate_fits(
         cost_history=(),
         start_costs=(),
         covariance=None,
+        n_jacobian_evaluations=sum(r.n_jacobian_evaluations for r in results),
+        jacobian_fallbacks=sum(r.jacobian_fallbacks for r in results),
     )
 
 

@@ -1,9 +1,12 @@
 import configparser
+import contextlib
+import io
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpqkit import (
     ChargeBasisConfig,
@@ -465,3 +468,95 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, command, config, f
         argv.append(write(tmp_path / "data.csv", ONE_POINT_DATASET))
     assert main(argv) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("sweep", SWEEP_CONFIG + "\n[basis]\nn_levels = 0\n", "basis.n_levels"),
+        ("sweep", SWEEP_CONFIG + "\n[basis]\nn_g = 1e300\n", "basis.n_g"),
+        ("synth", SYNTH_CONFIG.replace("fwhm = 0.05", "fwhm = 0"), "synth.fwhm"),
+        ("synth", SYNTH_CONFIG.replace("noise_sigma = 0.02", "noise_sigma = -0.1"),
+         "synth.noise_sigma"),
+        ("synth", SYNTH_CONFIG.replace("freq_points = 600", "freq_points = 0"), "synth.freq_points"),
+        ("synth", SYNTH_CONFIG.replace("freq_points = 600", "freq_points = 1"), "synth.freq_points"),
+        ("synth", SYNTH_CONFIG.replace("freq_stop = 14.0", "freq_stop = 0.1"), "synth.freq_stop"),
+        ("synth", SYNTH_CONFIG.replace("seed = 17", "seed = -1"), "synth.seed must be >= 0"),
+        ("decompose", HPQ_CONFIG.replace("ej1 = 55.03", "ej1 = 1e300"), "circuit.ej1"),
+        ("fit", FIT_CONFIG.replace("channels = 2", "channels = -1"), "fit.channels"),
+        ("fit", FIT_CONFIG.replace("channels = 2", "channels = 2..3\nrmse_factor = 0.5"),
+         "fit.rmse_factor"),
+        ("fit", FIT_CONFIG + "n_g = 1e300\n", "fit.n_g"),
+    ],
+    ids=["n_levels-0", "n_g-1e300", "fwhm-0", "noise_sigma-negative", "freq_points-0",
+         "freq_points-1", "freq_stop-below-start", "seed-negative", "ej1-1e300",
+         "channels-negative", "rmse_factor-below-one", "fit-n_g-1e300"],
+)
+def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, config, message):
+    argv = [command, "--config", write(tmp_path / "run.ini", config), "--out-dir", str(tmp_path)]
+    if command == "fit":
+        argv.append(write(tmp_path / "data.csv", ONE_POINT_DATASET))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_negative_amplitude_draws_dips(tmp_path):
+    text = SYNTH_CONFIG.replace("noise_sigma = 0.02", "noise_sigma = 0.0") + "amplitude = -1\n"
+    assert main(["synth", "--config", write(tmp_path / "run.ini", text),
+                 "--out-dir", str(tmp_path)]) == 0
+    signal = [float(row.split(",")[2])
+              for row in (tmp_path / "map.csv").read_text().strip().splitlines()[1:]]
+    assert min(signal) < -0.5 and max(signal) <= 0.0
+
+
+#: a small config that every command accepts: 3 flux points, 50 drive points
+SMALL_CONFIG = {
+    "circuit": {"ej1": "55.03", "ej2": "55.03", "ecj": "0.675", "ec": "0.28", "gap": "40.06"},
+    "channels": {"transmissions": "0.94, 0.58, 0.58"},
+    "flux": {"phi_e": "0.5"},
+    "basis": {"n_cut": "15", "n_g": "0.0", "n_levels": "4"},
+    "decompose": {"k_max": "6", "include_bo": "true"},
+    "sweep": {"k_max": "6", "flux_start": "0.0", "flux_stop": "0.5", "flux_points": "3",
+              "labels": "f01, f12", "matrix_elements": "0-1", "include_bo": "true"},
+    "synth": {"k_max": "6", "seed": "3", "fwhm": "0.05", "amplitude": "1.0",
+              "noise_sigma": "0.01", "weight_by_matrix_element": "true", "flux_start": "0.0",
+              "flux_stop": "0.5", "flux_points": "3", "freq_start": "1.0", "freq_stop": "10.0",
+              "freq_points": "50", "labels": "f01, f12"},
+    "fit": {"globals": "fixed", "ec": "0.28", "channels": "2", "k_max": "6", "n_cut": "11",
+            "n_g": "0.0", "include_bo": "true", "sigma_floor": "1e-6", "max_nfev": "3",
+            "rmse_factor": "1.5"},
+    "gates": {"-7.0": "0.68, 0.47", "3.0": "0.88, 0.66"},
+}
+SMALL_DATASET = "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n" + "".join(
+    f"0.5,{flux},f01,{5.0 + flux},0.001,1\n" for flux in (0.0, 0.2, 0.4)
+)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("mutation")
+    (base / "data.csv").write_text(SMALL_DATASET)
+    return base
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(section, key) for section, keys in SMALL_CONFIG.items() for key in keys]),
+    st.sampled_from(["0", "-1", "nan", "inf", "1e300", "", "word"]),
+)
+def test_one_key_mutation_exits_zero_or_two(mutation_dir, field, value):
+    section, key = field
+    sections = {name: dict(keys) for name, keys in SMALL_CONFIG.items()}
+    sections[section][key] = value
+    cfg = write(mutation_dir / "run.ini", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    data, out = str(mutation_dir / "data.csv"), str(mutation_dir / "out")
+    for argv in (["decompose"], ["sweep"], ["synth"], ["classify"], ["fit", data],
+                 ["fit", data, "--channels", "1..2"]):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--config", cfg, "--out-dir", out])
+        assert code in (0, 2), (argv, section, key, value, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()

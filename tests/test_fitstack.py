@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
+from scipy.special import expit
 
 import hpqkit.fitstack as fitstack
 from hpqkit import (
@@ -17,6 +18,7 @@ from hpqkit import (
     TransitionPoint,
     extract_transitions,
     fit_global,
+    fourier_v,
     harmonic_agreement,
     lorentzian_fit,
     model_residuals,
@@ -254,6 +256,85 @@ class TestModelResiduals:
         assert np.array_equal(fit_a.residuals, fit_b.residuals)
 
 
+class TestAnalyticJacobian:
+    """The Hellmann-Feynman Jacobian of the fit against 3-point differences."""
+
+    START = CircuitParams(ej1=52.0, ej2=52.0, ecj=0.7, ec=0.28, gap=41.0)
+
+    @staticmethod
+    def jacobians(theta, datasets, cfg, layout, **difference):
+        grids = []
+        model_residuals(theta, datasets, cfg, layout, grids=grids)
+        analytic, fallbacks = fitstack._model_jacobian(theta, datasets, cfg, layout, grids)
+        central = approx_derivative(
+            lambda x: model_residuals(x, datasets, cfg, layout), theta, method="3-point",
+            **difference,
+        )
+        return analytic, central, fallbacks
+
+    @pytest.mark.parametrize("cfg", [SMALL_CFG_FIXED, SMALL_CFG_FREE], ids=["fixed", "free"])
+    def test_matches_central_differences(self, cfg):
+        ds = [
+            make_dataset(TRUE_PARAMS, (0.8, 0.55, 0.3), -1.0, cfg,
+                         labels=("f01", "f12", "f02/2"), flux_values=FLUX_GRID[::2]),
+            make_dataset(TRUE_PARAMS, (0.9, 0.4), 1.0, cfg, flux_values=FLUX_GRID[::3]),
+        ]
+        layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=(3, 3))
+        # the second gate has one channel at each logit bound
+        edge = expit(cfg.logit_bound)
+        theta = layout.pack(self.START, [(0.75, 0.5, 0.35), (edge, 0.45, 1.0 - edge)])
+        analytic, central, fallbacks = self.jacobians(theta, ds, cfg, layout)
+        assert fallbacks == 0
+        assert np.all(analytic[: len(ds[0].used_points), layout.t_slice(1)] == 0.0)
+        scale = np.max(np.abs(central), axis=0)
+        inner = scale > 1e-3 * scale.max()
+        assert np.allclose(analytic[:, inner], central[:, inner], rtol=0.0, atol=1e-6 * scale[inner])
+        # at the bounds dT/dx ~ 1e-8: the columns are tiny, and default steps
+        # drown them in eigenvalue rounding, so they get a wider step
+        bounds = [layout.t_slice(1).start, layout.t_slice(1).stop - 1]
+        assert not inner[bounds].any()
+        _, wide, _ = self.jacobians(theta, ds, cfg, layout, abs_step=1e-2)
+        for c in bounds:
+            atol = 1e-2 * np.max(np.abs(wide[:, c]))
+            assert np.allclose(analytic[:, c], wide[:, c], rtol=0.0, atol=atol)
+
+    def test_even_only_doublet_falls_back_to_central_differences(self, monkeypatch):
+        cfg = dataclasses.replace(SMALL_CFG_FIXED, k_max=10, n_cut=25)
+        transmissions = (0.8, 0.4)
+        v = fourier_v(NanowireChannels(transmissions), TRUE_PARAMS.gap, cfg.k_max)
+        # a junction arm that cancels the nanowire's odd harmonics at half flux
+        # and leaves a deep pi-periodic well there: a doublet split ~1e-12 GHz
+        u = np.zeros(cfg.k_max + 1)
+        u[1::2] = v[1::2]
+        u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
+        monkeypatch.setattr(fitstack, "_u_for", lambda params, ucfg: u)
+        flux = np.array([0.0, 1.0, 2.0, math.pi])
+        ds = [make_dataset(TRUE_PARAMS, transmissions, 0.0, cfg, labels=("f01", "f12", "f02"),
+                           flux_values=flux)]
+        layout = ThetaLayout(globals_free=False, channel_counts=(2,))
+        theta = layout.pack(None, [transmissions])
+        analytic, central, fallbacks = self.jacobians(theta, ds, cfg, layout)
+        assert fallbacks == 1
+        assert np.allclose(analytic, central, rtol=0.0, atol=1e-6 * np.max(np.abs(central)))
+
+    def test_fit_reuses_the_residual_eigenpairs(self, monkeypatch):
+        cfg = SMALL_CFG_FIXED
+        ds = [make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, cfg, flux_values=FLUX_GRID[::2])]
+        solves = []
+        original = fitstack.solve_flux_grid
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        result = fit_global(ds, [2], cfg, initial_transmissions=[(0.6, 0.5)])
+        assert result.n_jacobian_evaluations >= 2
+        assert result.jacobian_fallbacks == 0
+        # one solve per residual evaluation, one for the final RMSE, none for Jacobians
+        assert len(solves) == result.n_evaluations + 1
+
+
 class TestRmse:
     def test_exact_values(self):
         assert rmse([5.0, 6.0], [5.0, 6.0]) == 0.0
@@ -332,11 +413,11 @@ class TestFitGlobal:
         seen: list[float] = []
         original = fitstack.model_residuals
 
-        def recorder(theta, datasets, rcfg, layout):
+        def recorder(theta, datasets, rcfg, layout, **kwargs):
             _, channel_sets = layout.unpack(theta, rcfg)
             for ch in channel_sets:
                 seen.extend(ch.transmissions)
-            return original(theta, datasets, rcfg, layout)
+            return original(theta, datasets, rcfg, layout, **kwargs)
 
         monkeypatch.setattr(fitstack, "model_residuals", recorder)
         fit_global([ds], [2], cfg, initial_transmissions=[(0.5, 0.5)])
@@ -443,6 +524,8 @@ class TestMergeSingleGateFits:
         assert merged.channels == (fits[0].channels[0], fits[1].channels[0])
         assert merged.rmse_per_dataset == (fits[0].rmse, fits[1].rmse)
         assert merged.n_evaluations == fits[0].n_evaluations + fits[1].n_evaluations
+        assert merged.n_jacobian_evaluations == sum(f.n_jacobian_evaluations for f in fits) > 0
+        assert merged.jacobian_fallbacks == sum(f.jacobian_fallbacks for f in fits)
         for flags in [(True, True), (True, False), (False, True)]:
             parts = [dataclasses.replace(fit, converged=flag) for fit, flag in zip(fits, flags)]
             assert fitstack._merge_single_gate_fits(parts, gates).converged is all(flags)

@@ -28,6 +28,8 @@ from hpqkit import (
     write_harmonics_csv,
 )
 
+from hpqkit.potentials import _power_amplitudes
+
 from conftest import project_cosine_sine
 
 PHI = np.linspace(-np.pi, np.pi, 301)
@@ -297,6 +299,16 @@ class TestKernelAgainstOracles:
         channels = NanowireChannels(tuple(transmissions))
         cos_ref, scale = oracle_cosines(sns_potential(ORACLE_PHI, channels, 40.06), k_max)
         assert np.allclose(fourier_v(channels, 40.06, k_max), cos_ref, rtol=0.0, atol=1e-9 * scale)
+
+    @given(st.floats(1e-3, 0.99), st.sampled_from([0.5, 0.25]), st.integers(1, 40))
+    def test_amplitude_m_derivative_matches_projector(self, m, nu, k_max):
+        # d/dm (1 - m s)^nu = -nu s (1 - m s)^(nu - 1), s = sin^2(phi/2); the fit's
+        # Jacobian uses it as (nu/m) (A(m, nu) - A(m, nu - 1))
+        s = np.sin(ORACLE_PHI / 2.0) ** 2
+        cos_ref, scale = oracle_cosines(-nu * s * (1.0 - m * s) ** (nu - 1.0), k_max)
+        amplitudes = _power_amplitudes(m, (nu, nu - 1.0), k_max)
+        derivative = (nu / m) * (amplitudes[0] - amplitudes[1])
+        assert np.allclose(derivative, cos_ref, rtol=0.0, atol=1e-9 * scale)
 
     @pytest.mark.parametrize("m", [0.9125, 0.95, 1.0 - 1e-7])
     def test_high_harmonics_near_the_cusp(self, m):
