@@ -212,7 +212,8 @@ def parity_table(
     v = fourier_v(channels, params.gap, k_max)
     basis = replace(cfg, n_levels=max(n_states, 1))
     # wrapping is idempotent, so the canonical phi_e passes through unchanged
-    ((energies, vectors),) = solve_flux_grid(u, v, [flux.phi_e], params.ec, basis)
+    grid = solve_flux_grid(u, v, [flux.phi_e], params.ec, basis)
+    energies, vectors = grid.energies[0], grid.vectors[0]
     charges = cfg.charges
     rows = []
     for m in range(n_states):

@@ -102,30 +102,22 @@ def _n_g_from(cfg: RunConfig, section: str) -> float:
     return n_g
 
 
-def _basis_from(cfg: RunConfig, args: argparse.Namespace, k_max: int) -> spectrum.ChargeBasisConfig:
+def _basis_from(
+    cfg: RunConfig, args: argparse.Namespace, k_max: int,
+    labels: Sequence[str], pairs: Sequence[tuple[int, int]] = (),
+) -> spectrum.ChargeBasisConfig:
+    """The ``[basis]`` section; it must solve every level ``labels`` and ``pairs`` need."""
     n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=30)
     if n_cut < k_max + 5:
         raise ConfigError(f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+5)")
     n_levels = cfg.get_int("basis", "n_levels", default=6)
     if not 1 <= n_levels <= 2 * n_cut + 1:
         raise ConfigError(f"basis.n_levels must be in [1, {2 * n_cut + 1}], got {n_levels}")
+    try:
+        spectrum.check_levels(n_levels, labels, pairs)
+    except ValueError as exc:
+        raise ConfigError(f"basis.n_levels: {exc}") from exc
     return spectrum.ChargeBasisConfig(n_cut=n_cut, n_g=_n_g_from(cfg, "basis"), n_levels=n_levels)
-
-
-def _check_levels(
-    basis: spectrum.ChargeBasisConfig,
-    labels: Sequence[str],
-    pairs: Sequence[tuple[int, int]],
-    section: str,
-) -> None:
-    """Reject labels and level pairs that need more levels than the basis solves."""
-    needs = {lab: spectrum.parse_transition_label(lab)[1] for lab in labels}
-    needs.update({f"{i}-{j}": max(i, j) for i, j in pairs})
-    for name, level in needs.items():
-        if level >= basis.n_levels:
-            raise ConfigError(
-                f"{section}: {name} needs level {level}, but basis.n_levels = {basis.n_levels}"
-            )
 
 
 def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
@@ -149,8 +141,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     sums = potentials.parity_sums(spec)
     regime = potentials.find_phi_min(params, channels, flux, include_bo=include_bo)
 
-    basis = _basis_from(cfg, args, k_max)
-    _check_levels(basis, _DEFAULT_LABELS, _DEFAULT_PAIRS, "decompose")
+    basis = _basis_from(cfg, args, k_max, _DEFAULT_LABELS, _DEFAULT_PAIRS)
     table = spectrum.spectrum_vs_flux(
         params, channels, np.array([flux.phi_e]), basis,
         k_max=k_max, include_bo=include_bo, labels=_DEFAULT_LABELS,
@@ -212,8 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             field="sweep.matrix_elements",
         )
     )
-    basis = _basis_from(cfg, args, k_max)
-    _check_levels(basis, labels, pairs, "sweep")
+    basis = _basis_from(cfg, args, k_max, labels, pairs)
     grid = _flux_grid(cfg, "sweep")
     table = spectrum.spectrum_vs_flux(
         params, channels, grid, basis,
@@ -268,8 +258,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"synth.freq_points must be >= 2, got {f_points}")
     freqs = np.linspace(f_start, f_stop, f_points)
     grid = _flux_grid(cfg, "synth")
-    basis = _basis_from(cfg, args, k_max)
-    _check_levels(basis, labels, (), "synth")
+    basis = _basis_from(cfg, args, k_max, labels)
 
     traces, _ = synth.synthesize_map(
         params, channels, grid, freqs, scfg,

@@ -29,13 +29,13 @@ from scipy.special import expit, logit
 
 from .potentials import CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
 from .spectrum import (
-    DEGENERACY_TOL,
     ChargeBasisConfig,
+    FluxGrid,
     SolverError,
     parse_transition_label,
     solve_flux_grid,
 )
-from .synth import Trace
+from .synth import Trace, lorentzian
 from .tables import fmt, write_csv, write_ini
 
 __all__ = [
@@ -68,6 +68,9 @@ logger = logging.getLogger(__name__)
 
 #: multi-start transmissions per channel count: three flat levels plus a staircase
 START_LEVELS = (0.5, 0.8, 0.2)
+
+#: bound of the fitted transmission logits: T stays within about 1e-8 of 0 and 1
+LOGIT_BOUND = 18.4
 
 
 class FitRejection(Exception):
@@ -130,8 +133,7 @@ class LorentzianFit:
 
 
 def _lorentz_model(f: np.ndarray, f0: float, fwhm: float, amplitude: float, offset: float) -> np.ndarray:
-    half = fwhm / 2.0
-    return amplitude * half**2 / ((f - f0) ** 2 + half**2) + offset
+    return lorentzian(f, f0, fwhm, amplitude) + offset
 
 
 def lorentzian_fit(
@@ -303,8 +305,6 @@ class FitConfig:
     sigma_floor: float = 1e-6
     max_nfev: int | None = None
     rmse_factor: float = 1.5
-    logit_bound: float = 18.4
-    start_levels: tuple[float, ...] = START_LEVELS
 
     def __post_init__(self) -> None:
         if self.globals_mode not in ("free", "fixed"):
@@ -338,13 +338,7 @@ class ThetaLayout:
         start = self.n_globals + sum(self.channel_counts[:dataset_index])
         return slice(start, start + self.channel_counts[dataset_index])
 
-    def pack(
-        self,
-        params: CircuitParams | None,
-        transmissions: Sequence[Sequence[float]],
-        *,
-        logit_bound: float = 18.4,
-    ) -> np.ndarray:
+    def pack(self, params: CircuitParams | None, transmissions: Sequence[Sequence[float]]) -> np.ndarray:
         if len(transmissions) != len(self.channel_counts):
             raise ValueError("one transmission list per dataset required")
         parts: list[float] = []
@@ -353,7 +347,7 @@ class ThetaLayout:
                 raise ValueError("free globals need initial CircuitParams")
             ej = 0.5 * (params.ej1 + params.ej2)
             parts += [math.log(ej), math.log(params.ecj), math.log(params.gap)]
-        t_floor = expit(-logit_bound)
+        t_floor = expit(-LOGIT_BOUND)
         for count, ts in zip(self.channel_counts, transmissions):
             if len(ts) != count:
                 raise ValueError(f"expected {count} transmissions, got {len(ts)}")
@@ -385,23 +379,21 @@ def _u_for(params: CircuitParams, cfg: FitConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GridSolution:
-    """One dataset's solved flux grid: each distinct flux once, in first-seen order.
+    """One dataset's points on their solved flux grid.
 
-    ``rows`` maps each point to its flux's row, ``levels`` holds each
-    point's ``(i, j, divisor)`` as three rows, and ``vectors`` has shape
-    ``(fluxes, dim, levels)``.
+    ``grid`` holds each distinct flux once, in first-seen order; ``rows``
+    maps each point to its flux's row, and ``levels`` holds each point's
+    ``(i, j, divisor)`` as three rows.
     """
 
-    flux: np.ndarray
+    grid: FluxGrid
     rows: np.ndarray
     levels: np.ndarray
-    energies: np.ndarray
-    vectors: np.ndarray
 
     def model(self) -> np.ndarray:
         """Model frequency of each point."""
         i, j, divisor = self.levels
-        return (self.energies[self.rows, j] - self.energies[self.rows, i]) / divisor
+        return (self.grid.energies[self.rows, j] - self.grid.energies[self.rows, i]) / divisor
 
 
 def _solve_points(
@@ -415,10 +407,7 @@ def _solve_points(
     point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
     levels = np.array([p.levels for p in points]).T
     basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
-    energies, vectors = zip(*solve_flux_grid(u, v, list(rows), cfg.ec, basis))
-    return _GridSolution(
-        np.array(list(rows)), point_rows, levels, np.array(energies), np.array(vectors)
-    )
+    return _GridSolution(solve_flux_grid(u, v, list(rows), cfg.ec, basis), point_rows, levels)
 
 
 def dataset_model_frequencies(
@@ -488,8 +477,8 @@ def model_residuals(
 # (lam = 1, E_Jsigma = 2 ej) the junction term -E_Jsigma A(1, 1/2) is
 # linear in ej and the correction sqrt(E_Jsigma E_CJ) A(1, 1/4) goes as
 # sqrt(ej ecj), and dv/dlog(gap) = v. Hellmann-Feynman needs a
-# nondegenerate level, so a flux point whose used levels sit in a cluster
-# within DEGENERACY_TOL takes central differences for its rows instead.
+# nondegenerate level, so a flux point with a used level in a degenerate
+# cluster (FluxGrid.clustered) takes central differences for its rows instead.
 
 #: relative step of the degenerate-point central difference (scipy's 3-point default)
 _CENTRAL_STEP = np.finfo(float).eps ** (1.0 / 3.0)
@@ -525,7 +514,7 @@ def _v_derivatives(
     return dv
 
 
-def _level_derivatives(grid: _GridSolution, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+def _level_derivatives(grid: FluxGrid, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Hellmann-Feynman dE/d theta of every solved level, shape ``(fluxes, levels, params)``."""
     k = np.arange(1, len(du) + 1)
     vectors = grid.vectors
@@ -536,14 +525,11 @@ def _level_derivatives(grid: _GridSolution, du: np.ndarray, dv: np.ndarray) -> n
     return g.real @ du + (phase * g).real @ dv
 
 
-def _degenerate_rows(grid: _GridSolution) -> np.ndarray:
-    """Flux rows where a point's level lies within DEGENERACY_TOL of a neighbour."""
-    close = np.diff(grid.energies, axis=1) < DEGENERACY_TOL
-    clustered = np.zeros(grid.energies.shape, dtype=bool)
-    clustered[:, 1:] |= close
-    clustered[:, :-1] |= close
-    i, j, _ = grid.levels
-    return np.unique(grid.rows[clustered[grid.rows, i] | clustered[grid.rows, j]])
+def _degenerate_rows(solution: _GridSolution) -> np.ndarray:
+    """Flux rows where a point uses a level of a degenerate cluster."""
+    clustered, rows = solution.grid.clustered, solution.rows
+    i, j, _ = solution.levels
+    return np.unique(rows[clustered[rows, i] | clustered[rows, j]])
 
 
 def _central_rows(
@@ -574,7 +560,7 @@ def _model_jacobian(
     datasets: Sequence[SpectroscopyDataset],
     cfg: FitConfig,
     layout: ThetaLayout,
-    grids: Sequence[_GridSolution],
+    solutions: Sequence[_GridSolution],
 ) -> tuple[np.ndarray, int]:
     """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there.
 
@@ -585,17 +571,16 @@ def _model_jacobian(
     du = _u_derivatives(params, cfg, layout)
     blocks: list[np.ndarray] = []
     fallbacks = 0
-    for d, (dataset, grid) in enumerate(zip(datasets, grids)):
+    for d, (dataset, solution) in enumerate(zip(datasets, solutions)):
         points = dataset.used_points
-        d_energy = _level_derivatives(grid, du, _v_derivatives(theta, params.gap, cfg, layout, d))
-        i, j, divisor = grid.levels
-        block = (d_energy[grid.rows, j] - d_energy[grid.rows, i]) / (
-            divisor * _sigmas(points, cfg)
-        )[:, None]
-        degenerate = _degenerate_rows(grid)
+        d_energy = _level_derivatives(solution.grid, du, _v_derivatives(theta, params.gap, cfg, layout, d))
+        rows = solution.rows
+        i, j, divisor = solution.levels
+        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * _sigmas(points, cfg))[:, None]
+        degenerate = _degenerate_rows(solution)
         if len(degenerate):
             fallbacks += len(degenerate)
-            mask = np.isin(grid.rows, degenerate)
+            mask = np.isin(rows, degenerate)
             block[mask] = _central_rows(
                 theta, [p for p, m in zip(points, mask) if m], d, cfg, layout
             )
@@ -644,12 +629,9 @@ def rmse(model_freqs: Sequence[float], data_freqs: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((model - data) ** 2)))
 
 
-def _default_starts(counts: tuple[int, ...], levels: tuple[float, ...]) -> list[list[list[float]]]:
-    starts: list[list[list[float]]] = []
-    for level in levels:
-        starts.append([[level] * n for n in counts])
-    starts.append([[max(0.9 - 0.2 * i, 0.1) for i in range(n)] for n in counts])
-    return starts
+def _default_starts(counts: tuple[int, ...]) -> list[list[list[float]]]:
+    starts = [[[level] * n for n in counts] for level in START_LEVELS]
+    return starts + [[[max(0.9 - 0.2 * i, 0.1) for i in range(n)] for n in counts]]
 
 
 def fit_global(
@@ -686,11 +668,10 @@ def fit_global(
     if initial_transmissions is not None:
         start_sets = [[list(ts) for ts in initial_transmissions]]
     else:
-        start_sets = _default_starts(counts, cfg.start_levels)
+        start_sets = _default_starts(counts)
 
-    bound = cfg.logit_bound
-    lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -bound)])
-    upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), bound)])
+    lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -LOGIT_BOUND)])
+    upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), LOGIT_BOUND)])
 
     eval_costs: list[float] = []
     # x and grids of the latest evaluation; trf asks for the Jacobian
@@ -718,7 +699,7 @@ def fit_global(
     total_evals = 0
     total_jacobians = 0
     for start_index, transmissions in enumerate(start_sets):
-        x0 = layout.pack(base_params, transmissions, logit_bound=bound)
+        x0 = layout.pack(base_params, transmissions)
         result = least_squares(
             objective,
             x0,

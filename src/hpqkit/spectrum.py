@@ -13,9 +13,9 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -27,10 +27,12 @@ __all__ = [
     "ChargeBasisConfig",
     "ParityWeights",
     "TransitionTable",
+    "FluxGrid",
     "SolverError",
     "build_hamiltonian",
     "eigensolve",
     "parse_transition_label",
+    "check_levels",
     "transition_frequencies",
     "charge_matrix_element",
     "parity_weights",
@@ -134,16 +136,22 @@ def _hamiltonian_stack(
     return h.reshape(len(c), dim, dim)
 
 
+def _close_to_next(energies: np.ndarray) -> np.ndarray:
+    """``close[..., n]``: level ``n + 1`` lies within :data:`DEGENERACY_TOL` of level ``n``."""
+    return energies[..., 1:] - energies[..., :-1] < DEGENERACY_TOL
+
+
 def _degeneracy_reorder(
     energies: np.ndarray, vectors: np.ndarray, n_cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order states inside degenerate clusters by descending even weight."""
     order = np.arange(len(energies))
+    close = _close_to_next(energies)
     start = 0
     even_mask = np.arange(-n_cut, n_cut + 1) % 2 == 0
     while start < len(energies):
         stop = start + 1
-        while stop < len(energies) and energies[stop] - energies[stop - 1] < DEGENERACY_TOL:
+        while stop < len(energies) and close[stop - 1]:
             stop += 1
         if stop - start > 1:
             weights = [
@@ -191,14 +199,22 @@ def parse_transition_label(label: str) -> tuple[int, int, int]:
     return i, j, divisor
 
 
-def transition_frequencies(energies: np.ndarray, labels: tuple[str, ...]) -> dict[str, float]:
-    """Transition frequencies (GHz) for the requested labels."""
-    out: dict[str, float] = {}
+def check_levels(n_levels: int, labels: Sequence[str], me_pairs: Sequence[tuple[int, int]] = ()) -> None:
+    """Raise ``ValueError`` when a label or level pair needs a level beyond ``n_levels``."""
+    needs = {f"label {label!r}": parse_transition_label(label)[1] for label in labels}
+    needs.update({f"matrix element n{i}{j}": max(i, j) for i, j in me_pairs})
+    for name, level in needs.items():
+        if level >= n_levels:
+            raise ValueError(f"{name} needs level {level}, but n_levels = {n_levels}")
+
+
+def transition_frequencies(energies: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
+    """Transition frequencies (GHz) of ``labels`` over the last axis of ``energies``."""
+    check_levels(energies.shape[-1], labels)
+    out: dict[str, np.ndarray] = {}
     for label in labels:
         i, j, divisor = parse_transition_label(label)
-        if j >= len(energies):
-            raise ValueError(f"label {label!r} needs level {j}, only {len(energies)} solved")
-        out[label] = (float(energies[j]) - float(energies[i])) / divisor
+        out[label] = (energies[..., j] - energies[..., i]) / divisor
     return out
 
 
@@ -243,11 +259,7 @@ class TransitionTable:
     matrix_elements: dict[tuple[int, int], np.ndarray]
     labels: tuple[str, ...]
     me_pairs: tuple[tuple[int, int], ...]
-    failed: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-
-    def __post_init__(self) -> None:
-        if self.failed.size == 0:
-            self.failed = np.zeros(len(self.flux_radians), dtype=bool)
+    failed: np.ndarray
 
     @property
     def flux_phi0(self) -> np.ndarray:
@@ -262,6 +274,21 @@ class TransitionTable:
         write_csv(path, header, zip(*columns))
 
 
+@dataclass(frozen=True)
+class FluxGrid:
+    """Lowest eigenpairs on a flux grid: ``energies[point, level]``, ``vectors[point, :, level]``.
+
+    A failed point holds NaN. ``clustered[point, level]`` flags a level
+    in a degenerate cluster, as :func:`eigensolve` finds them.
+    """
+
+    flux: np.ndarray
+    energies: np.ndarray
+    vectors: np.ndarray
+    failed: np.ndarray
+    clustered: np.ndarray
+
+
 def solve_flux_grid(
     u: np.ndarray,
     v: np.ndarray,
@@ -270,18 +297,17 @@ def solve_flux_grid(
     cfg: ChargeBasisConfig,
     *,
     strict: bool = True,
-) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
-    """Lowest eigenpairs of the Hamiltonian at each flux, in grid order.
+) -> FluxGrid:
+    """Lowest ``cfg.n_levels`` eigenpairs at each flux, stacked in a :class:`FluxGrid`.
 
     ``u`` and ``v`` are the arm amplitudes of
     :func:`~hpqkit.potentials.combine_harmonics`; each flux is wrapped
     into [-pi, pi) exactly as :class:`~hpqkit.potentials.FluxBias` does.
-    The Hamiltonians of up to :data:`GRID_BLOCK` points are assembled in
-    one vectorised fill, and each point's lowest ``cfg.n_levels`` states
-    are solved with :func:`eigensolve`; a point without sine content
-    gets a real matrix, exactly as :func:`build_hamiltonian` gives it. A point whose solve fails raises a :class:`SolverError`
-    naming its index when ``strict``; otherwise it logs a warning and
-    yields ``None``.
+    Up to :data:`GRID_BLOCK` Hamiltonians are assembled in one vectorised
+    fill, and each point is solved with :func:`eigensolve`, real without
+    sine content, so it matches :func:`build_hamiltonian` bit for bit. A
+    failed solve raises a :class:`SolverError` naming its point when
+    ``strict``; otherwise it logs a warning and flags the point.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -291,24 +317,32 @@ def solve_flux_grid(
     if not np.all(np.isfinite(flux_values)):
         raise ValueError("flux values must be finite")
     phi_e = (flux_values + math.pi) % (2.0 * math.pi) - math.pi
-    k = np.arange(len(u))
-    for start in range(0, len(phi_e), GRID_BLOCK):
-        angles = phi_e[start : start + GRID_BLOCK, np.newaxis] * k
-        c = u + np.cos(angles) * v
-        s = np.sin(angles) * v
-        real = ~np.any(s[:, 1:] != 0.0, axis=1)
-        for offset, h in enumerate(_hamiltonian_stack(c, s, ec, cfg)):
-            idx = start + offset
+    angles = phi_e[:, np.newaxis] * np.arange(len(u))
+    c = u + np.cos(angles) * v
+    s = np.sin(angles) * v
+    real = ~np.any(s[:, 1:] != 0.0, axis=1)
+    n_points = len(flux_values)
+    energies = np.full((n_points, cfg.n_levels), np.nan)
+    vectors = np.full((n_points, cfg.dim, cfg.n_levels), np.nan, float if real.all() else complex)
+    for start in range(0, n_points, GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        hs = _hamiltonian_stack(c[block], s[block], ec, cfg)
+        for idx, h in enumerate(hs, start):
             try:
-                solution = eigensolve(h.real if real[offset] else h, cfg.n_levels)
+                energies[idx], vectors[idx] = eigensolve(h.real if real[idx] else h, cfg.n_levels)
             except SolverError as exc:
                 if strict:
                     raise SolverError(
                         f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}"
                     ) from exc
                 logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
-                solution = None
-            yield solution
+        # h is a view of the block: drop both so the next fill does not overlap it
+        del hs, h
+    close = _close_to_next(energies)
+    clustered = np.zeros(energies.shape, dtype=bool)
+    clustered[:, 1:] = close
+    clustered[:, :-1] |= close
+    return FluxGrid(flux_values, energies, vectors, np.isnan(energies[:, 0]), clustered)
 
 
 def spectrum_vs_flux(
@@ -327,36 +361,25 @@ def spectrum_vs_flux(
 
     The arm Fourier amplitudes are flux independent and computed once;
     :func:`solve_flux_grid` re-interferes them and solves at each grid
-    point. A failed point raises when ``strict``, otherwise it logs a
-    warning and leaves a NaN row flagged in ``failed``.
+    point. Labels and pairs pass :func:`check_levels` before any solve.
+    A failed point raises when ``strict``, otherwise it logs a warning
+    and leaves a NaN row flagged in ``failed``.
     """
-    flux_values = np.asarray(flux_values, dtype=float)
+    check_levels(cfg.n_levels, labels, me_pairs)
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
-    n_points = len(flux_values)
-
-    energies = np.full((n_points, cfg.n_levels), np.nan)
-    freqs = {lab: np.full(n_points, np.nan) for lab in labels}
-    mes = {pair: np.full(n_points, np.nan) for pair in me_pairs}
-    failed = np.zeros(n_points, dtype=bool)
-
-    solutions = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=strict)
-    for idx, solution in enumerate(solutions):
-        if solution is None:
-            failed[idx] = True
-            continue
-        energies[idx], vectors = solution
-        for lab, f in transition_frequencies(energies[idx], labels).items():
-            freqs[lab][idx] = f
-        for i, j in me_pairs:
-            mes[(i, j)][idx] = charge_matrix_element(vectors[:, i], vectors[:, j], cfg.n_g)
-
+    grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=strict)
+    vectors = grid.vectors
+    n = cfg.charges - cfg.n_g
     return TransitionTable(
-        flux_radians=flux_values,
-        energies=energies,
-        frequencies=freqs,
-        matrix_elements=mes,
+        flux_radians=grid.flux,
+        energies=grid.energies,
+        frequencies=transition_frequencies(grid.energies, labels),
+        matrix_elements={
+            (i, j): np.abs(np.einsum("pm,pm->p", vectors[:, :, i].conj(), n * vectors[:, :, j]))
+            for i, j in me_pairs
+        },
         labels=tuple(labels),
         me_pairs=tuple(me_pairs),
-        failed=failed,
+        failed=grid.failed,
     )

@@ -281,7 +281,7 @@ class TestAnalyticJacobian:
         ]
         layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=(3, 3))
         # the second gate has one channel at each logit bound
-        edge = expit(cfg.logit_bound)
+        edge = expit(fitstack.LOGIT_BOUND)
         theta = layout.pack(self.START, [(0.75, 0.5, 0.35), (edge, 0.45, 1.0 - edge)])
         analytic, central, fallbacks = self.jacobians(theta, ds, cfg, layout)
         assert fallbacks == 0

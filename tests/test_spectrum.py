@@ -1,9 +1,13 @@
 import logging
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+
+import hpqkit.spectrum as spectrum
 
 from hpqkit import (
     ChargeBasisConfig,
@@ -23,7 +27,9 @@ from hpqkit import (
     spectrum_vs_flux,
     transition_frequencies,
 )
-from hpqkit.spectrum import GRID_BLOCK
+from hpqkit.spectrum import DEGENERACY_TOL, GRID_BLOCK
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
 
 def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) -> np.ndarray:
@@ -282,6 +288,41 @@ class TestSpectrumVsFlux:
         assert int(np.argmin(f01)) == len(grid) - 1
         assert f01[-1] < 1.5
 
+    def test_matrix_elements_match_per_point_dot_product(self, hpq_params, mixed_channels):
+        cfg = ChargeBasisConfig(n_cut=25, n_g=0.3, n_levels=4)
+        flux = np.linspace(0.0, math.pi, 7)
+        pairs = ((0, 1), (1, 2), (0, 3))
+        table = spectrum_vs_flux(hpq_params, mixed_channels, flux, cfg, me_pairs=pairs)
+        u, v = fourier_u(hpq_params, 10), fourier_v(mixed_channels, hpq_params.gap, 10)
+        # the stacked product sums in another order: allow dim rounding errors of terms <= n_cut
+        atol = cfg.dim * cfg.n_cut * np.finfo(float).eps
+        for p, phi in enumerate(flux):
+            _, vectors = eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), 0.28, cfg), 4)
+            for i, j in pairs:
+                want = charge_matrix_element(vectors[:, i], vectors[:, j], cfg.n_g)
+                assert abs(table.matrix_elements[(i, j)][p] - want) <= atol, (phi, i, j)
+
+    @pytest.mark.parametrize(
+        "labels, pairs, message",
+        [
+            (("f01", "f04"), ((0, 1),), "label 'f04' needs level 4"),
+            (("f01", "f14/2"), ((0, 1),), "label 'f14/2' needs level 4"),
+            (("f01",), ((0, 1), (4, 2)), "matrix element n42 needs level 4"),
+        ],
+    )
+    def test_level_beyond_basis_raises_before_any_solve(
+        self, hpq_params, mixed_channels, monkeypatch, labels, pairs, message
+    ):
+        solves = []
+        monkeypatch.setattr(spectrum, "eigensolve", lambda *args: solves.append(args))
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        with pytest.raises(ValueError, match=message):
+            spectrum_vs_flux(
+                hpq_params, mixed_channels, np.linspace(0.0, math.pi, 5), cfg,
+                labels=labels, me_pairs=pairs,
+            )
+        assert solves == []
+
     def test_csv_export(self, tmp_path, hpq_params, odd_channels):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         grid = 2.0 * math.pi * np.linspace(0.0, 0.5, 3)
@@ -321,43 +362,90 @@ class TestSolveFluxGrid:
         assert len(self.GRID) > GRID_BLOCK
         for name, (u, v, n_g) in self.cases(hpq_params, mixed_channels).items():
             cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4)
-            solutions = list(solve_flux_grid(u, v, self.GRID, 0.28, cfg))
-            assert len(solutions) == len(self.GRID), name
-            for phi, (energies, vectors) in zip(self.GRID, solutions):
+            grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+            assert np.array_equal(grid.flux, self.GRID), name
+            assert grid.energies.shape == (len(self.GRID), cfg.n_levels), name
+            assert grid.vectors.shape == (len(self.GRID), cfg.dim, cfg.n_levels), name
+            assert not grid.failed.any(), name
+            for p, phi in enumerate(self.GRID):
                 spec = combine_harmonics(u, v, FluxBias(phi))
                 h = build_hamiltonian(spec, 0.28, cfg)
                 loop = banded_loop_hamiltonian(spec, 0.28, cfg)
                 assert h.dtype == loop.dtype and h.tobytes() == loop.tobytes(), (name, phi)
                 want_e, want_v = eigensolve(h, cfg.n_levels)
-                assert vectors.dtype == want_v.dtype, (name, phi)
-                assert np.array_equal(energies, want_e), (name, phi)
-                assert np.array_equal(vectors, want_v), (name, phi)
+                assert np.array_equal(grid.energies[p], want_e), (name, phi)
+                assert np.array_equal(grid.vectors[p], want_v), (name, phi)
 
-    def test_cases_cover_real_complex_and_degenerate_points(self, hpq_params, mixed_channels):
+    def test_cases_cover_real_complex_and_degenerate_points(
+        self, hpq_params, mixed_channels, monkeypatch
+    ):
+        solved = []
+
+        def recording(h, n_levels):
+            solved.append(h.dtype)
+            return eigensolve(h, n_levels)
+
+        monkeypatch.setattr(spectrum, "eigensolve", recording)
         cases = self.cases(hpq_params, mixed_channels)
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
-        u, v, _ = cases["mixed"]
-        dtypes = {vectors.dtype for _, vectors in solve_flux_grid(u, v, self.GRID, 0.28, cfg)}
-        assert dtypes == {np.dtype(float), np.dtype(complex)}
-        u, v, _ = cases["open nanowire"]
-        solutions = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
-        assert all(vectors.dtype == float for _, vectors in solutions)
-        u, v, _ = cases["even-only doublet"]
-        for energies, vectors in solve_flux_grid(u, v, self.GRID, 0.28, cfg):
+
+        def solve(name):
+            solved.clear()
+            u, v, _ = cases[name]
+            return solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+
+        assert solve("mixed").vectors.dtype == complex
+        assert set(solved) == {np.dtype(float), np.dtype(complex)}
+        assert solve("open nanowire").vectors.dtype == float
+        assert set(solved) == {np.dtype(float)}
+        grid = solve("even-only doublet")
+        assert len(solved) == len(self.GRID)
+        for energies, vectors in zip(grid.energies, grid.vectors):
             # inside DEGENERACY_TOL, so the pair is ordered by even weight
             assert energies[1] - energies[0] < 1e-9
             w0, w1 = (parity_weights(vectors[:, m]).even_weight for m in (0, 1))
             assert w0 > 0.5 > w1
+
+    def test_clustered_flags_levels_next_to_a_degenerate_neighbour(self, hpq_params, mixed_channels):
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        for name, (u, v, _) in self.cases(hpq_params, mixed_channels).items():
+            grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+            energies = grid.energies
+
+            def close(p, n):
+                return n + 1 < cfg.n_levels and energies[p, n + 1] - energies[p, n] < DEGENERACY_TOL
+
+            want = [
+                [close(p, n) or (n > 0 and close(p, n - 1)) for n in range(cfg.n_levels)]
+                for p in range(len(self.GRID))
+            ]
+            assert grid.clustered.tolist() == want, name
+            assert grid.clustered[:, :2].all() == (name == "even-only doublet"), name
 
     def test_wraps_flux_like_flux_bias(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         raw = np.array([7.5, -9.0, 3.0 * math.pi, -math.pi, 1e-20])
         wrapped = [FluxBias(phi).phi_e for phi in raw]
-        for (e_raw, _), (e_wrapped, _) in zip(
-            solve_flux_grid(u, v, raw, 0.28, cfg), solve_flux_grid(u, v, wrapped, 0.28, cfg)
-        ):
-            assert np.array_equal(e_raw, e_wrapped)
+        assert np.array_equal(
+            solve_flux_grid(u, v, raw, 0.28, cfg).energies,
+            solve_flux_grid(u, v, wrapped, 0.28, cfg).energies,
+        )
+
+    def test_frees_each_block_before_the_next_fill(self, hpq_params, mixed_channels):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        cfg = ChargeBasisConfig(n_cut=30, n_levels=6)
+        # off 0 and pi every point has sine content, so every block is complex
+        flux = np.linspace(0.1, 3.0, 3 * GRID_BLOCK)
+        block_bytes = GRID_BLOCK * cfg.dim**2 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            grid = solve_flux_grid(u, v, flux, 0.28, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.vectors.dtype == complex and not grid.failed.any()
+        assert peak < 2 * block_bytes
 
     @pytest.fixture
     def fail_solve(self, monkeypatch):
@@ -399,3 +487,13 @@ class TestSolveFluxGrid:
         fail_solve(3)
         with pytest.raises(SolverError, match=r"flux point 2 \(phi_e="):
             spectrum_vs_flux(hpq_params, mixed_channels, np.linspace(0.0, math.pi, 5), cfg, strict=True)
+
+
+def test_only_spectrum_module_names_the_degeneracy_tolerance():
+    """The degeneracy rule lives in ``spectrum``; others read ``FluxGrid.clustered``."""
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectrum.py" and "DEGENERACY_TOL" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
