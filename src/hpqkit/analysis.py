@@ -12,11 +12,11 @@ from typing import Sequence
 import numpy as np
 
 from .potentials import (
+    K_MAX,
     CircuitParams,
     FluxBias,
     NanowireChannels,
     Regime,
-    RegimeThresholds,
     combine_harmonics,
     find_phi_min,
     fourier_u,
@@ -64,9 +64,8 @@ def gate_sweep_harmonics(
     gates: Sequence[GatePoint],
     flux: FluxBias,
     *,
-    k_max: int = 10,
+    k_max: int = K_MAX,
     include_bo: bool = True,
-    odd_floor: float = 1e-6,
     reference_gate: float | None = None,
 ) -> list[GateHarmonics]:
     """Harmonic coefficients and parity sums for each gate point.
@@ -92,7 +91,7 @@ def gate_sweep_harmonics(
         ref_c = matches[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         for gate, spec in specs:
-            sums = parity_sums(spec, odd_floor=odd_floor)
+            sums = parity_sums(spec)
             normalized = np.where(ref_c != 0.0, spec.c / ref_c, np.nan)
             rows.append(
                 GateHarmonics(
@@ -121,12 +120,11 @@ def gate_sweep_regimes(
     flux: FluxBias,
     *,
     include_bo: bool = True,
-    thresholds: RegimeThresholds | None = None,
 ) -> list[RegimeRow]:
     """Potential-minimum location and parity regime for each gate point."""
     rows = []
     for gate, channels in gates:
-        label = find_phi_min(params, channels, flux, include_bo=include_bo, thresholds=thresholds)
+        label = find_phi_min(params, channels, flux, include_bo=include_bo)
         rows.append(RegimeRow(gate=gate, phi_min=label.phi_min, regime=label.regime))
     return rows
 
@@ -153,7 +151,7 @@ def sns_branch_report(
     gates: Sequence[GatePoint],
     gap: float,
     *,
-    k_max: int = 10,
+    k_max: int = K_MAX,
     params: CircuitParams | None = None,
     include_bo: bool = True,
 ) -> SnsBranchReport:
@@ -165,7 +163,7 @@ def sns_branch_report(
     """
     rows = []
     for gate, channels in gates:
-        v = fourier_v(channels, gap, k_max) if len(channels) else np.zeros(k_max + 1)
+        v = fourier_v(channels, gap, k_max)
         rows.append(
             SnsBranchRow(
                 gate=gate,
@@ -199,7 +197,7 @@ def parity_table(
     cfg: ChargeBasisConfig,
     n_states: int,
     *,
-    k_max: int = 10,
+    k_max: int = K_MAX,
     include_bo: bool = True,
     prob_cutoff: float = 1e-3,
 ) -> list[ParityRow]:

@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +26,6 @@ from .potentials import FluxBias
 from .tables import fmt, write_csv, write_ini, write_lines
 
 ENV_PREFIX = "HPQKIT_"
-
-_DEFAULT_LABELS = ("f01", "f12", "f02")
-_DEFAULT_PAIRS = ((0, 1), (1, 2))
 
 
 def _env(name: str) -> str | None:
@@ -107,10 +104,11 @@ def _basis_from(
     labels: Sequence[str], pairs: Sequence[tuple[int, int]] = (),
 ) -> spectrum.ChargeBasisConfig:
     """The ``[basis]`` section; it must solve every level ``labels`` and ``pairs`` need."""
-    n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=30)
+    defaults = spectrum.ChargeBasisConfig
+    n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=defaults.n_cut)
     if n_cut < k_max + 5:
         raise ConfigError(f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+5)")
-    n_levels = cfg.get_int("basis", "n_levels", default=6)
+    n_levels = cfg.get_int("basis", "n_levels", default=defaults.n_levels)
     if not 1 <= n_levels <= 2 * n_cut + 1:
         raise ConfigError(f"basis.n_levels must be in [1, {2 * n_cut + 1}], got {n_levels}")
     try:
@@ -121,7 +119,7 @@ def _basis_from(
 
 
 def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
-    k_max = args.kmax if args.kmax is not None else cfg.get_int(section, "k_max", default=10)
+    k_max = args.kmax if args.kmax is not None else cfg.get_int(section, "k_max", default=potentials.K_MAX)
     if k_max < 1:
         raise ConfigError(f"{section}: k_max must be >= 1, got {k_max}")
     return k_max
@@ -141,13 +139,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     sums = potentials.parity_sums(spec)
     regime = potentials.find_phi_min(params, channels, flux, include_bo=include_bo)
 
-    basis = _basis_from(cfg, args, k_max, _DEFAULT_LABELS, _DEFAULT_PAIRS)
+    basis = _basis_from(cfg, args, k_max, spectrum.DEFAULT_LABELS, spectrum.DEFAULT_PAIRS)
     table = spectrum.spectrum_vs_flux(
-        params, channels, np.array([flux.phi_e]), basis,
-        k_max=k_max, include_bo=include_bo, labels=_DEFAULT_LABELS,
-        me_pairs=_DEFAULT_PAIRS,
+        params, channels, np.array([flux.phi_e]), basis, k_max=k_max, include_bo=include_bo
     )
-    max_freq = float(np.nanmax([table.frequencies[lab][0] for lab in _DEFAULT_LABELS]))
+    max_freq = float(np.nanmax([table.frequencies[lab][0] for lab in table.labels]))
     validity = potentials.validate_bo(params, max_transition_freq=max_freq)
 
     csv_path = _out(args, "harmonics.csv")
@@ -164,7 +160,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         f"internal mode f_int = {fmt(validity.internal_mode_freq)} GHz",
         f"BO check ecj > ec: {'pass' if validity.charge_hierarchy_ok else 'FAIL'}",
         (
-            f"BO check ej_sigma/ecj >= 10: "
+            f"BO check ej_sigma/ecj >= {potentials.BO_RATIO_MIN:g}: "
             f"{'pass' if validity.junction_ratio_ok else 'FAIL'} ({fmt(validity.junction_ratio)})"
         ),
         (
@@ -195,13 +191,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     k_max = _kmax_from(cfg, args, "sweep")
     include_bo = cfg.get_bool("sweep", "include_bo", default=True)
     labels = cfgmod.parse_labels(
-        cfg.get_str("sweep", "labels", default=",".join(_DEFAULT_LABELS)), field="sweep.labels"
+        cfg.get_str("sweep", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="sweep.labels"
     )
-    pairs = tuple(
-        cfgmod.parse_pairs(
-            cfg.get_str("sweep", "matrix_elements", default="0-1,1-2"),
-            field="sweep.matrix_elements",
-        )
+    pairs_text = cfg.raw("sweep", "matrix_elements")
+    pairs = spectrum.DEFAULT_PAIRS if pairs_text is None else tuple(
+        cfgmod.parse_pairs(pairs_text, field="sweep.matrix_elements")
     )
     basis = _basis_from(cfg, args, k_max, labels, pairs)
     grid = _flux_grid(cfg, "sweep")
@@ -232,18 +226,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if seed < 0:
         raise ConfigError(f"{where} must be >= 0, got {seed}")
     labels = cfgmod.parse_labels(
-        cfg.get_str("synth", "labels", default=",".join(_DEFAULT_LABELS)), field="synth.labels"
+        cfg.get_str("synth", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="synth.labels"
     )
-    fwhm = cfg.get_energy("synth", "fwhm", default=0.05)
-    noise_sigma = cfg.get_float("synth", "noise_sigma", default=0.0)
+    defaults = synth.SynthConfig
+    noise_sigma = cfg.get_float("synth", "noise_sigma", default=defaults.noise_sigma)
     if noise_sigma < 0.0:
         raise ConfigError(f"synth.noise_sigma must be >= 0, got {noise_sigma!r}")
     scfg = synth.SynthConfig(
         seed=seed,
-        fwhm=fwhm,
-        amplitude=cfg.get_float("synth", "amplitude", default=1.0),
+        fwhm=cfg.get_energy("synth", "fwhm", default=defaults.fwhm),
+        amplitude=cfg.get_float("synth", "amplitude", default=defaults.amplitude),
         noise_sigma=noise_sigma,
-        weight_by_matrix_element=cfg.get_bool("synth", "weight_by_matrix_element", default=True),
+        weight_by_matrix_element=cfg.get_bool(
+            "synth", "weight_by_matrix_element", default=defaults.weight_by_matrix_element
+        ),
     )
     f_start = cfg.get_float("synth", "freq_start", default=0.1)
     f_stop = cfg.get_float("synth", "freq_stop", default=20.0)
@@ -271,8 +267,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     write_ini(meta_path, {
         "synth": {
             "seed": seed,
-            "fwhm": float(scfg.fwhm),
-            "amplitude": float(scfg.amplitude),
+            "fwhm": scfg.fwhm,
+            "amplitude": scfg.amplitude,
             "noise_sigma": scfg.noise_sigma,
             "weight_by_matrix_element": scfg.weight_by_matrix_element,
             "labels": ", ".join(labels),
@@ -298,31 +294,28 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if globals_mode not in ("free", "fixed"):
         raise ConfigError(f"fit.globals must be 'free' or 'fixed', got {globals_mode!r}")
     ec = cfg.get_energy("fit", "ec", default=initial.ec)
-    sigma_floor = cfg.get_float("fit", "sigma_floor", default=1e-6)
-    if sigma_floor < 0.0:
-        raise ConfigError(f"fit.sigma_floor must be >= 0, got {sigma_floor!r}")
-    rmse_factor = cfg.get_float("fit", "rmse_factor", default=1.5)
-    if rmse_factor < 1.0:
-        raise ConfigError(f"fit.rmse_factor must be >= 1, got {rmse_factor!r}")
     k_max = _kmax_from(cfg, args, "fit")
     counts_text = args.channels or cfg.get_str("fit", "channels", default="3")
     counts = cfgmod.parse_counts(counts_text, field="fit.channels")
 
+    defaults = fitstack.FitConfig
+    n_cut = args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=defaults.n_cut)
     try:
         fit_cfg = fitstack.FitConfig(
             ec=ec,
             k_max=k_max,
-            n_cut=args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=25),
+            n_cut=n_cut,
             n_g=_n_g_from(cfg, "fit"),
-            include_bo=cfg.get_bool("fit", "include_bo", default=True),
+            include_bo=cfg.get_bool("fit", "include_bo", default=defaults.include_bo),
             globals_mode=globals_mode,
-            fixed_params=initial if globals_mode == "fixed" else None,
-            sigma_floor=sigma_floor,
+            fixed_params=replace(initial, ec=ec) if globals_mode == "fixed" else None,
+            sigma_floor=cfg.get_float("fit", "sigma_floor", default=defaults.sigma_floor),
             max_nfev=(lambda n: n if n > 0 else None)(cfg.get_int("fit", "max_nfev", default=0)),
-            rmse_factor=rmse_factor,
+            rmse_factor=cfg.get_float("fit", "rmse_factor", default=defaults.rmse_factor),
         )
     except ValueError as exc:
-        raise ConfigError(f"section [fit]: {exc}") from exc
+        # each FitConfig message starts with the field it rejects
+        raise ConfigError(f"fit.{exc}") from exc
 
     datasets: list[fitstack.SpectroscopyDataset] = []
     for path in args.datasets:

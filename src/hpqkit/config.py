@@ -199,19 +199,15 @@ def circuit_from_config(cfg: RunConfig, section: str = "circuit") -> CircuitPara
     )
 
 
-def channels_from_config(cfg: RunConfig, section: str = "channels") -> NanowireChannels:
-    if not cfg.has_section(section):
+def channels_from_config(cfg: RunConfig) -> NanowireChannels:
+    if not cfg.has_section("channels"):
         return NanowireChannels(())
-    text = cfg.get_str(section, "transmissions", default="")
-    try:
-        return NanowireChannels(tuple(parse_float_list(text, field=f"{section}.transmissions")))
-    except ValueError as exc:
-        raise ConfigError(f"field {section}.transmissions: {exc}") from exc
+    text = cfg.get_str("channels", "transmissions", default="")
+    return _parse_channels(text, "channels.transmissions")
 
 
-def flux_from_config(cfg: RunConfig, section: str = "flux") -> FluxBias:
-    value = cfg.get_float(section, "phi_e", default=0.0)
-    return FluxBias.from_phi0(value)
+def flux_from_config(cfg: RunConfig) -> FluxBias:
+    return FluxBias.from_phi0(cfg.get_float("flux", "phi_e", default=0.0))
 
 
 def write_params_document(
@@ -233,7 +229,7 @@ def read_params_document(path: str) -> tuple[CircuitParams, NanowireChannels, Fl
     return circuit_from_config(cfg), channels_from_config(cfg), flux_from_config(cfg)
 
 
-def read_gate_channels(cfg: RunConfig, section: str = "gates") -> list[tuple[float, NanowireChannels]]:
+def read_gate_channels(cfg: RunConfig) -> list[tuple[float, NanowireChannels]]:
     """Per-gate channel lists from a [gates] section or gate:* sections.
 
     The [gates] form maps each gate tag to a transmission list; fit
@@ -241,15 +237,15 @@ def read_gate_channels(cfg: RunConfig, section: str = "gates") -> list[tuple[flo
     with a ``transmissions`` field. Both are accepted.
     """
     gates: list[tuple[float, NanowireChannels]] = []
-    if cfg.has_section(section):
-        for key, value in cfg.items(section):
-            gate = _gate_tag(key, f"section [{section}]")
-            gates.append((gate, _gate_channels(value, f"{section}.{key}")))
+    if cfg.has_section("gates"):
+        for key, value in cfg.items("gates"):
+            gate = _gate_tag(key, "section [gates]")
+            gates.append((gate, _parse_channels(value, f"gates.{key}")))
     for name in cfg.sections():
         if name.startswith("gate:"):
             gate = _gate_tag(name[5:], f"section [{name}]")
             text = cfg.get_str(name, "transmissions", default="")
-            gates.append((gate, _gate_channels(text, f"{name}.transmissions")))
+            gates.append((gate, _parse_channels(text, f"{name}.transmissions")))
     gates.sort(key=lambda item: item[0])
     return gates
 
@@ -264,7 +260,7 @@ def _gate_tag(text: str, where: str) -> float:
     return gate
 
 
-def _gate_channels(text: str, field: str) -> NanowireChannels:
+def _parse_channels(text: str, field: str) -> NanowireChannels:
     try:
         return NanowireChannels(tuple(parse_float_list(text, field=field)))
     except ValueError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
-from .potentials import CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
+from .potentials import K_MAX, CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
 from .spectrum import (
     ChargeBasisConfig,
     FluxGrid,
@@ -71,6 +71,15 @@ START_LEVELS = (0.5, 0.8, 0.2)
 
 #: bound of the fitted transmission logits: T stays within about 1e-8 of 0 and 1
 LOGIT_BOUND = 18.4
+
+#: floor (GHz) of a point's frequency uncertainty, in extraction and in the fit weights
+SIGMA_FLOOR = 1e-6
+
+#: hints closer than this many window halfwidths are too crowded to extract
+SEPARATION_FACTOR = 2.0
+
+#: fits whose RMSE lies within this factor of the best one count as equally good
+RMSE_FACTOR = 1.5
 
 
 class FitRejection(Exception):
@@ -136,14 +145,12 @@ def _lorentz_model(f: np.ndarray, f0: float, fwhm: float, amplitude: float, offs
     return lorentzian(f, f0, fwhm, amplitude) + offset
 
 
-def lorentzian_fit(
-    trace: Trace,
-    window: tuple[float, float],
-    guess: tuple[float, float, float, float] | None = None,
-) -> LorentzianFit:
+def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
     """Least-squares Lorentzian-plus-offset fit inside a frequency window.
 
-    Standard errors come from the residual-scaled covariance. Raises
+    The start is the window's highest sample over its median, with the
+    width of the samples above half that height. Standard errors come
+    from the residual-scaled covariance. Raises
     :class:`FitRejection` when the fit does not converge, the center
     lands outside the window, or the amplitude is consistent with zero.
     """
@@ -154,13 +161,12 @@ def lorentzian_fit(
     f = trace.freqs[mask]
     y = trace.signal[mask]
 
-    if guess is None:
-        offset0 = float(np.median(y))
-        peak = int(np.argmax(y))
-        amp0 = float(y[peak] - offset0)
-        above = y - offset0 > amp0 / 2.0
-        width0 = max(float(np.sum(above)) * float(f[1] - f[0]), 2.0 * float(f[1] - f[0]))
-        guess = (float(f[peak]), width0, amp0, offset0)
+    offset0 = float(np.median(y))
+    peak = int(np.argmax(y))
+    amp0 = float(y[peak] - offset0)
+    above = y - offset0 > amp0 / 2.0
+    width0 = max(float(np.sum(above)) * float(f[1] - f[0]), 2.0 * float(f[1] - f[0]))
+    guess = (float(f[peak]), width0, amp0, offset0)
 
     try:
         with warnings.catch_warnings():
@@ -225,21 +231,17 @@ def hints_from_table(table, labels: Sequence[str], halfwidth: float) -> dict[str
 
 
 def extract_transitions(
-    traces: Sequence[Trace],
-    hints: Mapping[str, TransitionHint],
-    *,
-    separation_factor: float = 2.0,
-    sigma_floor: float = 1e-6,
+    traces: Sequence[Trace], hints: Mapping[str, TransitionHint]
 ) -> list[TransitionPoint]:
     """Run windowed Lorentzian fits across a map and label the results.
 
-    Labels whose hint centers collide within ``separation_factor`` times
-    the window halfwidth at a given flux are skipped there (both of
-    them), so crossings never swap labels. So are hints whose window
+    Labels whose hint centers collide within :data:`SEPARATION_FACTOR`
+    times the window halfwidth at a given flux are skipped there (both
+    of them), so crossings never swap labels. So are hints whose window
     reaches past either end of the trace's frequency grid: a fit on a
     cut-off line is pulled toward the grid's edge. Failed fits are
     logged and dropped; the per-point frequency uncertainty is floored
-    at ``sigma_floor`` GHz.
+    at :data:`SIGMA_FLOOR`.
     """
     points: list[TransitionPoint] = []
     labels = list(hints)
@@ -253,7 +255,7 @@ def extract_transitions(
             hw = hints[lab].halfwidth
             crowded = any(
                 other != lab
-                and abs(centers[other] - center) < separation_factor * max(hw, hints[other].halfwidth)
+                and abs(centers[other] - center) < SEPARATION_FACTOR * max(hw, hints[other].halfwidth)
                 for other in centers
             )
             if crowded:
@@ -275,7 +277,7 @@ def extract_transitions(
                     flux=trace.phi_e,
                     label=lab,
                     freq=fit.f0,
-                    sigma=max(fit.f0_sigma, sigma_floor),
+                    sigma=max(fit.f0_sigma, SIGMA_FLOOR),
                 )
             )
     return points
@@ -292,27 +294,38 @@ class FitConfig:
     ``ec`` is always held fixed (it is measured independently). In
     ``globals_mode="free"`` the junction energies (with ej1 = ej2), the
     junction charging energy, and the gap float; in ``"fixed"`` they are
-    pinned to ``fixed_params``.
+    pinned to ``fixed_params``, whose ``ec`` must be ``ec``. Each error
+    message starts with the name of the field it rejects.
     """
 
     ec: float
-    k_max: int = 10
+    k_max: int = K_MAX
     n_cut: int = 25
     n_g: float = 0.0
     include_bo: bool = True
     globals_mode: str = "free"
     fixed_params: CircuitParams | None = None
-    sigma_floor: float = 1e-6
+    sigma_floor: float = SIGMA_FLOOR
     max_nfev: int | None = None
-    rmse_factor: float = 1.5
+    rmse_factor: float = RMSE_FACTOR
 
     def __post_init__(self) -> None:
         if self.globals_mode not in ("free", "fixed"):
             raise ValueError(f"globals_mode must be 'free' or 'fixed', got {self.globals_mode!r}")
         if self.globals_mode == "fixed" and self.fixed_params is None:
             raise ValueError("globals_mode='fixed' requires fixed_params")
+        if self.fixed_params is not None and self.fixed_params.ec != self.ec:
+            raise ValueError(
+                f"fixed_params.ec={self.fixed_params.ec!r} differs from ec={self.ec!r}, "
+                "the charging energy the fit solves with"
+            )
         if self.n_cut < self.k_max + 5:
             raise ValueError(f"n_cut={self.n_cut} too small for k_max={self.k_max}")
+        if not self.sigma_floor >= 0.0:
+            raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor!r}")
+        # below 1 even the best count fails the selection rule
+        if not self.rmse_factor >= 1.0:
+            raise ValueError(f"rmse_factor must be >= 1, got {self.rmse_factor!r}")
 
 
 @dataclass(frozen=True)
@@ -777,7 +790,6 @@ class ChannelSelection:
     chosen: int
     rmse_by_count: dict[int, float]
     fits_by_count: dict[int, FitResult]
-    factor: float
 
 
 def select_channel_count(
@@ -806,9 +818,7 @@ def select_channel_count(
     rmse_by_count = {count: fit.rmse for count, fit in fits.items()}
     best = min(rmse_by_count.values())
     chosen = min(count for count, value in rmse_by_count.items() if value <= cfg.rmse_factor * best)
-    return ChannelSelection(
-        chosen=chosen, rmse_by_count=rmse_by_count, fits_by_count=fits, factor=cfg.rmse_factor
-    )
+    return ChannelSelection(chosen=chosen, rmse_by_count=rmse_by_count, fits_by_count=fits)
 
 
 def _merge_single_gate_fits(
@@ -852,15 +862,14 @@ def harmonic_agreement(
     reference_count: int,
     *,
     k_max: int = 2,
-    factor: float = 1.5,
 ) -> list[HarmonicAgreementRow]:
     """Compare nanowire harmonics across channel-count models, RMSE gated.
 
     For each gate, the low-order ``v_k`` of every count model are
     compared against the reference-count model. Gates where the RMSE
-    values are not mutually within ``factor`` of that gate's best are
-    marked excluded, so harmonics are only compared between fits of
-    similar quality.
+    values are not mutually within :data:`RMSE_FACTOR` of that gate's
+    best are marked excluded, so harmonics are only compared between
+    fits of similar quality.
     """
     rows: list[HarmonicAgreementRow] = []
     for gate in sorted(fits):
@@ -868,7 +877,7 @@ def harmonic_agreement(
         if reference_count not in by_count:
             raise ValueError(f"gate {gate} lacks the reference count {reference_count}")
         best = min(fit.rmse for fit in by_count.values())
-        included = all(fit.rmse <= factor * best for fit in by_count.values())
+        included = all(fit.rmse <= RMSE_FACTOR * best for fit in by_count.values())
         ref = by_count[reference_count]
         v_ref = fourier_v(ref.channels[0], ref.params.gap, k_max)
         for count in sorted(by_count):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -60,6 +60,18 @@ CONVERGENCE_RATIO = 1e-4
 
 #: |c_odd| below this (GHz) makes the even/odd ratio report +inf.
 ODD_SUM_FLOOR = 1e-6
+
+#: default harmonic truncation order of the Fourier decomposition
+K_MAX = 10
+
+#: dense-grid points on [0, pi] that bracket the potential minimum
+MINIMUM_GRID_POINTS = 4097
+
+#: distance (rad) within which a minimum snaps to 0, pi/2 or pi
+MINIMUM_TOL = 1e-6
+
+#: smallest E_Jsigma / E_CJ that keeps the junction arm in the phase regime
+BO_RATIO_MIN = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +140,6 @@ class NanowireChannels:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.transmissions)
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "NanowireChannels":
-        return cls(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -220,7 +228,11 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class RegimeThresholds:
-    """Bands on phi_min used to assign a regime; overridable per run."""
+    """Bands on phi_min used to assign a regime.
+
+    :func:`classify_regime` takes other bands; :func:`find_phi_min` and
+    the gate sweeps use these defaults.
+    """
 
     odd_max: float = 0.1
     even_halfwidth: float = 0.35
@@ -431,16 +443,16 @@ def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicS
     return HarmonicSpectrum(k_max=len(u) - 1, u=u, v=v, c=c, s=s, phi_e=flux.phi_e)
 
 
-def parity_sums(spec: HarmonicSpectrum, *, odd_floor: float = ODD_SUM_FLOOR) -> ParitySums:
+def parity_sums(spec: HarmonicSpectrum) -> ParitySums:
     """Signed even-k and odd-k sums of the cosine amplitudes (k >= 1).
 
     The constant term is excluded. The even/odd magnitude ratio reports
-    ``inf`` once |c_odd| falls below ``odd_floor``, where the ratio
-    formally diverges.
+    ``inf`` once |c_odd| falls below :data:`ODD_SUM_FLOOR`, where the
+    ratio formally diverges.
     """
     c_even = float(np.sum(spec.c[2::2]))
     c_odd = float(np.sum(spec.c[1::2]))
-    ratio = math.inf if abs(c_odd) < odd_floor else abs(c_even / c_odd)
+    ratio = math.inf if abs(c_odd) < ODD_SUM_FLOOR else abs(c_even / c_odd)
     return ParitySums(c_even=c_even, c_odd=c_odd, ratio=ratio)
 
 
@@ -448,19 +460,14 @@ def parity_sums(spec: HarmonicSpectrum, *, odd_floor: float = ODD_SUM_FLOOR) -> 
 # minima and regimes
 
 
-def locate_minimum(
-    potential: Callable[[np.ndarray], np.ndarray],
-    *,
-    tol: float = 1e-6,
-    grid_points: int = 4097,
-) -> float:
+def locate_minimum(potential: Callable[[np.ndarray], np.ndarray]) -> float:
     """Global minimizer of an even periodic potential over [0, pi].
 
     Dense grid bracketing followed by a bounded scalar polish; the result
-    snaps to the landmark points {0, pi/2, pi} when within ``tol`` so the
-    symmetric cases come out exact.
+    snaps to the landmark points {0, pi/2, pi} when within
+    :data:`MINIMUM_TOL` so the symmetric cases come out exact.
     """
-    grid = np.linspace(0.0, math.pi, grid_points)
+    grid = np.linspace(0.0, math.pi, MINIMUM_GRID_POINTS)
     values = np.asarray(potential(grid), dtype=float)
     best = int(np.argmin(values))
     h = grid[1] - grid[0]
@@ -470,7 +477,7 @@ def locate_minimum(
         lambda p: float(potential(np.asarray(p))),
         bounds=(lo, hi),
         method="bounded",
-        options={"xatol": tol * 1e-3},
+        options={"xatol": MINIMUM_TOL * 1e-3},
     )
     x = float(result.x)
     fx = float(potential(np.asarray(x)))
@@ -478,7 +485,7 @@ def locate_minimum(
         x, fx = float(grid[best]), float(values[best])
     scale = 1.0 + abs(fx)
     for landmark in (0.0, math.pi / 2.0, math.pi):
-        if abs(x - landmark) <= tol and float(potential(np.asarray(landmark))) <= fx + 1e-9 * scale:
+        if abs(x - landmark) <= MINIMUM_TOL and float(potential(np.asarray(landmark))) <= fx + 1e-9 * scale:
             return landmark
     return x
 
@@ -499,8 +506,6 @@ def find_phi_min(
     flux: FluxBias,
     *,
     include_bo: bool = True,
-    thresholds: RegimeThresholds | None = None,
-    tol: float = 1e-6,
 ) -> RegimeLabel:
     """Locate the total-potential minimum and classify the parity regime.
 
@@ -509,10 +514,9 @@ def find_phi_min(
     Fourier series, so shallow features near the junction cusps are kept.
     """
     phi_min = locate_minimum(
-        lambda phi: total_potential(phi, params, channels, flux, include_bo=include_bo),
-        tol=tol,
+        lambda phi: total_potential(phi, params, channels, flux, include_bo=include_bo)
     )
-    return RegimeLabel(regime=classify_regime(phi_min, thresholds), phi_min=phi_min)
+    return RegimeLabel(regime=classify_regime(phi_min), phi_min=phi_min)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +531,13 @@ def internal_mode_freq(params: CircuitParams) -> float:
 def validate_bo(
     params: CircuitParams,
     *,
-    ratio_threshold: float = 10.0,
     max_transition_freq: float | None = None,
 ) -> BOValidity:
     """Check the assumptions behind the internal-mode correction.
 
     Three conditions: the junction charging energy exceeds the island
     charging energy, the junction arm is deep in the phase regime
-    (``E_Jsigma / E_CJ`` above ``ratio_threshold``), and the internal
+    (``E_Jsigma / E_CJ`` at least :data:`BO_RATIO_MIN`), and the internal
     mode lies above the largest transition frequency the caller intends
     to use (skipped when not supplied).
     """
@@ -547,7 +550,7 @@ def validate_bo(
         clear = f_int > max_transition_freq
     return BOValidity(
         charge_hierarchy_ok=params.ecj > params.ec,
-        junction_ratio_ok=ratio >= ratio_threshold,
+        junction_ratio_ok=ratio >= BO_RATIO_MIN,
         internal_mode_clear=clear,
         internal_mode_freq=f_int,
         junction_ratio=ratio,

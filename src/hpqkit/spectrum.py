@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .potentials import CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
+from .potentials import K_MAX, CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
 from .tables import write_csv
 
 __all__ = [
@@ -48,6 +48,12 @@ DEGENERACY_TOL = 1e-9
 #: flux points whose Hamiltonians are assembled at once; bounds the memory
 #: of a block (64 complex 61x61 matrices are 3.8 MB) on long sweeps
 GRID_BLOCK = 64
+
+#: transitions a sweep tabulates unless told otherwise
+DEFAULT_LABELS = ("f01", "f12", "f02")
+
+#: level pairs whose charge matrix elements a sweep tabulates unless told otherwise
+DEFAULT_PAIRS = ((0, 1), (1, 2))
 
 _LABEL_RE = re.compile(r"^f(\d)(\d)(?:/(\d))?$")
 
@@ -351,10 +357,10 @@ def spectrum_vs_flux(
     flux_values: np.ndarray,
     cfg: ChargeBasisConfig,
     *,
-    k_max: int = 10,
+    k_max: int = K_MAX,
     include_bo: bool = True,
-    labels: tuple[str, ...] = ("f01", "f12", "f02"),
-    me_pairs: tuple[tuple[int, int], ...] = ((0, 1), (1, 2)),
+    labels: tuple[str, ...] = DEFAULT_LABELS,
+    me_pairs: tuple[tuple[int, int], ...] = DEFAULT_PAIRS,
     strict: bool = False,
 ) -> TransitionTable:
     """Tabulate eigenenergies, transitions, and matrix elements over flux.

@@ -10,12 +10,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .potentials import CircuitParams, NanowireChannels
-from .spectrum import ChargeBasisConfig, TransitionTable, parse_transition_label, spectrum_vs_flux
+from .potentials import K_MAX, CircuitParams, NanowireChannels
+from .spectrum import (
+    DEFAULT_LABELS,
+    ChargeBasisConfig,
+    TransitionTable,
+    parse_transition_label,
+    spectrum_vs_flux,
+)
 from .tables import write_csv
 
 __all__ = [
@@ -55,40 +61,23 @@ class Trace:
 class SynthConfig:
     """Line shapes and noise for synthetic maps.
 
-    ``fwhm`` and ``amplitude`` may be single numbers or per-label
-    mappings. Noise is additive Gaussian in signal units; the seed makes
-    output bit-reproducible, and each flux point draws from its own
-    substream, so a point's noise does not depend on the rest of the grid.
+    Every line shares one ``fwhm`` (GHz) and one peak ``amplitude``.
+    Noise is additive Gaussian in signal units; the seed makes output
+    bit-reproducible, and each flux point draws from its own substream,
+    so a point's noise does not depend on the rest of the grid.
     """
 
     seed: int
-    fwhm: float | Mapping[str, float] = 0.05
-    amplitude: float | Mapping[str, float] = 1.0
+    fwhm: float = 0.05
+    amplitude: float = 1.0
     noise_sigma: float = 0.0
     weight_by_matrix_element: bool = True
 
     def __post_init__(self) -> None:
-        for value in self._values(self.fwhm):
-            if value <= 0.0:
-                raise ValueError(f"linewidths must be > 0, got {value!r}")
+        if self.fwhm <= 0.0:
+            raise ValueError(f"linewidths must be > 0, got {self.fwhm!r}")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be >= 0")
-
-    @staticmethod
-    def _values(spec: float | Mapping[str, float]) -> tuple[float, ...]:
-        if isinstance(spec, Mapping):
-            return tuple(float(v) for v in spec.values())
-        return (float(spec),)
-
-    def fwhm_for(self, label: str) -> float:
-        if isinstance(self.fwhm, Mapping):
-            return float(self.fwhm[label])
-        return float(self.fwhm)
-
-    def amplitude_for(self, label: str) -> float:
-        if isinstance(self.amplitude, Mapping):
-            return float(self.amplitude[label])
-        return float(self.amplitude)
 
 
 def lorentzian(
@@ -144,9 +133,9 @@ def synthesize_map(
     freqs: np.ndarray,
     cfg: SynthConfig,
     *,
-    labels: tuple[str, ...] = ("f01", "f12", "f02"),
+    labels: tuple[str, ...] = DEFAULT_LABELS,
     basis: ChargeBasisConfig | None = None,
-    k_max: int = 10,
+    k_max: int = K_MAX,
     include_bo: bool = True,
 ) -> tuple[list[Trace], TransitionTable]:
     """Generate one trace per flux point from the circuit model.
@@ -177,11 +166,11 @@ def synthesize_map(
             center = float(table.frequencies[label][idx])
             if not math.isfinite(center):
                 continue
-            amplitude = cfg.amplitude_for(label)
+            amplitude = cfg.amplitude
             if cfg.weight_by_matrix_element:
                 i, j, _ = parse_transition_label(label)
                 amplitude *= float(table.matrix_elements[(i, j)][idx]) ** 2
-            lines.append((center, amplitude, cfg.fwhm_for(label)))
+            lines.append((center, amplitude, cfg.fwhm))
         traces.append(
             synthesize_trace(
                 lines,

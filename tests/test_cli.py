@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import inspect
 import io
 import math
 import re
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hpqkit
 from hpqkit import (
     ChargeBasisConfig,
     CircuitParams,
+    FitConfig,
     NanowireChannels,
     SpectroscopyDataset,
     SynthConfig,
@@ -358,6 +361,58 @@ class TestFit:
         )
         assert main(["fit", str(data), "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "bad.csv:2" in capsys.readouterr().err
+
+    def test_fixed_globals_report_the_ec_they_solved_with(self, tmp_path, fit_dataset_csv):
+        csv_path, _ = fit_dataset_csv
+        text = FIT_CONFIG.replace("globals = fixed\nec = 0.28", "globals = fixed\nec = 0.35")
+        cfg = write(tmp_path / "run.ini", text)
+        assert main(["fit", csv_path, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        doc = configparser.ConfigParser()
+        doc.read(tmp_path / "fit_result.ini")
+        assert float(doc["globals"]["ec"]) == 0.35
+        assert float(doc["globals"]["ej1"]) == 55.03
+
+
+class _Captured(Exception):
+    """Stops a command at the library call whose arguments a test records."""
+
+
+def test_empty_sections_build_the_library_defaults(tmp_path, monkeypatch):
+    """The CLI spells no default of its own for a library setting."""
+    seen = {}
+
+    def capture(name):
+        def record(*args, **kwargs):
+            seen[name] = (args, kwargs)
+            raise _Captured
+        return record
+
+    monkeypatch.setattr(hpqkit.spectrum, "spectrum_vs_flux", capture("sweep"))
+    monkeypatch.setattr(hpqkit.synth, "synthesize_map", capture("synth"))
+    monkeypatch.setattr(hpqkit.fitstack, "fit_global", capture("fit"))
+    cfg = write(tmp_path / "run.ini", HPQ_CONFIG + "\n[basis]\n[fit]\n[synth]\n")
+    data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
+    common = ["--config", cfg, "--out-dir", str(tmp_path)]
+    for argv in (["sweep"], ["synth", "--seed", "1"], ["fit", data]):
+        assert main(argv + common) == 1
+
+    sweep_defaults = inspect.signature(spectrum_vs_flux).parameters
+    args, kwargs = seen["sweep"]
+    assert args[3] == ChargeBasisConfig()
+    for name in ("k_max", "labels", "me_pairs", "include_bo"):
+        assert kwargs[name] == sweep_defaults[name].default, name
+
+    synth_defaults = inspect.signature(synthesize_map).parameters
+    args, kwargs = seen["synth"]
+    assert args[4] == SynthConfig(seed=1)
+    assert kwargs["basis"] == ChargeBasisConfig()
+    for name in ("k_max", "labels"):
+        assert kwargs[name] == synth_defaults[name].default, name
+
+    # fixed globals from [circuit] are the CLI's own choice; every other field is the library's
+    circuit = CircuitParams(ej1=55.03, ej2=55.03, ecj=0.675, ec=0.28, gap=40.06)
+    args, _ = seen["fit"]
+    assert args[2] == FitConfig(ec=0.28, globals_mode="fixed", fixed_params=circuit)
 
 
 CLASSIFY_CONFIG = """

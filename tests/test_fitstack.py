@@ -179,6 +179,22 @@ class TestExtraction:
 # residuals and parameter packing
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("sigma_floor", -1e-9),
+         ("sigma_floor", math.nan)],
+    )
+    def test_out_of_range_value_rejected(self, field, value):
+        # below rmse_factor 1 select_channel_count finds no count within the factor of the best
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            FitConfig(ec=0.28, k_max=6, n_cut=11, **{field: value})
+
+    def test_fixed_params_must_carry_the_fit_ec(self):
+        with pytest.raises(ValueError, match=r"^fixed_params\.ec=0\.28 differs from ec=0\.35"):
+            FitConfig(ec=0.35, k_max=6, n_cut=11, globals_mode="fixed", fixed_params=TRUE_PARAMS)
+
+
 class TestThetaLayout:
     def test_pack_unpack_round_trip(self):
         layout = ThetaLayout(globals_free=True, channel_counts=(2, 3))
