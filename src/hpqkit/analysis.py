@@ -204,7 +204,8 @@ def parity_table(
     """Charge-parity weights and dominant charge components of the lowest states.
 
     ``dominant`` lists (n, probability) pairs above ``prob_cutoff``,
-    largest first; the cutoff only limits what is displayed.
+    largest first and equal ones by ascending n; the cutoff only limits
+    what is displayed.
     """
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
@@ -218,7 +219,7 @@ def parity_table(
         weights = parity_weights(vectors[:, m])
         probs = np.abs(vectors[:, m]) ** 2
         keep = np.where(probs > prob_cutoff)[0]
-        order = keep[np.argsort(probs[keep])[::-1]]
+        order = keep[np.lexsort((charges[keep], -probs[keep]))]
         rows.append(
             ParityRow(
                 state=m,

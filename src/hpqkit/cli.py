@@ -229,18 +229,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
         cfg.get_str("synth", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="synth.labels"
     )
     defaults = synth.SynthConfig
-    noise_sigma = cfg.get_float("synth", "noise_sigma", default=defaults.noise_sigma)
-    if noise_sigma < 0.0:
-        raise ConfigError(f"synth.noise_sigma must be >= 0, got {noise_sigma!r}")
-    scfg = synth.SynthConfig(
-        seed=seed,
-        fwhm=cfg.get_energy("synth", "fwhm", default=defaults.fwhm),
-        amplitude=cfg.get_float("synth", "amplitude", default=defaults.amplitude),
-        noise_sigma=noise_sigma,
-        weight_by_matrix_element=cfg.get_bool(
-            "synth", "weight_by_matrix_element", default=defaults.weight_by_matrix_element
-        ),
-    )
+    try:
+        scfg = synth.SynthConfig(
+            seed=seed,
+            fwhm=cfg.get_energy("synth", "fwhm", default=defaults.fwhm),
+            amplitude=cfg.get_float("synth", "amplitude", default=defaults.amplitude),
+            noise_sigma=cfg.get_float("synth", "noise_sigma", default=defaults.noise_sigma),
+            weight_by_matrix_element=cfg.get_bool(
+                "synth", "weight_by_matrix_element", default=defaults.weight_by_matrix_element
+            ),
+        )
+    except ValueError as exc:
+        # each SynthConfig message starts with the field it rejects
+        raise ConfigError(f"synth.{exc}") from exc
     f_start = cfg.get_float("synth", "freq_start", default=0.1)
     f_stop = cfg.get_float("synth", "freq_stop", default=20.0)
     f_points = cfg.get_int("synth", "freq_points", default=2000)

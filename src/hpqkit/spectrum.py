@@ -6,6 +6,15 @@ Cooper-pair number basis each cos(k phi) harmonic couples charge states
 k apart with strength c_k/2 and each sin(k phi) adds an antisymmetric
 imaginary coupling of magnitude s_k/2, so the matrix is Hermitian and
 banded with bandwidth k_max.
+
+:func:`eigensolve` solves such a matrix in one of two forms. At n_g = 0
+the cosine bands are even and the sine bands odd in n - m, so
+``H[-n, -m] = conj(H[n, m])``: an antiunitary charge-reflection symmetry.
+In the basis ``|0>``, ``(|n> + |-n>)/sqrt2``, ``i(|n> - |-n>)/sqrt2``
+(n = 1..n_cut) such a matrix is real symmetric with the same dimension,
+and it is solved in that real form with LAPACK ``dsyevr``. A real matrix
+(no sine content) goes to ``dsyevr`` as it is, and a complex matrix
+without the symmetry (n_g != 0) to ``zheevr``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .potentials import K_MAX, CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
 from .tables import write_csv
@@ -151,8 +160,10 @@ def _degeneracy_reorder(
     energies: np.ndarray, vectors: np.ndarray, n_cut: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order states inside degenerate clusters by descending even weight."""
-    order = np.arange(len(energies))
     close = _close_to_next(energies)
+    if not close.any():
+        return energies, vectors
+    order = np.arange(len(energies))
     start = 0
     even_mask = np.arange(-n_cut, n_cut + 1) % 2 == 0
     while start < len(energies):
@@ -168,22 +179,94 @@ def _degeneracy_reorder(
     return energies[order], vectors[:, order]
 
 
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """A charge-reflection-symmetric ``h`` in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
+
+    The result is real symmetric, in Fortran order, with the even
+    combinations n = 1..n_cut after ``|0>`` and the odd ones after them.
+    """
+    dim = len(h)
+    n_cut = (dim - 1) // 2
+    pos = h[n_cut + 1 :, n_cut + 1 :]  # H[p, q], p, q = 1..n_cut
+    mirror = h[n_cut + 1 :, :n_cut][:, ::-1]  # H[p, -q]
+    row = math.sqrt(2.0) * h[n_cut, n_cut + 1 :]  # sqrt2 H[0, q]
+    even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
+    r = np.empty((dim, dim), order="F")
+    r[0, 0] = h[n_cut, n_cut].real
+    r[0, even] = r[even, 0] = row.real
+    r[0, odd] = r[odd, 0] = -row.imag
+    r[even, even] = pos.real + mirror.real
+    r[odd, odd] = pos.real - mirror.real
+    r[even, odd] = mirror.imag - pos.imag
+    r[odd, even] = r[even, odd].T
+    return r
+
+
+def _from_real_form(z: np.ndarray) -> np.ndarray:
+    """Charge-basis columns of real-form eigenvectors ``z`` (the inverse basis change of :func:`_real_form`)."""
+    n_cut = (len(z) - 1) // 2
+    scale = math.sqrt(0.5)
+    even, odd = scale * z[1 : n_cut + 1], scale * z[n_cut + 1 :]
+    vectors = np.empty(z.shape, dtype=complex)
+    vectors[n_cut] = z[0]
+    vectors[n_cut + 1 :] = even + 1j * odd
+    vectors[:n_cut] = (even - 1j * odd)[::-1]
+    return vectors
+
+
+@lru_cache(maxsize=16)
+def _evr_workspace(complex_input: bool, dim: int) -> dict[str, int]:
+    """Workspace sizes of ``zheevr`` or ``dsyevr`` for a dim x dim matrix, queried once."""
+    if complex_input:
+        work, rwork, iwork, info = lapack.zheevr_lwork(dim, lower=1)
+        sizes = {"lwork": work.real, "lrwork": rwork, "liwork": iwork}
+    else:
+        work, iwork, info = lapack.dsyevr_lwork(dim, lower=1)
+        sizes = {"lwork": work, "liwork": iwork}
+    if info != 0:
+        raise SolverError(f"LAPACK workspace query failed for dim={dim}: info={info}")
+    return {name: int(size) for name, size in sizes.items()}
+
+
+def _evr(a: np.ndarray, n_levels: int, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_levels`` eigenpairs from the lower triangle of ``a``, as ``scipy.linalg.eigh`` gives them."""
+    complex_input = np.iscomplexobj(a)
+    name = "zheevr" if complex_input else "dsyevr"
+    energies, vectors, found, _, info = getattr(lapack, name)(
+        a, range="I", lower=1, il=1, iu=n_levels, overwrite_a=overwrite_a,
+        **_evr_workspace(complex_input, len(a)),
+    )
+    if info != 0:
+        raise SolverError(f"LAPACK {name} failed for dim={len(a)}: info={info}")
+    return energies[:found], vectors[:, :found]
+
+
 def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpairs of a Hermitian charge-basis matrix.
 
     Returns energies ascending and orthonormal eigenvectors as columns.
     States degenerate within 1e-9 GHz are ordered by descending
     even-charge weight so labeling stays deterministic.
+
+    A complex ``h`` with ``h[::-1, ::-1] == conj(h)`` (any n_g = 0
+    Hamiltonian) is solved in its real form and its vectors are mapped
+    back to the charge basis; they match the complex solve up to a
+    phase. A real ``h`` is solved as it is, and any other complex ``h``
+    with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
+    bit. A non-finite entry or a LAPACK failure raises :class:`SolverError`.
     """
     dim = h.shape[0]
     if h.shape != (dim, dim):
         raise ValueError(f"expected a square matrix, got {h.shape}")
     if not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    try:
-        energies, vectors = scipy.linalg.eigh(h, subset_by_index=(0, n_levels - 1))
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"dense Hermitian solve failed for dim={dim}: {exc}") from exc
+    if not np.isfinite(h).all():
+        raise SolverError(f"matrix of dim={dim} has non-finite entries")
+    if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
+        energies, z = _evr(_real_form(h), n_levels, overwrite_a=True)
+        vectors = _from_real_form(z)
+    else:
+        energies, vectors = _evr(h, n_levels)
     return _degeneracy_reorder(energies, vectors, (dim - 1) // 2)
 
 

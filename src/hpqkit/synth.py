@@ -74,10 +74,11 @@ class SynthConfig:
     weight_by_matrix_element: bool = True
 
     def __post_init__(self) -> None:
-        if self.fwhm <= 0.0:
-            raise ValueError(f"linewidths must be > 0, got {self.fwhm!r}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        # each message starts with the field it rejects; written so that NaN fails
+        if not self.fwhm > 0.0:
+            raise ValueError(f"fwhm must be > 0, got {self.fwhm!r}")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
 
 def lorentzian(

@@ -185,6 +185,18 @@ class TestParityTable:
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=0.05)
 
+    def test_equal_probabilities_listed_by_ascending_charge(self, hpq_params, mixed_channels):
+        # at n_g = 0 the solve is charge-reflection symmetric, so |psi_n|^2 = |psi_-n|^2 exactly
+        rows = parity_table(
+            hpq_params, mixed_channels, FluxBias.from_phi0(0.3), ChargeBasisConfig(n_cut=25), 2,
+        )
+        for row in rows:
+            probs = dict(row.dominant)
+            assert all(probs[-n] == p for n, p in row.dominant)
+            assert list(row.dominant) == sorted(row.dominant, key=lambda np_: (-np_[1], np_[0]))
+        assert [n for n, _ in rows[0].dominant] == [0, -1, 1, -2, 2, -3, 3, -4, 4]
+        assert [n for n, _ in rows[1].dominant] == [-2, 2, -3, 3, -1, 1, -4, 4, -5, 5]
+
 
 class TestTableExports:
     def test_gate_harmonics_csv(self, tmp_path, hpq_params, mixed_channels):

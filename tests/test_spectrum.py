@@ -1,11 +1,16 @@
 import logging
 import math
+import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 import hpqkit.spectrum as spectrum
 
@@ -39,6 +44,64 @@ def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) 
     return scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
     )
+
+
+@pytest.fixture
+def drivers(monkeypatch):
+    """Record the LAPACK eigensolver of every solve; call number ``fail_at`` reports ``info = 1``."""
+    record = SimpleNamespace(calls=[], fail_at=None)
+
+    def wrap(name: str) -> None:
+        driver = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            record.calls.append(name)
+            out = driver(*args, **kwargs)
+            return (*out[:-1], 1) if len(record.calls) == record.fail_at else out
+
+        monkeypatch.setattr(lapack, name, call)
+
+    wrap("dsyevr")
+    wrap("zheevr")
+    return record
+
+
+@pytest.fixture
+def fail_solve(drivers):
+    """``fail_solve(n)`` makes the LAPACK call of the n-th solve from then on fail."""
+
+    def arm(n: int) -> None:
+        drivers.fail_at = len(drivers.calls) + n
+
+    return arm
+
+
+def reflection_basis(n_cut: int) -> np.ndarray:
+    """Columns ``|0>``, ``(|n>+|-n>)/sqrt2`` (n = 1..n_cut), then ``i(|n>-|-n>)/sqrt2``."""
+    dim = 2 * n_cut + 1
+    q = np.zeros((dim, dim), dtype=complex)
+    q[n_cut, 0] = 1.0
+    for n in range(1, n_cut + 1):
+        q[n_cut + n, n] = q[n_cut - n, n] = math.sqrt(0.5)
+        q[n_cut + n, n_cut + n] = 1j * math.sqrt(0.5)
+        q[n_cut - n, n_cut + n] = -1j * math.sqrt(0.5)
+    return q
+
+
+@st.composite
+def reflection_symmetric_cases(draw):
+    """A spectrum with sine content at n_g = 0, a charging energy and a basis."""
+    k_max = draw(st.integers(1, 10))
+    amplitude = st.floats(-60.0, 60.0)
+    sign = st.sampled_from([-1.0, 1.0])
+    c = [0.0, draw(sign) * draw(st.floats(5.0, 60.0))]
+    c += draw(st.lists(amplitude, min_size=k_max - 1, max_size=k_max - 1))
+    s = [0.0, draw(sign) * draw(st.floats(0.1, 60.0))]
+    s += draw(st.lists(amplitude, min_size=k_max - 1, max_size=k_max - 1))
+    cfg = ChargeBasisConfig(
+        n_cut=k_max + 5 + draw(st.integers(0, 10)), n_levels=draw(st.integers(1, 6))
+    )
+    return HarmonicSpectrum.from_cosine(c, s=s), draw(st.floats(0.1, 1.0)), cfg
 
 
 def transmon_spectrum(ej: float) -> HarmonicSpectrum:
@@ -172,6 +235,75 @@ class TestEigensolve:
         h = np.eye(3)
         with pytest.raises(ValueError):
             eigensolve(h, 4)
+
+
+class TestSolverForms:
+    """The real form at n_g = 0 against the complex solve, and the driver each matrix takes."""
+
+    SPEC = HarmonicSpectrum.from_cosine([0.0, -6.0, 1.5, -0.2], s=[0.0, 0.4, -0.2, 0.05])
+
+    #: route -> (n_g, sine content, the LAPACK drivers its solve calls)
+    ROUTES = {
+        "real": (0.0, False, ["dsyevr"]),
+        "real form": (0.0, True, ["dsyevr"]),
+        "complex, n_g = 0.3": (0.3, True, ["zheevr"]),
+        "complex, n_g = 0.5": (0.5, True, ["zheevr"]),
+    }
+
+    def matrix(self, route: str) -> np.ndarray:
+        n_g, sine, _ = self.ROUTES[route]
+        spec = self.SPEC if sine else HarmonicSpectrum.from_cosine(self.SPEC.c)
+        return build_hamiltonian(spec, 0.3, ChargeBasisConfig(n_cut=12, n_g=n_g, n_levels=4))
+
+    @given(case=reflection_symmetric_cases())
+    def test_real_form_matches_complex_oracle(self, case):
+        spec, ec, cfg = case
+        h = build_hamiltonian(spec, ec, cfg)
+        assert np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj())
+        energies, vectors = eigensolve(h, cfg.n_levels)
+        # the complex solve stays the oracle; one level more gives every level's gaps
+        want_e, want_v = scipy.linalg.eigh(h, subset_by_index=(0, cfg.n_levels))
+        assert np.max(np.abs(energies - want_e[:-1])) <= 1e-12 * np.max(np.abs(spec.c))
+        gaps = np.diff(want_e)
+        for n in range(cfg.n_levels):
+            if min(gaps[n], gaps[n - 1] if n else math.inf) > 1e-6:
+                overlap = abs(np.vdot(want_v[:, n], vectors[:, n]))
+                assert abs(overlap - 1.0) < 1e-9, n
+        q = reflection_basis(cfg.n_cut)
+        full = q.conj().T @ h @ q
+        atol = 8.0 * np.finfo(float).eps * np.max(np.abs(h))
+        assert np.max(np.abs(full.real - spectrum._real_form(h))) <= atol
+        assert np.max(np.abs(full.imag)) <= atol
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_each_matrix_takes_its_driver(self, drivers, route):
+        h = self.matrix(route)
+        assert np.iscomplexobj(h) == self.ROUTES[route][1]
+        eigensolve(h, 4)
+        assert drivers.calls == self.ROUTES[route][2]
+
+    def test_real_and_off_symmetry_inputs_match_scipy_bit_for_bit(self):
+        for route in ("real", "complex, n_g = 0.3", "complex, n_g = 0.5"):
+            h = self.matrix(route)
+            energies, vectors = eigensolve(h, 4)
+            want_e, want_v = scipy.linalg.eigh(h, subset_by_index=(0, 3))
+            assert energies.tobytes() == want_e.tobytes(), route
+            assert vectors.dtype == want_v.dtype and vectors.tobytes() == want_v.tobytes(), route
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_lapack_failure_raises_solver_error(self, drivers, route):
+        drivers.fail_at = 1
+        with pytest.raises(SolverError, match=r"LAPACK (dsyevr|zheevr) failed for dim=25: info=1"):
+            eigensolve(self.matrix(route), 4)
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_raises_before_lapack(self, drivers, route, bad):
+        h = self.matrix(route)
+        h[3, 5] = h[5, 3] = bad
+        with pytest.raises(SolverError, match="non-finite"):
+            eigensolve(h, 4)
+        assert drivers.calls == []
 
 
 class TestTransitionFrequencies:
@@ -447,24 +579,6 @@ class TestSolveFluxGrid:
         assert grid.vectors.dtype == complex and not grid.failed.any()
         assert peak < 2 * block_bytes
 
-    @pytest.fixture
-    def fail_solve(self, monkeypatch):
-        """``fail_solve(n)`` makes the LAPACK call of the n-th solve from then on fail."""
-        eigh = scipy.linalg.eigh
-
-        def arm(n: int) -> None:
-            calls = []
-
-            def flaky(*args, **kwargs):
-                calls.append(None)
-                if len(calls) == n:
-                    raise scipy.linalg.LinAlgError("injected failure")
-                return eigh(*args, **kwargs)
-
-            monkeypatch.setattr(scipy.linalg, "eigh", flaky)
-
-        return arm
-
     def test_failed_point_leaves_nan_row(self, hpq_params, mixed_channels, fail_solve, caplog):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         grid = np.linspace(0.0, math.pi, 5)
@@ -495,5 +609,17 @@ def test_only_spectrum_module_names_the_degeneracy_tolerance():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if path.name != "spectrum.py" and "DEGENERACY_TOL" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_only_spectrum_module_calls_an_eigen_driver():
+    """Every eigensolve goes through ``spectrum.eigensolve``, which picks the form."""
+    driver = re.compile(r"\beigh\b|syevr|heevr|linalg\.eig")
+    assert driver.search((SRC / "spectrum.py").read_text(encoding="utf-8"))
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectrum.py" and driver.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
+import hpqkit.spectrum as spectrum
 from hpqkit import (
     ChargeBasisConfig,
     CircuitParams,
@@ -58,6 +59,29 @@ class TestSynthesizeTrace:
     def test_bad_linewidth_rejected(self):
         with pytest.raises(ValueError):
             SynthConfig(seed=1, fwhm=0.0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"fwhm": math.nan}, "fwhm must be > 0, got nan"),
+            ({"noise_sigma": -0.1}, "noise_sigma must be >= 0, got -0.1"),
+            ({"noise_sigma": math.nan}, "noise_sigma must be >= 0, got nan"),
+        ],
+    )
+    def test_nan_or_negative_setting_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(seed=1, **fields)
+
+    def test_nan_linewidth_fails_before_any_eigensolve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(spectrum, "eigensolve", lambda *args: solves.append(args))
+        params = CircuitParams(ej1=55.03, ej2=55.03, ecj=0.675, ec=0.28, gap=40.06)
+        with pytest.raises(ValueError, match="fwhm must be > 0, got nan"):
+            synthesize_map(
+                params, NanowireChannels((0.9,)), np.array([0.0]), GRID,
+                SynthConfig(seed=1, fwhm=math.nan), basis=ChargeBasisConfig(n_cut=20, n_levels=3),
+            )
+        assert solves == []
 
 
 @pytest.fixture(scope="module")
