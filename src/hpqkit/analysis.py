@@ -45,6 +45,9 @@ __all__ = [
 
 GatePoint = tuple[float, NanowireChannels]
 
+#: smallest probability a parity-table row lists as dominant; it only limits the display
+DOMINANT_CUTOFF = 1e-3
+
 
 @dataclass(frozen=True)
 class GateHarmonics:
@@ -199,13 +202,11 @@ def parity_table(
     *,
     k_max: int = K_MAX,
     include_bo: bool = True,
-    prob_cutoff: float = 1e-3,
 ) -> list[ParityRow]:
     """Charge-parity weights and dominant charge components of the lowest states.
 
-    ``dominant`` lists (n, probability) pairs above ``prob_cutoff``,
-    largest first and equal ones by ascending n; the cutoff only limits
-    what is displayed.
+    ``dominant`` lists (n, probability) pairs above :data:`DOMINANT_CUTOFF`,
+    largest first and equal ones by ascending n.
     """
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
@@ -218,7 +219,7 @@ def parity_table(
     for m in range(n_states):
         weights = parity_weights(vectors[:, m])
         probs = np.abs(vectors[:, m]) ** 2
-        keep = np.where(probs > prob_cutoff)[0]
+        keep = np.where(probs > DOMINANT_CUTOFF)[0]
         order = keep[np.lexsort((charges[keep], -probs[keep]))]
         rows.append(
             ParityRow(

@@ -106,8 +106,10 @@ def _basis_from(
     """The ``[basis]`` section; it must solve every level ``labels`` and ``pairs`` need."""
     defaults = spectrum.ChargeBasisConfig
     n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=defaults.n_cut)
-    if n_cut < k_max + 5:
-        raise ConfigError(f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+5)")
+    if n_cut < k_max + spectrum.CUTOFF_HEADROOM:
+        raise ConfigError(
+            f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+{spectrum.CUTOFF_HEADROOM})"
+        )
     n_levels = cfg.get_int("basis", "n_levels", default=defaults.n_levels)
     if not 1 <= n_levels <= 2 * n_cut + 1:
         raise ConfigError(f"basis.n_levels must be in [1, {2 * n_cut + 1}], got {n_levels}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import asdict
+from typing import Callable, TypeVar
 
 from .potentials import CircuitParams, FluxBias, NanowireChannels
 from .spectrum import parse_transition_label
@@ -36,6 +37,9 @@ __all__ = [
 #: largest accepted energy or linewidth (GHz); devices sit below 1e3, and
 #: far larger values overflow the charge-basis solve and the line shapes
 MAX_ENERGY_GHZ = 1e6
+
+
+_T = TypeVar("_T")
 
 
 class ConfigError(Exception):
@@ -65,27 +69,29 @@ class RunConfig:
             raise ConfigError(f"missing section [{section}] in {self.path}")
         return list(self._parser.items(section))
 
-    def get_str(self, section: str, key: str, default: str | None = None) -> str:
+    def _get(self, section: str, key: str, default: _T | None, parse: Callable[[str], _T]) -> _T:
+        """``parse`` of the field's text, or ``default`` when the field is absent."""
         value = self.raw(section, key)
         if value is None:
             if default is None:
                 raise ConfigError(f"missing field {section}.{key} in {self.path}")
             return default
-        return value.strip()
+        return parse(value)
+
+    def get_str(self, section: str, key: str, default: str | None = None) -> str:
+        return self._get(section, key, default, str.strip)
 
     def get_float(self, section: str, key: str, default: float | None = None) -> float:
-        value = self.raw(section, key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"missing field {section}.{key} in {self.path}")
-            return default
-        try:
-            number = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"field {section}.{key}: not a number: {value!r}") from exc
-        if not math.isfinite(number):
-            raise ConfigError(f"field {section}.{key}: not a finite number: {value!r}")
-        return number
+        def parse(value: str) -> float:
+            try:
+                number = float(value)
+            except ValueError as exc:
+                raise ConfigError(f"field {section}.{key}: not a number: {value!r}") from exc
+            if not math.isfinite(number):
+                raise ConfigError(f"field {section}.{key}: not a finite number: {value!r}")
+            return number
+
+        return self._get(section, key, default, parse)
 
     def get_energy(self, section: str, key: str, default: float | None = None) -> float:
         """A float in (0, MAX_ENERGY_GHZ]: an energy or linewidth in GHz."""
@@ -97,28 +103,24 @@ class RunConfig:
         return value
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
-        value = self.raw(section, key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"missing field {section}.{key} in {self.path}")
-            return default
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(f"field {section}.{key}: not an integer: {value!r}") from exc
+        def parse(value: str) -> int:
+            try:
+                return int(value)
+            except ValueError as exc:
+                raise ConfigError(f"field {section}.{key}: not an integer: {value!r}") from exc
+
+        return self._get(section, key, default, parse)
 
     def get_bool(self, section: str, key: str, default: bool | None = None) -> bool:
-        value = self.raw(section, key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"missing field {section}.{key} in {self.path}")
-            return default
-        lowered = value.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"field {section}.{key}: not a boolean: {value!r}")
+        def parse(value: str) -> bool:
+            lowered = value.strip().lower()
+            if lowered in ("true", "yes", "1", "on"):
+                return True
+            if lowered in ("false", "no", "0", "off"):
+                return False
+            raise ConfigError(f"field {section}.{key}: not a boolean: {value!r}")
+
+        return self._get(section, key, default, parse)
 
 
 def load_config(path: str) -> RunConfig:

@@ -29,6 +29,7 @@ from scipy.special import expit, logit
 
 from .potentials import K_MAX, CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
 from .spectrum import (
+    CUTOFF_HEADROOM,
     ChargeBasisConfig,
     FluxGrid,
     SolverError,
@@ -119,7 +120,6 @@ class SpectroscopyDataset:
 
     gate: float
     points: tuple[TransitionPoint, ...]
-    traces: tuple[Trace, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -319,7 +319,7 @@ class FitConfig:
                 f"fixed_params.ec={self.fixed_params.ec!r} differs from ec={self.ec!r}, "
                 "the charging energy the fit solves with"
             )
-        if self.n_cut < self.k_max + 5:
+        if self.n_cut < self.k_max + CUTOFF_HEADROOM:
             raise ValueError(f"n_cut={self.n_cut} too small for k_max={self.k_max}")
         if not self.sigma_floor >= 0.0:
             raise ValueError(f"sigma_floor must be >= 0, got {self.sigma_floor!r}")
@@ -386,10 +386,6 @@ class ThetaLayout:
         return params, channels
 
 
-def _u_for(params: CircuitParams, cfg: FitConfig) -> np.ndarray:
-    return fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
-
-
 @dataclass(frozen=True)
 class _GridSolution:
     """One dataset's points on their solved flux grid.
@@ -410,12 +406,14 @@ class _GridSolution:
 
 
 def _solve_points(
-    u: np.ndarray,
-    v: np.ndarray,
+    params: CircuitParams,
+    channels: NanowireChannels,
     points: Sequence[TransitionPoint],
     cfg: FitConfig,
 ) -> _GridSolution:
-    """Solve each distinct flux of ``points`` once."""
+    """Solve each distinct flux of ``points`` once: the fit's only route to eigenpairs."""
+    u = fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
+    v = fourier_v(channels, params.gap, cfg.k_max)
     rows: dict[float, int] = {}
     point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
     levels = np.array([p.levels for p in points]).T
@@ -430,9 +428,7 @@ def dataset_model_frequencies(
     cfg: FitConfig,
 ) -> np.ndarray:
     """Model frequencies for arbitrary labeled points (used points or not)."""
-    u = _u_for(params, cfg)
-    v = fourier_v(channels, params.gap, cfg.k_max)
-    return _solve_points(u, v, points, cfg).model()
+    return _solve_points(params, channels, points, cfg).model()
 
 
 def _sigmas(points: Sequence[TransitionPoint], cfg: FitConfig) -> np.ndarray:
@@ -456,15 +452,13 @@ def model_residuals(
     new solve.
     """
     params, channel_sets = layout.unpack(theta, cfg)
-    u = _u_for(params, cfg)
     chunks: list[np.ndarray] = []
     for dataset, channels in zip(datasets, channel_sets):
         points = dataset.used_points
         if not points:
             raise ValueError(f"dataset gate={dataset.gate} has no usable points")
-        v = fourier_v(channels, params.gap, cfg.k_max)
         try:
-            grid = _solve_points(u, v, points, cfg)
+            grid = _solve_points(params, channels, points, cfg)
         except SolverError as exc:
             raise SolverError(f"dataset gate={dataset.gate}: {exc}") from exc
         if grids is not None:
@@ -562,8 +556,7 @@ def _central_rows(
             x = theta.copy()
             x[c] += step
             params, channel_sets = layout.unpack(x, cfg)
-            v = fourier_v(channel_sets[d], params.gap, cfg.k_max)
-            model.append(_solve_points(_u_for(params, cfg), v, points, cfg).model())
+            model.append(_solve_points(params, channel_sets[d], points, cfg).model())
         rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
     return rows / _sigmas(points, cfg)[:, None]
 
@@ -688,7 +681,9 @@ def fit_global(
 
     eval_costs: list[float] = []
     # x and grids of the latest evaluation; trf asks for the Jacobian
-    # only at an accepted step, i.e. at the x it evaluated last
+    # only at an accepted step, i.e. at the x it evaluated last. "read"
+    # keeps the x and grids the latest Jacobian used: trf takes one at
+    # every accepted step, so they are the grids at the x a start returns
     latest: dict[str, object] = {"x": None}
     fallbacks = 0
 
@@ -703,6 +698,7 @@ def fit_global(
         nonlocal fallbacks
         if not np.array_equal(x, latest["x"]):
             objective(x)
+        latest["read"] = (latest["x"], latest["grids"])
         jac, n_fallbacks = _model_jacobian(x, datasets, cfg, layout, latest["grids"])
         fallbacks += n_fallbacks
         return jac
@@ -711,38 +707,32 @@ def fit_global(
     start_costs: list[float] = []
     total_evals = 0
     total_jacobians = 0
-    for start_index, transmissions in enumerate(start_sets):
+    for transmissions in start_sets:
         x0 = layout.pack(base_params, transmissions)
         result = least_squares(
             objective,
             x0,
             jac=jacobian,
             method="trf",
-            bounds=(lower[: layout.n_params], upper[: layout.n_params]),
+            bounds=(lower, upper),
             max_nfev=cfg.max_nfev,
             x_scale="jac",
         )
         total_evals += result.nfev
         total_jacobians += result.njev
         start_costs.append(float(result.cost))
-        if best is None or result.cost < best[1].cost:
-            best = (start_index, result)
+        if best is None or result.cost < best[0].cost:
+            best = (result, latest["read"])
     assert best is not None
-    _, solution = best
+    solution, (x_read, grids) = best
+    if not np.array_equal(solution.x, x_read):
+        grids = []
+        model_residuals(solution.x, datasets, cfg, layout, grids=grids)
 
     params, channel_sets = layout.unpack(solution.x, cfg)
-    rmse_each: list[float] = []
-    all_model: list[float] = []
-    all_data: list[float] = []
-    u = _u_for(params, cfg)
-    for dataset, channels in zip(datasets, channel_sets):
-        points = dataset.used_points
-        v = fourier_v(channels, params.gap, cfg.k_max)
-        model = _solve_points(u, v, points, cfg).model()
-        data = [p.freq for p in points]
-        rmse_each.append(rmse(model, data))
-        all_model.extend(model)
-        all_data.extend(data)
+    models = [grid.model() for grid in grids]
+    data = [np.array([p.freq for p in dataset.used_points]) for dataset in datasets]
+    all_data = np.concatenate(data)
 
     boundary = tuple(
         tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets
@@ -755,8 +745,8 @@ def fit_global(
     return FitResult(
         params=params,
         channels=channel_sets,
-        rmse=rmse(all_model, all_data),
-        rmse_per_dataset=tuple(rmse_each),
+        rmse=rmse(np.concatenate(models), all_data),
+        rmse_per_dataset=tuple(rmse(model, freqs) for model, freqs in zip(models, data)),
         residuals=np.asarray(solution.fun),
         cost=float(solution.cost),
         converged=converged,
@@ -796,20 +786,21 @@ def select_channel_count(
     dataset: SpectroscopyDataset,
     counts: Sequence[int],
     cfg: FitConfig,
-    *,
-    initial_params: CircuitParams | None = None,
 ) -> ChannelSelection:
     """Fit one gate with each candidate channel count and keep the leanest.
 
-    The chosen count is the smallest whose RMSE is within
+    The globals stay at ``cfg.fixed_params``, so ``cfg.globals_mode`` must
+    be ``"fixed"``. The chosen count is the smallest whose RMSE is within
     ``cfg.rmse_factor`` of the best count's RMSE (a parsimony rule:
     additional channels must buy real fit quality).
     """
+    if cfg.globals_mode != "fixed":
+        raise ValueError("channel-count selection requires globals_mode='fixed'")
     fits: dict[int, FitResult] = {}
     errors: dict[int, str] = {}
     for count in counts:
         try:
-            fits[count] = fit_global([dataset], [count], cfg, initial_params=initial_params)
+            fits[count] = fit_global([dataset], [count], cfg)
         except (SolverError, ValueError) as exc:
             errors[count] = str(exc)
     if not fits:

@@ -58,6 +58,9 @@ DEGENERACY_TOL = 1e-9
 #: of a block (64 complex 61x61 matrices are 3.8 MB) on long sweeps
 GRID_BLOCK = 64
 
+#: charge states a basis keeps past the coupling range: n_cut >= k_max + CUTOFF_HEADROOM
+CUTOFF_HEADROOM = 5
+
 #: transitions a sweep tabulates unless told otherwise
 DEFAULT_LABELS = ("f01", "f12", "f02")
 
@@ -106,7 +109,7 @@ def build_hamiltonian(spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig)
     """Assemble the charge-basis Hamiltonian for one harmonic spectrum.
 
     The constant term ``c[0]`` is dropped (pure energy offset). The basis
-    must leave headroom beyond the coupling range: ``n_cut >= k_max + 5``.
+    must leave headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
     """
     return _hamiltonian_stack(spec.c[np.newaxis], spec.s[np.newaxis], ec, cfg)[0]
 
@@ -132,9 +135,9 @@ def _hamiltonian_stack(
     The stack is real unless some row has sine content.
     """
     k_max = c.shape[1] - 1
-    if k_max >= 1 and cfg.n_cut < k_max + 5:
+    if k_max >= 1 and cfg.n_cut < k_max + CUTOFF_HEADROOM:
         raise ValueError(
-            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + 5"
+            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + {CUTOFF_HEADROOM}"
         )
     dim = cfg.dim
     upper, lower, ks = _band_index(dim, k_max)
@@ -444,20 +447,19 @@ def spectrum_vs_flux(
     include_bo: bool = True,
     labels: tuple[str, ...] = DEFAULT_LABELS,
     me_pairs: tuple[tuple[int, int], ...] = DEFAULT_PAIRS,
-    strict: bool = False,
 ) -> TransitionTable:
     """Tabulate eigenenergies, transitions, and matrix elements over flux.
 
     The arm Fourier amplitudes are flux independent and computed once;
     :func:`solve_flux_grid` re-interferes them and solves at each grid
     point. Labels and pairs pass :func:`check_levels` before any solve.
-    A failed point raises when ``strict``, otherwise it logs a warning
-    and leaves a NaN row flagged in ``failed``.
+    A failed point logs a warning and leaves a NaN row flagged in
+    ``failed``.
     """
     check_levels(cfg.n_levels, labels, me_pairs)
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
-    grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=strict)
+    grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=False)
     vectors = grid.vectors
     n = cfg.charges - cfg.n_g
     return TransitionTable(

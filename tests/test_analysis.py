@@ -20,6 +20,7 @@ from hpqkit import (
     sns_branch_report,
 )
 from hpqkit.analysis import (
+    DOMINANT_CUTOFF,
     write_gate_harmonics_csv,
     write_parity_csv,
     write_plot_data,
@@ -176,12 +177,9 @@ class TestParityTable:
         assert rows[1].odd_weight >= 0.95
 
     def test_dominant_components_sorted_and_cut(self, hpq_params, mixed_channels):
-        rows = parity_table(
-            hpq_params, mixed_channels, HALF_FLUX, ChargeBasisConfig(n_cut=30), 1,
-            prob_cutoff=1e-3,
-        )
+        rows = parity_table(hpq_params, mixed_channels, HALF_FLUX, ChargeBasisConfig(n_cut=30), 1)
         probs = [p for _, p in rows[0].dominant]
-        assert all(p > 1e-3 for p in probs)
+        assert all(p > DOMINANT_CUTOFF for p in probs)
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0, abs=0.05)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ class TestAnalyticJacobian:
         u = np.zeros(cfg.k_max + 1)
         u[1::2] = v[1::2]
         u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
-        monkeypatch.setattr(fitstack, "_u_for", lambda params, ucfg: u)
+        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max, include_bo: u)
         flux = np.array([0.0, 1.0, 2.0, math.pi])
         ds = [make_dataset(TRUE_PARAMS, transmissions, 0.0, cfg, labels=("f01", "f12", "f02"),
                            flux_values=flux)]
@@ -347,8 +348,32 @@ class TestAnalyticJacobian:
         result = fit_global(ds, [2], cfg, initial_transmissions=[(0.6, 0.5)])
         assert result.n_jacobian_evaluations >= 2
         assert result.jacobian_fallbacks == 0
-        # one solve per residual evaluation, one for the final RMSE, none for Jacobians
-        assert len(solves) == result.n_evaluations + 1
+        # one solve per residual evaluation; the Jacobians and the final RMSE reuse them
+        assert len(solves) == result.n_evaluations
+
+    def test_final_rmse_solves_again_when_the_last_jacobian_was_elsewhere(self, monkeypatch):
+        cfg = SMALL_CFG_FIXED
+        ds = [make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, cfg, flux_values=FLUX_GRID[::2])]
+        start = [(0.6, 0.5)]
+        plain = fit_global(ds, [2], cfg, initial_transmissions=start)
+        original = fitstack.least_squares
+
+        def then_jacobian_at_the_start(fun, x0, **options):
+            result = original(fun, x0, **options)
+            options["jac"](x0)
+            return result
+
+        monkeypatch.setattr(fitstack, "least_squares", then_jacobian_at_the_start)
+        moved = fit_global(ds, [2], cfg, initial_transmissions=start)
+        assert moved.rmse == plain.rmse
+        assert moved.rmse_per_dataset == plain.rmse_per_dataset
+
+
+def test_only_solve_points_reaches_the_eigenpairs():
+    """``_solve_points`` is the fit's one route from parameters to eigenpairs."""
+    source = Path(fitstack.__file__).read_text(encoding="utf-8")
+    assert source.count("solve_flux_grid(") == 1
+    assert source.count("fourier_u(") == 1
 
 
 class TestRmse:
@@ -499,6 +524,11 @@ SELECT_CFG = FitConfig(
 
 
 class TestChannelCountSelection:
+    def test_free_globals_rejected_before_any_fit(self):
+        ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FREE)
+        with pytest.raises(ValueError, match="globals_mode='fixed'"):
+            select_channel_count(ds, (1, 2), SMALL_CFG_FREE)
+
     def test_three_channel_truth_chooses_three(self):
         rng = np.random.default_rng(1)
         ds = make_dataset(

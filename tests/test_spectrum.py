@@ -597,10 +597,11 @@ class TestSolveFluxGrid:
             assert math.isnan(table.matrix_elements[pair][2])
 
     def test_strict_failure_names_flux_index(self, hpq_params, mixed_channels, fail_solve):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         fail_solve(3)
         with pytest.raises(SolverError, match=r"flux point 2 \(phi_e="):
-            spectrum_vs_flux(hpq_params, mixed_channels, np.linspace(0.0, math.pi, 5), cfg, strict=True)
+            solve_flux_grid(u, v, np.linspace(0.0, math.pi, 5), hpq_params.ec, cfg)
 
 
 def test_only_spectrum_module_names_the_degeneracy_tolerance():
@@ -609,6 +610,17 @@ def test_only_spectrum_module_names_the_degeneracy_tolerance():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if path.name != "spectrum.py" and "DEGENERACY_TOL" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []
+
+
+def test_only_spectrum_module_spells_the_cutoff_headroom():
+    """``n_cut >= k_max + CUTOFF_HEADROOM`` has one home; the fit and the CLI read it."""
+    rule = re.compile(r"k_max\s*\+\s*5\b")
+    offenders = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spectrum.py" and rule.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
 
