@@ -40,7 +40,6 @@ __all__ = [
     "write_regimes_csv",
     "write_sns_report_csv",
     "write_parity_csv",
-    "write_plot_data",
 ]
 
 GatePoint = tuple[float, NanowireChannels]
@@ -69,13 +68,11 @@ def gate_sweep_harmonics(
     *,
     k_max: int = K_MAX,
     include_bo: bool = True,
-    reference_gate: float | None = None,
 ) -> list[GateHarmonics]:
     """Harmonic coefficients and parity sums for each gate point.
 
     Coefficients are additionally reported normalized to their value at
-    the reference gate (the first point unless given), with NaN where the
-    reference coefficient vanishes.
+    the first gate point, with NaN where that coefficient vanishes.
     """
     rows: list[GateHarmonics] = []
     u = fourier_u(params, k_max, include_bo=include_bo)
@@ -85,13 +82,7 @@ def gate_sweep_harmonics(
         specs.append((gate, combine_harmonics(u, v, flux)))
     if not specs:
         return rows
-    if reference_gate is None:
-        ref_c = specs[0][1].c
-    else:
-        matches = [spec.c for gate, spec in specs if gate == reference_gate]
-        if not matches:
-            raise ValueError(f"reference gate {reference_gate!r} not in the sweep")
-        ref_c = matches[0]
+    ref_c = specs[0][1].c
     with np.errstate(divide="ignore", invalid="ignore"):
         for gate, spec in specs:
             sums = parity_sums(spec)
@@ -121,13 +112,11 @@ def gate_sweep_regimes(
     params: CircuitParams,
     gates: Sequence[GatePoint],
     flux: FluxBias,
-    *,
-    include_bo: bool = True,
 ) -> list[RegimeRow]:
     """Potential-minimum location and parity regime for each gate point."""
     rows = []
     for gate, channels in gates:
-        label = find_phi_min(params, channels, flux, include_bo=include_bo)
+        label = find_phi_min(params, channels, flux)
         rows.append(RegimeRow(gate=gate, phi_min=label.phi_min, regime=label.regime))
     return rows
 
@@ -282,7 +271,3 @@ def write_parity_csv(rows: Sequence[ParityRow], path: str) -> None:
         for row in rows
     ))
 
-
-def write_plot_data(rows: Sequence[tuple[float, float, str]], path: str) -> None:
-    """Long-format (x, y, series) CSV consumable by any plotting tool."""
-    write_csv(path, ("x", "y", "series"), ((x, y, series) for x, y, series in rows))

@@ -2,11 +2,11 @@
 
 Subcommands: ``decompose`` (harmonics + parity summary), ``sweep``
 (transition table vs flux), ``synth`` (synthetic spectroscopy map),
-``fit`` (dataset ingestion + global transmission fit), ``classify``
-(regime map over gates). Each run is driven by one config document plus
-flags; flags override environment variables (``HPQKIT_*``), which
-override the config. Exit codes: 0 success (warnings allowed), 1 runtime
-failure, 2 bad configuration or input.
+``fit`` (dataset ingestion, global transmission fit, per-gate harmonics),
+``classify`` (regime map over gates). Each run is driven by one config
+document plus flags; flags override environment variables
+(``HPQKIT_*``), which override the config. Exit codes: 0 success
+(warnings allowed), 1 runtime failure, 2 bad configuration or input.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .potentials import FluxBias
 from .tables import fmt, write_csv, write_ini, write_lines
 
 ENV_PREFIX = "HPQKIT_"
+
+#: flux bias of fit's per-gate harmonics and of classify without a [flux] section
+HALF_FLUX = FluxBias.from_phi0(0.5)
 
 
 def _env(name: str) -> str | None:
@@ -53,24 +56,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=needs_config and _env("CONFIG") is None,
                        default=_env("CONFIG"), help="run configuration document")
         p.add_argument("--out-dir", default=_env("OUT_DIR") or ".", help="output directory")
+
+    def solver(p: argparse.ArgumentParser) -> None:
+        """``common`` plus the truncation overrides of the commands that read them."""
+        common(p)
         p.add_argument("--kmax", type=int, default=_env_int("KMAX"),
                        help="harmonic truncation override")
         p.add_argument("--ncut", type=int, default=_env_int("NCUT"),
                        help="charge-basis cutoff override")
 
     p = sub.add_parser("decompose", help="Fourier-decompose the potential and summarize parity")
-    common(p)
+    solver(p)
 
     p = sub.add_parser("sweep", help="tabulate transitions over a flux grid")
-    common(p)
+    solver(p)
 
     p = sub.add_parser("synth", help="generate a synthetic two-tone map")
-    common(p)
+    solver(p)
     p.add_argument("--seed", type=int, default=_env_int("SEED"),
                    help="noise seed (required here or in [synth])")
 
     p = sub.add_parser("fit", help="fit transmissions (and optionally globals) to datasets")
-    common(p)
+    solver(p)
     p.add_argument("datasets", nargs="+", help="dataset CSV file(s)")
     p.add_argument("--channels", default=_env("CHANNELS"),
                    help="channel counts, e.g. '3' or '2..5' (selection mode)")
@@ -373,6 +380,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     result_path = _out(args, "fit_result.ini")
     fitstack.write_fit_result(result, gates, result_path, chosen_counts=chosen_counts)
+    harmonics = analysis.gate_sweep_harmonics(
+        result.params, sorted(zip(gates, result.channels), key=lambda item: item[0]), HALF_FLUX,
+        k_max=fit_cfg.k_max, include_bo=fit_cfg.include_bo,
+    )
+    analysis.write_gate_harmonics_csv(harmonics, _out(args, "gate_harmonics.csv"))
     print(f"global rmse = {fmt(result.rmse)} GHz")
     print(f"wrote {result_path}")
     if warnings_seen:
@@ -387,7 +399,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ConfigError("classify needs --config or --fit-result")
     cfg = cfgmod.load_config(source)
     gates = cfgmod.read_gate_channels(cfg)
-    flux = cfgmod.flux_from_config(cfg) if cfg.has_section("flux") else FluxBias.from_phi0(0.5)
+    flux = cfgmod.flux_from_config(cfg) if cfg.has_section("flux") else HALF_FLUX
     path = _out(args, "regimes.csv")
     if not gates:
         analysis.write_regimes_csv([], path)

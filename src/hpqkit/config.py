@@ -1,20 +1,18 @@
-"""Key-value run configuration and parameter-set documents.
+"""Key-value run configuration.
 
-All documents are INI-style text: sections mirror the domain type names,
-energies are in GHz, flux in flux-quantum units, transmissions are a
-comma-separated list. Documents are written by :mod:`hpqkit.tables`.
+Config documents are INI-style text: sections mirror the domain type
+names, energies are in GHz, flux in flux-quantum units, transmissions are
+a comma-separated list.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import asdict
 from typing import Callable, TypeVar
 
 from .potentials import CircuitParams, FluxBias, NanowireChannels
 from .spectrum import parse_transition_label
-from .tables import fmt, write_ini
 
 __all__ = [
     "ConfigError",
@@ -27,10 +25,7 @@ __all__ = [
     "circuit_from_config",
     "channels_from_config",
     "flux_from_config",
-    "write_params_document",
-    "read_params_document",
     "read_gate_channels",
-    "fmt",
 ]
 
 
@@ -210,25 +205,6 @@ def channels_from_config(cfg: RunConfig) -> NanowireChannels:
 
 def flux_from_config(cfg: RunConfig) -> FluxBias:
     return FluxBias.from_phi0(cfg.get_float("flux", "phi_e", default=0.0))
-
-
-def write_params_document(
-    params: CircuitParams,
-    channels: NanowireChannels,
-    flux: FluxBias,
-    path: str,
-) -> None:
-    """Serialize a parameter set (energies GHz, flux in flux quanta)."""
-    write_ini(path, {
-        "circuit": asdict(params),
-        "channels": {"transmissions": channels},
-        "flux": {"phi_e": flux.phi0_units},
-    })
-
-
-def read_params_document(path: str) -> tuple[CircuitParams, NanowireChannels, FluxBias]:
-    cfg = load_config(path)
-    return circuit_from_config(cfg), channels_from_config(cfg), flux_from_config(cfg)
 
 
 def read_gate_channels(cfg: RunConfig) -> list[tuple[float, NanowireChannels]]:

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
+from .config import MAX_ENERGY_GHZ
 from .potentials import K_MAX, CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
 from .spectrum import (
     CUTOFF_HEADROOM,
@@ -604,7 +605,7 @@ class FitResult:
     actually minimized. ``n_jacobian_evaluations`` sums the Jacobian
     evaluations of every start, and ``jacobian_fallbacks`` counts the
     flux points whose Jacobian rows took central differences because a
-    used level was degenerate.
+    used level was degenerate. No parameter uncertainty is estimated.
     """
 
     params: CircuitParams
@@ -619,7 +620,6 @@ class FitResult:
     boundary_active: tuple[tuple[bool, ...], ...]
     cost_history: tuple[float, ...]
     start_costs: tuple[float, ...]
-    covariance: np.ndarray | None
     n_jacobian_evaluations: int = 0
     jacobian_fallbacks: int = 0
 
@@ -737,7 +737,6 @@ def fit_global(
     boundary = tuple(
         tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets
     )
-    covariance = _covariance_estimate(solution, len(all_data))
     history = tuple(np.minimum.accumulate(eval_costs)) if eval_costs else ()
     converged = solution.status > 0
     message = solution.message if converged else f"iteration budget exhausted: {solution.message}"
@@ -755,22 +754,9 @@ def fit_global(
         boundary_active=boundary,
         cost_history=history,
         start_costs=tuple(start_costs),
-        covariance=covariance,
         n_jacobian_evaluations=total_jacobians,
         jacobian_fallbacks=fallbacks,
     )
-
-
-def _covariance_estimate(solution, n_points: int) -> np.ndarray | None:
-    jac = solution.jac
-    dof = n_points - jac.shape[1]
-    if dof <= 0:
-        return None
-    try:
-        jtj_inv = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return None
-    return jtj_inv * (2.0 * float(solution.cost) / dof)
 
 
 @dataclass(frozen=True)
@@ -832,7 +818,6 @@ def _merge_single_gate_fits(
         boundary_active=tuple(r.boundary_active[0] for r in results),
         cost_history=(),
         start_costs=(),
-        covariance=None,
         n_jacobian_evaluations=sum(r.n_jacobian_evaluations for r in results),
         jacobian_fallbacks=sum(r.jacobian_fallbacks for r in results),
     )
@@ -901,7 +886,12 @@ def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> Non
 
 
 def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
-    """Parse a dataset CSV, grouping points by gate in order of appearance."""
+    """Parse a dataset CSV, grouping points by gate in order of appearance.
+
+    Frequencies and uncertainties must lie in (0, ``MAX_ENERGY_GHZ``] GHz
+    and ``used`` must be 0 or 1; a bad row raises :class:`DatasetFormatError`
+    naming its path and line.
+    """
     grouped: dict[float, list[TransitionPoint]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -921,13 +911,21 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
                     raise ValueError(f"gate_v must be finite, got {gate!r}")
                 flux = 2.0 * math.pi * float(cells[1])
                 label = cells[2]
+                used = int(cells[5])
+                if used not in (0, 1):
+                    raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
                 point = TransitionPoint(
                     flux=flux,
                     label=label,
                     freq=float(cells[3]),
                     sigma=float(cells[4]),
-                    used=bool(int(cells[5])),
+                    used=bool(used),
                 )
+                for column, value in (("freq_ghz", point.freq), ("sigma_ghz", point.sigma)):
+                    if not 0.0 < value <= MAX_ENERGY_GHZ:
+                        raise ValueError(
+                            f"{column} must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
+                        )
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
             grouped.setdefault(gate, []).append(point)

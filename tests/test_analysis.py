@@ -23,7 +23,6 @@ from hpqkit.analysis import (
     DOMINANT_CUTOFF,
     write_gate_harmonics_csv,
     write_parity_csv,
-    write_plot_data,
     write_regimes_csv,
     write_sns_report_csv,
 )
@@ -234,9 +233,3 @@ class TestTableExports:
         assert lines[0] == "state,energy_ghz,even_weight,odd_weight,dominant"
         assert len(lines) == 3
         assert ":" in lines[1].split(",")[4]
-
-    def test_plot_data_emitter(self, tmp_path):
-        path = tmp_path / "plot.csv"
-        write_plot_data([(0.0, 1.5, "c_even"), (0.2, -0.5, "c_odd")], str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines == ["x,y,series", "0,1.5,c_even", "0.2,-0.5,c_odd"]

@@ -4,6 +4,7 @@ import inspect
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +15,20 @@ from hpqkit import (
     ChargeBasisConfig,
     CircuitParams,
     FitConfig,
+    FluxBias,
     NanowireChannels,
     SpectroscopyDataset,
     SynthConfig,
     extract_transitions,
+    gate_sweep_harmonics,
     hints_from_table,
     spectrum_vs_flux,
     synthesize_map,
     write_dataset_csv,
 )
+from hpqkit.analysis import write_gate_harmonics_csv
 from hpqkit.cli import main
+from hpqkit.config import circuit_from_config, load_config, read_gate_channels
 
 HPQ_CONFIG = """
 [circuit]
@@ -372,6 +377,50 @@ class TestFit:
         assert float(doc["globals"]["ec"]) == 0.35
         assert float(doc["globals"]["ej1"]) == 55.03
 
+    @pytest.mark.parametrize("extra", [[], ["--channels", "2..3"]], ids=["single-count", "selection"])
+    def test_writes_the_gate_harmonics_table(self, tmp_path, fit_dataset_csv, extra):
+        csv_path, _ = fit_dataset_csv
+        # the same points at a higher gate, listed first: the table sorts by gate
+        later = write(tmp_path / "later.csv",
+                      re.sub(r"^-0\.5,", "3,", Path(csv_path).read_text(), flags=re.M))
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        assert main(["fit", later, csv_path, "--config", cfg, "--out-dir", str(tmp_path), *extra]) == 0
+
+        result = load_config(str(tmp_path / "fit_result.ini"))
+        gates = read_gate_channels(result)
+        expected = gate_sweep_harmonics(
+            circuit_from_config(result, section="globals"), gates, FluxBias.from_phi0(0.5), k_max=6
+        )
+        write_gate_harmonics_csv(expected, str(tmp_path / "expected.csv"))
+        header, *rows = (tmp_path / "gate_harmonics.csv").read_text().splitlines()
+        assert header == (tmp_path / "expected.csv").read_text().splitlines()[0]
+        cells = np.array([[float(c) for c in row.split(",")] for row in rows])
+        assert list(cells[:, 0]) == [gate for gate, _ in gates] == [-0.5, 3.0]
+        # fit_result.ini and the table both keep 12 significant digits, so each
+        # number is within 5e-12 of its value, relative; c_k is read from the
+        # table and recomputed from rounded E_J, gap and T: four such roundings
+        np.testing.assert_allclose(
+            cells[:, 1:7], [row.c[1:] for row in expected], rtol=4 * 5e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "column, row",
+        [
+            ("freq_ghz", "0.0,0.2,f01,1e300,0.01,1"),
+            ("freq_ghz", "0.0,0.2,f01,-5,0.01,1"),
+            ("freq_ghz", "0.0,0.2,f01,0,0.01,1"),
+            ("sigma_ghz", "0.0,0.2,f01,5.0,1e300,1"),
+            ("used", "0.0,0.2,f01,5.0,0.01,2"),
+        ],
+        ids=["freq-huge", "freq-negative", "freq-zero", "sigma-huge", "used-two"],
+    )
+    def test_out_of_range_dataset_cell_exits_two(self, tmp_path, capsys, column, row):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        data = write(tmp_path / "bad.csv", ONE_POINT_DATASET + row + "\n")
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"bad.csv:3: {column} must be" in capsys.readouterr().err
+        assert not (tmp_path / "fit_result.ini").exists()
+
 
 class _Captured(Exception):
     """Stops a command at the library call whose arguments a test records."""
@@ -434,20 +483,6 @@ phi_e = 0.5
 
 
 class TestParameterDocuments:
-    def test_round_trip(self, tmp_path):
-        from hpqkit.config import read_params_document, write_params_document
-        from hpqkit.potentials import FluxBias
-
-        params = CircuitParams(ej1=55.03, ej2=55.03, ecj=0.675, ec=0.28, gap=40.06)
-        channels = NanowireChannels((0.98, 0.75))
-        flux = FluxBias.from_phi0(0.5)
-        path = tmp_path / "params.ini"
-        write_params_document(params, channels, flux, str(path))
-        got_params, got_channels, got_flux = read_params_document(str(path))
-        assert got_params == params
-        assert got_channels == channels
-        assert got_flux.phi_e == pytest.approx(flux.phi_e, abs=1e-12)
-
     def test_help_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -492,6 +527,15 @@ class TestClassify:
         cfg = write(tmp_path / "run.ini", text)
         assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "regimes.csv").read_text().strip() == "gate,phi_min_rad,regime"
+
+    @pytest.mark.parametrize("flag, value", [("--kmax", "3"), ("--ncut", "1")])
+    def test_truncation_overrides_are_not_classify_flags(self, tmp_path, capsys, flag, value):
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--config", cfg, "--out-dir", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "regimes.csv").exists()
 
     def test_reads_fit_result_document(self, tmp_path):
         doc = tmp_path / "fit_result.ini"

@@ -600,7 +600,6 @@ class TestHarmonicAgreement:
             boundary_active=((False,) * len(transmissions),),
             cost_history=(0.0,),
             start_costs=(0.0,),
-            covariance=None,
         )
 
     def test_gating_and_relative_differences(self):

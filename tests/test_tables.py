@@ -16,7 +16,6 @@ import pytest
 from hpqkit import (
     CircuitParams,
     FitResult,
-    FluxBias,
     HarmonicSpectrum,
     NanowireChannels,
     Regime,
@@ -37,12 +36,11 @@ from hpqkit.analysis import (
     SnsBranchRow,
     write_gate_harmonics_csv,
     write_parity_csv,
-    write_plot_data,
     write_regimes_csv,
     write_sns_report_csv,
 )
 from hpqkit.cli import main
-from hpqkit.config import write_params_document
+from hpqkit.tables import write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -128,8 +126,9 @@ def _parity(path):
     write_parity_csv(rows, path)
 
 
-def _plot(path):
-    write_plot_data([(0.0, 1.5, "c_even"), (-0.0, NAN, "c_odd"), (1e-7, -math.inf, "ratio")], path)
+def _csv_cells(path):
+    write_csv(path, ("x", "y", "series"),
+              [(0.0, 1.5, "c_even"), (-0.0, NAN, "c_odd"), (1e-7, -math.inf, "ratio")])
 
 
 def _dataset(path):
@@ -158,7 +157,6 @@ FIT = FitResult(
     boundary_active=((False, False), (False, False, True)),
     cost_history=(),
     start_costs=(),
-    covariance=None,
 )
 
 
@@ -168,10 +166,6 @@ def _fit_plain(path):
 
 def _fit_counts(path):
     write_fit_result(FIT, [-7.0, 0.125], path, chosen_counts={-7.0: 2, 0.125: 3})
-
-
-def _params(path, transmissions=(0.98, 0.75, 1.0 / 3.0)):
-    write_params_document(PARAMS, NanowireChannels(transmissions), FluxBias.from_phi0(0.25), path)
 
 
 SYNTH_CONFIG = """
@@ -200,10 +194,10 @@ freq_points = 5
 """
 
 
-def _map_meta(path):
+def _map_meta(path, config_text=SYNTH_CONFIG):
     out_dir = Path(path).parent
     config = out_dir / "run.ini"
-    config.write_text(SYNTH_CONFIG)
+    config.write_text(config_text)
     assert main(["synth", "--config", str(config), "--out-dir", str(out_dir), "--kmax", "4",
                  "--ncut", "12"]) == 0
     Path(path).write_bytes((out_dir / "map_meta.ini").read_bytes())
@@ -289,12 +283,12 @@ GOLDEN = [
         id="parity-dominant",
     ),
     pytest.param(
-        _plot,
+        _csv_cells,
         b'x,y,series\n'
         b'0,1.5,c_even\n'
         b'-0,nan,c_odd\n'
         b'1e-07,-inf,ratio\n',
-        id="plot-data",
+        id="csv-cells",
     ),
     pytest.param(
         _dataset,
@@ -359,38 +353,6 @@ GOLDEN = [
         id="fit-result-counts",
     ),
     pytest.param(
-        _params,
-        b'[circuit]\n'
-        b'ej1 = 55.03\n'
-        b'ej2 = 54.5\n'
-        b'ecj = 0.675\n'
-        b'ec = 0.28\n'
-        b'gap = 40.06\n'
-        b'\n'
-        b'[channels]\n'
-        b'transmissions = 0.98, 0.75, 0.333333333333\n'
-        b'\n'
-        b'[flux]\n'
-        b'phi_e = 0.25\n',
-        id="params-document",
-    ),
-    pytest.param(
-        lambda p: _params(p, ()),
-        b'[circuit]\n'
-        b'ej1 = 55.03\n'
-        b'ej2 = 54.5\n'
-        b'ecj = 0.675\n'
-        b'ec = 0.28\n'
-        b'gap = 40.06\n'
-        b'\n'
-        b'[channels]\n'
-        b'transmissions = \n'
-        b'\n'
-        b'[flux]\n'
-        b'phi_e = 0.25\n',
-        id="params-document-open-nanowire",
-    ),
-    pytest.param(
         _map_meta,
         b'[synth]\n'
         b'seed = 7\n'
@@ -417,6 +379,34 @@ GOLDEN = [
         b'[channels]\n'
         b'transmissions = 0.98, 0.75\n',
         id="cli-map-meta",
+    ),
+    pytest.param(
+        lambda p: _map_meta(p, SYNTH_CONFIG.replace("[channels]\ntransmissions = 0.98, 0.75\n", "")),
+        b'[synth]\n'
+        b'seed = 7\n'
+        b'fwhm = 0.05\n'
+        b'amplitude = 1\n'
+        b'noise_sigma = 0.001\n'
+        b'weight_by_matrix_element = false\n'
+        b'labels = f01, f02/2\n'
+        b'flux_start = 0\n'
+        b'flux_stop = 0.5\n'
+        b'flux_points = 2\n'
+        b'freq_start = 0.1\n'
+        b'freq_stop = 20\n'
+        b'freq_points = 5\n'
+        b'k_max = 4\n'
+        b'\n'
+        b'[circuit]\n'
+        b'ej1 = 55.03\n'
+        b'ej2 = 55.03\n'
+        b'ecj = 0.675\n'
+        b'ec = 0.28\n'
+        b'gap = 40.06\n'
+        b'\n'
+        b'[channels]\n'
+        b'transmissions = \n',
+        id="cli-map-meta-open-nanowire",
     ),
 ]
 
