@@ -35,16 +35,6 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_int(name: str) -> int | None:
-    text = _env(name)
-    if text is None or text == "":
-        return None
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"environment {ENV_PREFIX}{name}: not an integer: {text!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpqkit",
@@ -60,10 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     def solver(p: argparse.ArgumentParser) -> None:
         """``common`` plus the truncation overrides of the commands that read them."""
         common(p)
-        p.add_argument("--kmax", type=int, default=_env_int("KMAX"),
-                       help="harmonic truncation override")
-        p.add_argument("--ncut", type=int, default=_env_int("NCUT"),
-                       help="charge-basis cutoff override")
+        p.add_argument("--kmax", type=int, help="harmonic truncation override")
+        p.add_argument("--ncut", type=int, help="charge-basis cutoff override")
 
     p = sub.add_parser("decompose", help="Fourier-decompose the potential and summarize parity")
     solver(p)
@@ -73,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic two-tone map")
     solver(p)
-    p.add_argument("--seed", type=int, default=_env_int("SEED"),
-                   help="noise seed (required here or in [synth])")
+    p.add_argument("--seed", type=int, help="noise seed (required here or in [synth])")
 
     p = sub.add_parser("fit", help="fit transmissions (and optionally globals) to datasets")
     solver(p)
@@ -87,6 +74,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-result", help="fit result document as the gate source")
 
     return parser
+
+
+def _env_int_defaults(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill ``--kmax``, ``--ncut`` and ``--seed`` from ``HPQKIT_<FLAG>`` where the command
+    has the flag and the line left it unset."""
+    for dest in ("kmax", "ncut", "seed"):
+        name = ENV_PREFIX + dest.upper()
+        # a flag the command lacks is absent from args, so its variable goes unread
+        text = os.environ.get(name) if vars(args).get(dest, 0) is None else None
+        if text:
+            try:
+                setattr(args, dest, int(text))
+            except ValueError as exc:
+                raise ConfigError(f"environment {name}: not an integer: {text!r}") from exc
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +187,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _flux_grid(cfg: RunConfig, section: str) -> np.ndarray:
-    start = cfg.get_float(section, "flux_start", default=0.0)
-    stop = cfg.get_float(section, "flux_stop", default=0.5)
+    start = cfg.get_flux(section, "flux_start", default=0.0)
+    stop = cfg.get_flux(section, "flux_stop", default=0.5)
     points = cfg.get_int(section, "flux_points", default=41)
     if points < 1:
         raise ConfigError(f"{section}.flux_points must be >= 1")
@@ -320,7 +322,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             globals_mode=globals_mode,
             fixed_params=replace(initial, ec=ec) if globals_mode == "fixed" else None,
             sigma_floor=cfg.get_float("fit", "sigma_floor", default=defaults.sigma_floor),
-            max_nfev=(lambda n: n if n > 0 else None)(cfg.get_int("fit", "max_nfev", default=0)),
+            max_nfev=cfg.get_int("fit", "max_nfev", default=0) or None,
             rmse_factor=cfg.get_float("fit", "rmse_factor", default=defaults.rmse_factor),
         )
     except ValueError as exc:
@@ -430,13 +432,10 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        # the parser reads its defaults from the environment, which may be malformed
-        args = build_parser().parse_args(argv)
+        # the integer defaults come from the environment, which may be malformed
+        args = _env_int_defaults(build_parser().parse_args(argv))
         return _COMMANDS[args.command](args)
-    except (ConfigError, fitstack.DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, fitstack.DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

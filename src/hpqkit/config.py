@@ -33,6 +33,10 @@ __all__ = [
 #: far larger values overflow the charge-basis solve and the line shapes
 MAX_ENERGY_GHZ = 1e6
 
+#: largest accepted |flux| (flux quanta); a flux of 1e3 still wraps to a phase
+#: good to about 1e-12 rad, while far larger ones keep no digits of it
+MAX_FLUX_PHI0 = 1e3
+
 
 _T = TypeVar("_T")
 
@@ -95,6 +99,13 @@ class RunConfig:
             raise ConfigError(
                 f"field {section}.{key}: must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
             )
+        return value
+
+    def get_flux(self, section: str, key: str, default: float | None = None) -> float:
+        """A float in [-MAX_FLUX_PHI0, MAX_FLUX_PHI0]: a flux in flux quanta."""
+        value = self.get_float(section, key, default)
+        if abs(value) > MAX_FLUX_PHI0:
+            raise ConfigError(f"field {section}.{key}: |flux| must be <= {MAX_FLUX_PHI0:g} Phi0, got {value!r}")
         return value
 
     def get_int(self, section: str, key: str, default: int | None = None) -> int:
@@ -204,7 +215,7 @@ def channels_from_config(cfg: RunConfig) -> NanowireChannels:
 
 
 def flux_from_config(cfg: RunConfig) -> FluxBias:
-    return FluxBias.from_phi0(cfg.get_float("flux", "phi_e", default=0.0))
+    return FluxBias.from_phi0(cfg.get_flux("flux", "phi_e", default=0.0))
 
 
 def read_gate_channels(cfg: RunConfig) -> list[tuple[float, NanowireChannels]]:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
-from .config import MAX_ENERGY_GHZ
+from .config import MAX_ENERGY_GHZ, MAX_FLUX_PHI0
 from .potentials import K_MAX, CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
 from .spectrum import (
     CUTOFF_HEADROOM,
@@ -327,6 +327,8 @@ class FitConfig:
         # below 1 even the best count fails the selection rule
         if not self.rmse_factor >= 1.0:
             raise ValueError(f"rmse_factor must be >= 1, got {self.rmse_factor!r}")
+        if self.max_nfev is not None and self.max_nfev < 1:
+            raise ValueError(f"max_nfev must be >= 1 or None (unlimited), got {self.max_nfev!r}")
 
 
 @dataclass(frozen=True)
@@ -888,9 +890,9 @@ def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> Non
 def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
     """Parse a dataset CSV, grouping points by gate in order of appearance.
 
-    Frequencies and uncertainties must lie in (0, ``MAX_ENERGY_GHZ``] GHz
-    and ``used`` must be 0 or 1; a bad row raises :class:`DatasetFormatError`
-    naming its path and line.
+    Frequencies and uncertainties must lie in (0, ``MAX_ENERGY_GHZ``] GHz,
+    ``|flux_phi0|`` must not exceed ``MAX_FLUX_PHI0`` and ``used`` must be 0
+    or 1; a bad row raises :class:`DatasetFormatError` naming its path and line.
     """
     grouped: dict[float, list[TransitionPoint]] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -909,18 +911,22 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
                 gate = float(cells[0])
                 if not math.isfinite(gate):
                     raise ValueError(f"gate_v must be finite, got {gate!r}")
-                flux = 2.0 * math.pi * float(cells[1])
+                flux_phi0 = float(cells[1])
                 label = cells[2]
                 used = int(cells[5])
                 if used not in (0, 1):
                     raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
                 point = TransitionPoint(
-                    flux=flux,
+                    flux=2.0 * math.pi * flux_phi0,
                     label=label,
                     freq=float(cells[3]),
                     sigma=float(cells[4]),
                     used=bool(used),
                 )
+                if abs(flux_phi0) > MAX_FLUX_PHI0:
+                    raise ValueError(
+                        f"flux_phi0 must be in [-{MAX_FLUX_PHI0:g}, {MAX_FLUX_PHI0:g}], got {flux_phi0!r}"
+                    )
                 for column, value in (("freq_ghz", point.freq), ("sigma_ghz", point.sigma)):
                     if not 0.0 < value <= MAX_ENERGY_GHZ:
                         raise ValueError(

@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .potentials import K_MAX, CircuitParams, HarmonicSpectrum, NanowireChannels, fourier_u, fourier_v
+from .potentials import K_MAX, CircuitParams, FluxBias, HarmonicSpectrum, NanowireChannels
+from .potentials import combine_harmonics, fourier_u, fourier_v
 from .tables import write_csv
 
 __all__ = [
@@ -53,10 +54,6 @@ logger = logging.getLogger(__name__)
 
 #: energies closer than this (GHz) count as degenerate for state labeling
 DEGENERACY_TOL = 1e-9
-
-#: flux points whose Hamiltonians are assembled at once; bounds the memory
-#: of a block (64 complex 61x61 matrices are 3.8 MB) on long sweeps
-GRID_BLOCK = 64
 
 #: charge states a basis keeps past the coupling range: n_cut >= k_max + CUTOFF_HEADROOM
 CUTOFF_HEADROOM = 5
@@ -108,10 +105,32 @@ class ParityWeights:
 def build_hamiltonian(spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig) -> np.ndarray:
     """Assemble the charge-basis Hamiltonian for one harmonic spectrum.
 
-    The constant term ``c[0]`` is dropped (pure energy offset). The basis
-    must leave headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
+    The matrix is real unless the spectrum has sine content. The constant
+    term ``c[0]`` is dropped (pure energy offset). The basis must leave
+    headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
     """
-    return _hamiltonian_stack(spec.c[np.newaxis], spec.s[np.newaxis], ec, cfg)[0]
+    k_max = spec.k_max
+    if k_max >= 1 and cfg.n_cut < k_max + CUTOFF_HEADROOM:
+        raise ValueError(
+            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + {CUTOFF_HEADROOM}"
+        )
+    dim = cfg.dim
+    upper, lower, ks = _band_index(dim, k_max)
+    band = spec.c[ks] / 2.0
+    if _has_sine(spec):
+        band = band + 1j * spec.s[ks] / 2.0
+    h = np.zeros(dim * dim, dtype=band.dtype)
+    h[:: dim + 1] = 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
+    # adding +0.0 stores a -0.0 amplitude as +0.0, as accumulating into the
+    # zeroed matrix does; the sign of a zero steers LAPACK's reflections
+    h[upper] = band + 0.0
+    h[lower] = np.conj(band) + 0.0
+    return h.reshape(dim, dim)
+
+
+def _has_sine(spec: HarmonicSpectrum) -> bool:
+    """Whether ``spec`` has sine content, which makes its Hamiltonian complex."""
+    return bool(spec.s[1:].any())
 
 
 @lru_cache(maxsize=16)
@@ -125,33 +144,6 @@ def _band_index(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for arr in index:
         arr.flags.writeable = False
     return index
-
-
-def _hamiltonian_stack(
-    c: np.ndarray, s: np.ndarray, ec: float, cfg: ChargeBasisConfig
-) -> np.ndarray:
-    """Hamiltonians for rows of cosine/sine amplitudes, shape ``(rows, dim, dim)``.
-
-    The stack is real unless some row has sine content.
-    """
-    k_max = c.shape[1] - 1
-    if k_max >= 1 and cfg.n_cut < k_max + CUTOFF_HEADROOM:
-        raise ValueError(
-            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + {CUTOFF_HEADROOM}"
-        )
-    dim = cfg.dim
-    upper, lower, ks = _band_index(dim, k_max)
-    band = c[:, ks] / 2.0
-    complex_needed = bool(np.any(s[:, 1:] != 0.0))
-    if complex_needed:
-        band = band + 1j * s[:, ks] / 2.0
-    h = np.zeros((len(c), dim * dim), dtype=complex if complex_needed else float)
-    h[:, :: dim + 1] = 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
-    # adding +0.0 stores a -0.0 amplitude as +0.0, as accumulating into the
-    # zeroed matrix does; the sign of a zero steers LAPACK's reflections
-    h[:, upper] = band + 0.0
-    h[:, lower] = np.conj(band) + 0.0
-    return h.reshape(len(c), dim, dim)
 
 
 def _close_to_next(energies: np.ndarray) -> np.ndarray:
@@ -393,13 +385,12 @@ def solve_flux_grid(
     """Lowest ``cfg.n_levels`` eigenpairs at each flux, stacked in a :class:`FluxGrid`.
 
     ``u`` and ``v`` are the arm amplitudes of
-    :func:`~hpqkit.potentials.combine_harmonics`; each flux is wrapped
-    into [-pi, pi) exactly as :class:`~hpqkit.potentials.FluxBias` does.
-    Up to :data:`GRID_BLOCK` Hamiltonians are assembled in one vectorised
-    fill, and each point is solved with :func:`eigensolve`, real without
-    sine content, so it matches :func:`build_hamiltonian` bit for bit. A
-    failed solve raises a :class:`SolverError` naming its point when
-    ``strict``; otherwise it logs a warning and flags the point.
+    :func:`~hpqkit.potentials.combine_harmonics`. Each point is solved as
+    ``eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg))``,
+    so its flux wraps into [-pi, pi) and its matrix is real without sine
+    content, as on that route. ``vectors`` is complex when some point has
+    sine content. A failed solve raises a :class:`SolverError` naming its
+    point when ``strict``; otherwise it logs a warning and flags the point.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -408,28 +399,17 @@ def solve_flux_grid(
     flux_values = np.asarray(flux_values, dtype=float)
     if not np.all(np.isfinite(flux_values)):
         raise ValueError("flux values must be finite")
-    phi_e = (flux_values + math.pi) % (2.0 * math.pi) - math.pi
-    angles = phi_e[:, np.newaxis] * np.arange(len(u))
-    c = u + np.cos(angles) * v
-    s = np.sin(angles) * v
-    real = ~np.any(s[:, 1:] != 0.0, axis=1)
-    n_points = len(flux_values)
-    energies = np.full((n_points, cfg.n_levels), np.nan)
-    vectors = np.full((n_points, cfg.dim, cfg.n_levels), np.nan, float if real.all() else complex)
-    for start in range(0, n_points, GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
-        hs = _hamiltonian_stack(c[block], s[block], ec, cfg)
-        for idx, h in enumerate(hs, start):
-            try:
-                energies[idx], vectors[idx] = eigensolve(h.real if real[idx] else h, cfg.n_levels)
-            except SolverError as exc:
-                if strict:
-                    raise SolverError(
-                        f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}"
-                    ) from exc
-                logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
-        # h is a view of the block: drop both so the next fill does not overlap it
-        del hs, h
+    specs = [combine_harmonics(u, v, FluxBias(phi)) for phi in flux_values]
+    energies = np.full((len(specs), cfg.n_levels), np.nan)
+    dtype = complex if any(map(_has_sine, specs)) else float
+    vectors = np.full((len(specs), cfg.dim, cfg.n_levels), np.nan, dtype)
+    for idx, spec in enumerate(specs):
+        try:
+            energies[idx], vectors[idx] = eigensolve(build_hamiltonian(spec, ec, cfg), cfg.n_levels)
+        except SolverError as exc:
+            if strict:
+                raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}") from exc
+            logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
     close = _close_to_next(energies)
     clustered = np.zeros(energies.shape, dtype=bool)
     clustered[:, 1:] = close

@@ -107,7 +107,7 @@ class TestDecompose:
         main(["decompose", "--config", cfg, "--out-dir", str(tmp_path)])
         assert (tmp_path / "harmonics.csv").read_bytes() == first
 
-    @pytest.mark.parametrize("name", ["KMAX", "NCUT", "SEED"])
+    @pytest.mark.parametrize("name", ["KMAX", "NCUT"])
     def test_malformed_integer_env_exits_two(self, tmp_path, monkeypatch, capsys, name):
         monkeypatch.setenv(f"HPQKIT_{name}", "abc")
         cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
@@ -181,6 +181,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "f07" in err and "n_levels = 6" in err
 
+    def test_malformed_seed_env_is_not_read(self, tmp_path, monkeypatch):
+        # sweep has no --seed, so it never reads HPQKIT_SEED
+        monkeypatch.setenv("HPQKIT_SEED", "abc")
+        cfg = write(tmp_path / "run.ini", SWEEP_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+
     def test_symmetric_grid_symmetric_table(self, tmp_path):
         text = SWEEP_CONFIG.replace("transmissions =", "transmissions = 0.94, 0.58, 0.58")
         cfg = write(tmp_path / "run.ini", text)
@@ -226,6 +232,12 @@ class TestSynth:
         meta.read(tmp_path / "map_meta.ini")
         assert meta.getint("synth", "seed") == 17
         assert meta.getfloat("circuit", "ej1") == pytest.approx(55.03)
+
+    def test_malformed_seed_env_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HPQKIT_SEED", "abc")
+        cfg = write(tmp_path / "run.ini", SYNTH_CONFIG)
+        assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "HPQKIT_SEED" in capsys.readouterr().err
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", SYNTH_CONFIG.replace("seed = 17\n", ""))
@@ -411,8 +423,9 @@ class TestFit:
             ("freq_ghz", "0.0,0.2,f01,0,0.01,1"),
             ("sigma_ghz", "0.0,0.2,f01,5.0,1e300,1"),
             ("used", "0.0,0.2,f01,5.0,0.01,2"),
+            ("flux_phi0", "0.0,1e300,f01,5.0,0.01,1"),
         ],
-        ids=["freq-huge", "freq-negative", "freq-zero", "sigma-huge", "used-two"],
+        ids=["freq-huge", "freq-negative", "freq-zero", "sigma-huge", "used-two", "flux-huge"],
     )
     def test_out_of_range_dataset_cell_exits_two(self, tmp_path, capsys, column, row):
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
@@ -537,6 +550,12 @@ class TestClassify:
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not (tmp_path / "regimes.csv").exists()
 
+    def test_malformed_kmax_env_is_not_read(self, tmp_path, monkeypatch):
+        # classify has no --kmax, so it never reads HPQKIT_KMAX
+        monkeypatch.setenv("HPQKIT_KMAX", "x")
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG)
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+
     def test_reads_fit_result_document(self, tmp_path):
         doc = tmp_path / "fit_result.ini"
         doc.write_text(
@@ -586,10 +605,15 @@ def test_non_finite_config_number_exits_two(tmp_path, capsys, command, config, f
         ("fit", FIT_CONFIG.replace("channels = 2", "channels = 2..3\nrmse_factor = 0.5"),
          "fit.rmse_factor"),
         ("fit", FIT_CONFIG + "n_g = 1e300\n", "fit.n_g"),
+        ("fit", FIT_CONFIG + "max_nfev = -5\n", "fit.max_nfev"),
+        ("decompose", HPQ_CONFIG.replace("phi_e = 0.5", "phi_e = 1e300"), "flux.phi_e"),
+        ("sweep", SWEEP_CONFIG.replace("flux_stop = 0.3", "flux_stop = 1e300"), "sweep.flux_stop"),
+        ("synth", SYNTH_CONFIG.replace("flux_start = 0.0", "flux_start = -1e4"), "synth.flux_start"),
     ],
     ids=["n_levels-0", "n_g-1e300", "fwhm-0", "noise_sigma-negative", "freq_points-0",
          "freq_points-1", "freq_stop-below-start", "seed-negative", "ej1-1e300",
-         "channels-negative", "rmse_factor-below-one", "fit-n_g-1e300"],
+         "channels-negative", "rmse_factor-below-one", "fit-n_g-1e300", "max_nfev-negative",
+         "phi_e-1e300", "sweep-flux_stop-1e300", "synth-flux_start-minus-1e4"],
 )
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, config, message):
     argv = [command, "--config", write(tmp_path / "run.ini", config), "--out-dir", str(tmp_path)]

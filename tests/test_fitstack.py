@@ -184,7 +184,7 @@ class TestFitConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("sigma_floor", -1e-9),
-         ("sigma_floor", math.nan)],
+         ("sigma_floor", math.nan), ("max_nfev", 0)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # below rmse_factor 1 select_channel_count finds no count within the factor of the best

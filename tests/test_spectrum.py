@@ -32,7 +32,7 @@ from hpqkit import (
     spectrum_vs_flux,
     transition_frequencies,
 )
-from hpqkit.spectrum import DEGENERACY_TOL, GRID_BLOCK
+from hpqkit.spectrum import DEGENERACY_TOL
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -470,12 +470,10 @@ class TestSpectrumVsFlux:
 
 
 class TestSolveFluxGrid:
-    """The vectorised grid solver against per-point assembly and solve."""
+    """The grid solver against per-point assembly and solve."""
 
-    #: 0, +-pi, points outside [-pi, pi), and a sweep that spills into a second block
-    GRID = np.concatenate(
-        [[0.0, math.pi, -math.pi, 7.5, -9.0], np.linspace(-math.pi, math.pi, GRID_BLOCK + 4)]
-    )
+    #: 0, +-pi, points outside [-pi, pi), and a sweep of more than 64 points
+    GRID = np.concatenate([[0.0, math.pi, -math.pi, 7.5, -9.0], np.linspace(-math.pi, math.pi, 68)])
 
     def cases(self, hpq_params, mixed_channels):
         u = fourier_u(hpq_params, 10)
@@ -491,7 +489,6 @@ class TestSolveFluxGrid:
         }
 
     def test_bit_identical_to_per_point_solve(self, hpq_params, mixed_channels):
-        assert len(self.GRID) > GRID_BLOCK
         for name, (u, v, n_g) in self.cases(hpq_params, mixed_channels).items():
             cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4)
             grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
@@ -564,12 +561,30 @@ class TestSolveFluxGrid:
             solve_flux_grid(u, v, wrapped, 0.28, cfg).energies,
         )
 
-    def test_frees_each_block_before_the_next_fill(self, hpq_params, mixed_channels):
+    def test_solves_each_point_through_the_public_route(self, hpq_params, mixed_channels, monkeypatch):
+        calls = {"build_hamiltonian": 0, "combine_harmonics": 0}
+
+        def counting(name):
+            original = getattr(spectrum, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(spectrum, name, call)
+
+        for name in calls:
+            counting(name)
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        solve_flux_grid(u, v, self.GRID, 0.28, ChargeBasisConfig(n_cut=25, n_levels=4))
+        assert calls == {name: len(self.GRID) for name in calls}
+
+    def test_peak_memory_is_the_grid_plus_a_few_matrices(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
         cfg = ChargeBasisConfig(n_cut=30, n_levels=6)
-        # off 0 and pi every point has sine content, so every block is complex
-        flux = np.linspace(0.1, 3.0, 3 * GRID_BLOCK)
-        block_bytes = GRID_BLOCK * cfg.dim**2 * np.dtype(complex).itemsize
+        # off 0 and pi every point has sine content, so every matrix is complex
+        flux = np.linspace(0.1, 3.0, 192)
+        matrix_bytes = cfg.dim**2 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
             grid = solve_flux_grid(u, v, flux, 0.28, cfg)
@@ -577,7 +592,11 @@ class TestSolveFluxGrid:
         finally:
             tracemalloc.stop()
         assert grid.vectors.dtype == complex and not grid.failed.any()
-        assert peak < 2 * block_bytes
+        grid_bytes = sum(
+            arr.nbytes for arr in (grid.flux, grid.energies, grid.vectors, grid.failed, grid.clustered)
+        )
+        # the matrix in hand, eigensolve's copies of it, and the per-point harmonics
+        assert peak < grid_bytes + 8 * matrix_bytes
 
     def test_failed_point_leaves_nan_row(self, hpq_params, mixed_channels, fail_solve, caplog):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
@@ -621,6 +640,21 @@ def test_only_spectrum_module_spells_the_cutoff_headroom():
         path.name
         for path in sorted(SRC.glob("*.py"))
         if path.name != "spectrum.py" and rule.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def test_only_potentials_module_wraps_flux_and_interferes_the_arms():
+    """``FluxBias`` wraps the flux and ``combine_harmonics`` interferes the arms; no copy elsewhere."""
+    spellings = ("% (2.0 * math.pi)", "np.cos(k", "np.sin(k")
+    potentials_text = (SRC / "potentials.py").read_text(encoding="utf-8")
+    assert [potentials_text.count(text) for text in spellings] == [1, 1, 1]
+    offenders = [
+        (path.name, text)
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "potentials.py"
+        for text in spellings
+        if text in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
 
