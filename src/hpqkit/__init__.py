@@ -18,7 +18,6 @@ from .potentials import (
     ParitySums,
     Regime,
     RegimeLabel,
-    RegimeThresholds,
     bo_correction,
     classify_regime,
     combine_harmonics,

@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _env_int_defaults(args: argparse.Namespace) -> argparse.Namespace:
     """Fill ``--kmax``, ``--ncut`` and ``--seed`` from ``HPQKIT_<FLAG>`` where the command
-    has the flag and the line left it unset."""
+    has the flag and the line left it unset; ``args.from_env`` names the filled ones."""
+    args.from_env = set()
     for dest in ("kmax", "ncut", "seed"):
         name = ENV_PREFIX + dest.upper()
         # a flag the command lacks is absent from args, so its variable goes unread
@@ -86,6 +87,7 @@ def _env_int_defaults(args: argparse.Namespace) -> argparse.Namespace:
         if text:
             try:
                 setattr(args, dest, int(text))
+                args.from_env.add(dest)
             except ValueError as exc:
                 raise ConfigError(f"environment {name}: not an integer: {text!r}") from exc
     return args
@@ -229,7 +231,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     channels = cfgmod.channels_from_config(cfg)
     k_max = _kmax_from(cfg, args, "synth")
     if args.seed is not None:
-        seed, where = args.seed, "--seed"
+        seed, where = args.seed, ENV_PREFIX + "SEED" if "seed" in args.from_env else "--seed"
     elif cfg.raw("synth", "seed") is not None:
         seed, where = cfg.get_int("synth", "seed"), "synth.seed"
     else:
@@ -278,11 +280,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     meta_path = _out(args, "map_meta.ini")
     write_ini(meta_path, {
         "synth": {
-            "seed": seed,
-            "fwhm": scfg.fwhm,
-            "amplitude": scfg.amplitude,
-            "noise_sigma": scfg.noise_sigma,
-            "weight_by_matrix_element": scfg.weight_by_matrix_element,
+            **asdict(scfg),
             "labels": ", ".join(labels),
             "flux_start": grid[0] / (2.0 * math.pi),
             "flux_stop": grid[-1] / (2.0 * math.pi),
@@ -292,6 +290,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "freq_points": f_points,
             "k_max": k_max,
         },
+        "basis": asdict(basis),
         "circuit": asdict(params),
         "channels": {"transmissions": channels},
     })

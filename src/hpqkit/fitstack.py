@@ -135,11 +135,7 @@ class LorentzianFit:
     f0: float
     fwhm: float
     amplitude: float
-    offset: float
     f0_sigma: float
-    fwhm_sigma: float
-    amplitude_sigma: float
-    offset_sigma: float
 
 
 def _lorentz_model(f: np.ndarray, f0: float, fwhm: float, amplitude: float, offset: float) -> np.ndarray:
@@ -178,7 +174,7 @@ def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
             )
     except (RuntimeError, ValueError) as exc:
         raise FitRejection(f"no convergence: {exc}") from exc
-    f0, fwhm, amplitude, offset = (float(v) for v in popt)
+    f0, fwhm, amplitude, _ = (float(v) for v in popt)
     fwhm = abs(fwhm)
     sigmas = np.sqrt(np.abs(np.diag(pcov)))
     if not np.all(np.isfinite(sigmas)):
@@ -194,16 +190,7 @@ def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
         raise FitRejection(f"center {f0:g} outside window ({lo:g}, {hi:g})")
     if not amplitude > 3.0 * float(sigmas[2]):
         raise FitRejection("amplitude consistent with zero")
-    return LorentzianFit(
-        f0=f0,
-        fwhm=fwhm,
-        amplitude=amplitude,
-        offset=offset,
-        f0_sigma=float(sigmas[0]),
-        fwhm_sigma=float(sigmas[1]),
-        amplitude_sigma=float(sigmas[2]),
-        offset_sigma=float(sigmas[3]),
-    )
+    return LorentzianFit(f0=f0, fwhm=fwhm, amplitude=amplitude, f0_sigma=float(sigmas[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +607,6 @@ class FitResult:
     message: str
     n_evaluations: int
     boundary_active: tuple[tuple[bool, ...], ...]
-    cost_history: tuple[float, ...]
     start_costs: tuple[float, ...]
     n_jacobian_evaluations: int = 0
     jacobian_fallbacks: int = 0
@@ -681,7 +667,6 @@ def fit_global(
     lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -LOGIT_BOUND)])
     upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), LOGIT_BOUND)])
 
-    eval_costs: list[float] = []
     # x and grids of the latest evaluation; trf asks for the Jacobian
     # only at an accepted step, i.e. at the x it evaluated last. "read"
     # keeps the x and grids the latest Jacobian used: trf takes one at
@@ -693,7 +678,6 @@ def fit_global(
         grids: list[_GridSolution] = []
         r = model_residuals(x, datasets, cfg, layout, grids=grids)
         latest.update(x=x.copy(), grids=grids)
-        eval_costs.append(0.5 * float(r @ r))
         return r
 
     def jacobian(x: np.ndarray) -> np.ndarray:
@@ -739,7 +723,6 @@ def fit_global(
     boundary = tuple(
         tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets
     )
-    history = tuple(np.minimum.accumulate(eval_costs)) if eval_costs else ()
     converged = solution.status > 0
     message = solution.message if converged else f"iteration budget exhausted: {solution.message}"
 
@@ -754,7 +737,6 @@ def fit_global(
         message=message,
         n_evaluations=total_evals,
         boundary_active=boundary,
-        cost_history=history,
         start_costs=tuple(start_costs),
         n_jacobian_evaluations=total_jacobians,
         jacobian_fallbacks=fallbacks,
@@ -818,7 +800,6 @@ def _merge_single_gate_fits(
         message="; ".join(r.message for r in results),
         n_evaluations=sum(r.n_evaluations for r in results),
         boundary_active=tuple(r.boundary_active[0] for r in results),
-        cost_history=(),
         start_costs=(),
         n_jacobian_evaluations=sum(r.n_jacobian_evaluations for r in results),
         jacobian_fallbacks=sum(r.jacobian_fallbacks for r in results),

@@ -37,7 +37,6 @@ __all__ = [
     "ParitySums",
     "Regime",
     "RegimeLabel",
-    "RegimeThresholds",
     "BOValidity",
     "sissis_potential",
     "bo_correction",
@@ -69,6 +68,12 @@ MINIMUM_GRID_POINTS = 4097
 
 #: distance (rad) within which a minimum snaps to 0, pi/2 or pi
 MINIMUM_TOL = 1e-6
+
+#: phi_min (rad) below which the potential is odd dominated
+ODD_MAX = 0.1
+
+#: half-width (rad) of the band around pi/2 where it is even dominated
+EVEN_HALFWIDTH = 0.35
 
 #: smallest E_Jsigma / E_CJ that keeps the junction arm in the phase regime
 BO_RATIO_MIN = 10.0
@@ -171,24 +176,27 @@ class HarmonicSpectrum:
     ``u`` holds the double-junction-arm cosine amplitudes (including the
     internal-mode correction unless it was disabled), ``v`` the
     nanowire-arm amplitudes at zero flux, and ``c``/``s`` the combined
-    cosine/sine amplitudes at the stored flux.
+    cosine/sine amplitudes at the flux bias; all four have length
+    ``k_max + 1``.
     """
 
-    k_max: int
     u: np.ndarray
     v: np.ndarray
     c: np.ndarray
     s: np.ndarray
-    phi_e: float = 0.0
 
     def __post_init__(self) -> None:
+        length = len(self.c)
         for name in ("u", "v", "c", "s"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.k_max + 1,):
-                raise ValueError(
-                    f"{name} must have length k_max+1={self.k_max + 1}, got {arr.shape}"
-                )
+            if arr.shape != (length,):
+                raise ValueError(f"{name} must have the length of c, {length}, got {arr.shape}")
             object.__setattr__(self, name, arr)
+
+    @property
+    def k_max(self) -> int:
+        """Truncation order: the highest harmonic stored."""
+        return len(self.c) - 1
 
     @classmethod
     def from_cosine(cls, c: Sequence[float], s: Sequence[float] | None = None) -> "HarmonicSpectrum":
@@ -197,7 +205,7 @@ class HarmonicSpectrum:
         s_arr = np.zeros_like(c_arr) if s is None else np.asarray(s, dtype=float)
         if s_arr.shape != c_arr.shape:
             raise ValueError("c and s must have the same length")
-        return cls(k_max=len(c_arr) - 1, u=c_arr.copy(), v=np.zeros_like(c_arr), c=c_arr, s=s_arr)
+        return cls(u=c_arr.copy(), v=np.zeros_like(c_arr), c=c_arr, s=s_arr)
 
     @property
     def converged(self) -> bool:
@@ -227,18 +235,6 @@ class Regime(Enum):
 
 
 @dataclass(frozen=True)
-class RegimeThresholds:
-    """Bands on phi_min used to assign a regime.
-
-    :func:`classify_regime` takes other bands; :func:`find_phi_min` and
-    the gate sweeps use these defaults.
-    """
-
-    odd_max: float = 0.1
-    even_halfwidth: float = 0.35
-
-
-@dataclass(frozen=True)
 class RegimeLabel:
     regime: Regime
     phi_min: float
@@ -259,17 +255,9 @@ class BOValidity:
 
     charge_hierarchy_ok: bool
     junction_ratio_ok: bool
-    internal_mode_clear: bool | None
+    internal_mode_clear: bool
     internal_mode_freq: float
     junction_ratio: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.charge_hierarchy_ok
-            and self.junction_ratio_ok
-            and self.internal_mode_clear is not False
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +427,10 @@ def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicS
         raise ValueError(f"u and v must be 1-d arrays of equal length, got {u.shape} vs {v.shape}")
     k = np.arange(len(u))
     c = u + np.cos(k * flux.phi_e) * v
-    s = np.sin(k * flux.phi_e) * v
-    return HarmonicSpectrum(k_max=len(u) - 1, u=u, v=v, c=c, s=s, phi_e=flux.phi_e)
+    # sin(k * -pi) rounds to about k * 1e-16, not 0; half flux (wrapped to
+    # -pi) gets exactly zero sine content, so its potential stays even
+    s = np.zeros_like(v) if flux.phi_e == -math.pi else np.sin(k * flux.phi_e) * v
+    return HarmonicSpectrum(u=u, v=v, c=c, s=s)
 
 
 def parity_sums(spec: HarmonicSpectrum) -> ParitySums:
@@ -490,12 +480,11 @@ def locate_minimum(potential: Callable[[np.ndarray], np.ndarray]) -> float:
     return x
 
 
-def classify_regime(phi_min: float, thresholds: RegimeThresholds | None = None) -> Regime:
+def classify_regime(phi_min: float) -> Regime:
     """Assign the parity regime from the location of the potential minimum."""
-    th = thresholds or RegimeThresholds()
-    if phi_min < th.odd_max:
+    if phi_min < ODD_MAX:
         return Regime.ODD_DOMINATED
-    if abs(phi_min - math.pi / 2.0) < th.even_halfwidth:
+    if abs(phi_min - math.pi / 2.0) < EVEN_HALFWIDTH:
         return Regime.EVEN_DOMINATED
     return Regime.MIXED
 
@@ -528,30 +517,21 @@ def internal_mode_freq(params: CircuitParams) -> float:
     return math.sqrt(4.0 * params.ecj * params.ej_sigma)
 
 
-def validate_bo(
-    params: CircuitParams,
-    *,
-    max_transition_freq: float | None = None,
-) -> BOValidity:
+def validate_bo(params: CircuitParams, *, max_transition_freq: float) -> BOValidity:
     """Check the assumptions behind the internal-mode correction.
 
     Three conditions: the junction charging energy exceeds the island
     charging energy, the junction arm is deep in the phase regime
     (``E_Jsigma / E_CJ`` at least :data:`BO_RATIO_MIN`), and the internal
-    mode lies above the largest transition frequency the caller intends
-    to use (skipped when not supplied).
+    mode lies above ``max_transition_freq``, the largest transition
+    frequency (GHz) the caller uses.
     """
     f_int = internal_mode_freq(params)
     ratio = params.ej_sigma / params.ecj
-    clear: bool | None
-    if max_transition_freq is None:
-        clear = None
-    else:
-        clear = f_int > max_transition_freq
     return BOValidity(
         charge_hierarchy_ok=params.ecj > params.ec,
         junction_ratio_ok=ratio >= BO_RATIO_MIN,
-        internal_mode_clear=clear,
+        internal_mode_clear=f_int > max_transition_freq,
         internal_mode_freq=f_int,
         junction_ratio=ratio,
     )

@@ -110,8 +110,6 @@ def synthesize_trace(
         Integer seed or an existing generator; deterministic per seed.
     """
     freqs = np.asarray(freqs, dtype=float)
-    if freqs.ndim != 1 or len(freqs) == 0:
-        raise ValueError("frequency grid must be non-empty")
     signal = np.zeros_like(freqs)
     for center, amplitude, fwhm in lines:
         signal += lorentzian(freqs, center, fwhm, amplitude)

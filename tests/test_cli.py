@@ -233,11 +233,13 @@ class TestSynth:
         assert meta.getint("synth", "seed") == 17
         assert meta.getfloat("circuit", "ej1") == pytest.approx(55.03)
 
-    def test_malformed_seed_env_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HPQKIT_SEED", "abc")
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_malformed_seed_env_exits_two(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("HPQKIT_SEED", value)
         cfg = write(tmp_path / "run.ini", SYNTH_CONFIG)
         assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert "HPQKIT_SEED" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "HPQKIT_SEED" in err and "--seed" not in err
 
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", SYNTH_CONFIG.replace("seed = 17\n", ""))
@@ -414,6 +416,8 @@ class TestFit:
         np.testing.assert_allclose(
             cells[:, 1:7], [row.c[1:] for row in expected], rtol=4 * 5e-12, atol=0.0
         )
+        # half flux leaves the potential even: every s_k is exactly zero
+        assert np.all(cells[:, 7:13] == 0.0)
 
     @pytest.mark.parametrize(
         "column, row",
@@ -662,19 +666,27 @@ def mutation_dir(tmp_path_factory):
     return base
 
 
+#: values a mutation writes into one config key or one dataset cell
+MUTATION_VALUES = ["0", "-1", "nan", "inf", "1e300", "", "word"]
+
+
+def write_config(path, sections) -> str:
+    return write(path, "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from([(section, key) for section, keys in SMALL_CONFIG.items() for key in keys]),
-    st.sampled_from(["0", "-1", "nan", "inf", "1e300", "", "word"]),
+    st.sampled_from(MUTATION_VALUES),
 )
 def test_one_key_mutation_exits_zero_or_two(mutation_dir, field, value):
     section, key = field
     sections = {name: dict(keys) for name, keys in SMALL_CONFIG.items()}
     sections[section][key] = value
-    cfg = write(mutation_dir / "run.ini", "".join(
-        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-        for name, keys in sections.items()
-    ))
+    cfg = write_config(mutation_dir / "run.ini", sections)
     data, out = str(mutation_dir / "data.csv"), str(mutation_dir / "out")
     for argv in (["decompose"], ["sweep"], ["synth"], ["classify"], ["fit", data],
                  ["fit", data, "--channels", "1..2"]):
@@ -683,3 +695,37 @@ def test_one_key_mutation_exits_zero_or_two(mutation_dir, field, value):
             code = main(argv + ["--config", cfg, "--out-dir", out])
         assert code in (0, 2), (argv, section, key, value, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, len(SMALL_DATASET.splitlines()) - 1),
+    st.integers(0, 5),
+    st.sampled_from(MUTATION_VALUES + ["1e-300", "-0", "f09", "f01/0", "2"]),
+)
+def test_one_cell_dataset_mutation_exits_zero_or_two(mutation_dir, row, column, value):
+    lines = SMALL_DATASET.splitlines()
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    data = write(mutation_dir / "mutated.csv", "\n".join(lines) + "\n")
+    cfg = write_config(mutation_dir / "fit.ini", SMALL_CONFIG)
+    out = mutation_dir / "fit-out"
+    for argv in (["fit", data], ["fit", data, "--channels", "1..2"]):
+        for leftover in out.glob("*"):
+            leftover.unlink()
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--config", cfg, "--out-dir", str(out)])
+        case = (argv, row, column, value, stderr.getvalue())
+        assert code in (0, 2), case
+        assert "Traceback" not in stderr.getvalue(), case
+        if code == 0:
+            assert "Warning" not in stderr.getvalue(), case
+            result = configparser.ConfigParser()
+            result.read(out / "fit_result.ini")
+            rmses = [float(section["rmse_ghz"]) for section in result.values() if "rmse_ghz" in section]
+            if (out / "rmse_by_count.csv").exists():
+                rows = (out / "rmse_by_count.csv").read_text().splitlines()[1:]
+                rmses += [float(line.split(",")[2]) for line in rows]
+            assert rmses and all(math.isfinite(r) for r in rmses), case

@@ -465,15 +465,6 @@ class TestFitGlobal:
         assert seen
         assert all(0.0 < t < 1.0 for t in seen)
 
-    def test_objective_history_non_increasing(self):
-        cfg = SMALL_CFG_FIXED
-        rng = np.random.default_rng(0)
-        ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, cfg, sigma=1e-3, noise_rng=rng)
-        result = fit_global([ds], [2], cfg, initial_transmissions=[(0.5, 0.5)])
-        history = np.array(result.cost_history)
-        assert np.all(np.diff(history) <= 0.0)
-        assert history[-1] <= history[0]
-
     def test_boundary_flag_reported(self):
         cfg = SMALL_CFG_FIXED
         ds = make_dataset(TRUE_PARAMS, (0.9995, 0.4), 0.0, cfg)
@@ -598,7 +589,6 @@ class TestHarmonicAgreement:
             message="ok",
             n_evaluations=1,
             boundary_active=((False,) * len(transmissions),),
-            cost_history=(0.0,),
             start_costs=(0.0,),
         )
 

@@ -11,7 +11,6 @@ from hpqkit import (
     HarmonicSpectrum,
     NanowireChannels,
     Regime,
-    RegimeThresholds,
     bo_correction,
     classify_regime,
     combine_harmonics,
@@ -347,7 +346,7 @@ class TestCombineHarmonics:
         spec = combine_harmonics(u, v, FluxBias.from_phi0(0.5))
         signs = np.array([1.0, -1.0, 1.0, -1.0])
         assert np.allclose(spec.c, u + signs * v, atol=1e-12)
-        assert np.max(np.abs(spec.s)) < 1e-12 * np.max(np.abs(spec.c))
+        assert np.all(spec.s == 0.0)
 
     def test_matched_arms_cancel_odd(self):
         u = np.array([0.0, -3.0, 1.2, -0.4, 0.2])
@@ -453,8 +452,6 @@ class TestMinimaAndRegimes:
         assert classify_regime(0.0) is Regime.ODD_DOMINATED
         assert classify_regime(math.pi / 2.0) is Regime.EVEN_DOMINATED
         assert classify_regime(1.0) is Regime.MIXED
-        custom = RegimeThresholds(odd_max=1.2, even_halfwidth=0.1)
-        assert classify_regime(1.0, custom) is Regime.ODD_DOMINATED
 
     def test_open_nanowire_is_odd_dominated(self):
         p = CircuitParams(ej1=5.0, ej2=4.0, ecj=0.1, ec=0.05, gap=1.0)
@@ -490,18 +487,16 @@ class TestInternalMode:
         assert report.charge_hierarchy_ok
         assert report.junction_ratio_ok
         assert report.internal_mode_clear
-        assert report.all_ok
 
     def test_charge_hierarchy_failure(self):
         p = CircuitParams(ej1=50.0, ej2=50.0, ecj=0.1, ec=0.3, gap=40.0)
-        assert not validate_bo(p).charge_hierarchy_ok
+        assert not validate_bo(p, max_transition_freq=10.0).charge_hierarchy_ok
 
     def test_junction_ratio_failure(self):
         p = CircuitParams(ej1=0.5, ej2=0.5, ecj=1.0, ec=0.2, gap=40.0)
-        assert not validate_bo(p).junction_ratio_ok
+        assert not validate_bo(p, max_transition_freq=10.0).junction_ratio_ok
 
-    def test_internal_mode_check_optional(self, hpq_params):
-        assert validate_bo(hpq_params).internal_mode_clear is None
+    def test_internal_mode_below_max_transition_fails(self, hpq_params):
         high = internal_mode_freq(hpq_params) + 1.0
         assert validate_bo(hpq_params, max_transition_freq=high).internal_mode_clear is False
 

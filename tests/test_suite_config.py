@@ -1,9 +1,15 @@
-"""The suite's own pytest settings: a warning fails its test, and a failing property does not end the session."""
+"""The suite's own settings: a warning fails its test, a failing property does not end the
+session, and the package's export lists name what exists."""
 
+import ast
+import importlib
+import pkgutil
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import hpqkit
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -29,3 +35,18 @@ def test_failing_property_is_reported_and_later_tests_still_run(tmp_path):
     assert run.returncode == 1, output
     assert "1 failed, 1 passed" in run.stdout, output
     assert "INTERNALERROR" not in output
+
+
+def test_export_lists_name_only_what_exists():
+    """Each module's ``__all__`` names existing objects, and the package imports only exported names."""
+    missing = []
+    for info in pkgutil.iter_modules(hpqkit.__path__):
+        module = importlib.import_module(f"hpqkit.{info.name}")
+        missing += [f"{info.name}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    unexported = []
+    for node in ast.parse(Path(hpqkit.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"hpqkit.{node.module}").__all__
+            unexported += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert missing == []
+    assert unexported == []

@@ -50,7 +50,6 @@ NAN = float("nan")
 
 def _harmonics(path):
     spec = HarmonicSpectrum(
-        k_max=2,
         u=np.array([-50.5, 1.25e-3, -0.0]),
         v=np.array([-40.06, 3.0, 1.0 / 3.0]),
         c=np.array([123456789.123456, -2.0e-20, 7.0]),
@@ -155,7 +154,6 @@ FIT = FitResult(
     message="budget exhausted; best so far",
     n_evaluations=61,
     boundary_active=((False, False), (False, False, True)),
-    cost_history=(),
     start_costs=(),
 )
 
@@ -369,6 +367,11 @@ GOLDEN = [
         b'freq_points = 5\n'
         b'k_max = 4\n'
         b'\n'
+        b'[basis]\n'
+        b'n_cut = 12\n'
+        b'n_g = 0\n'
+        b'n_levels = 6\n'
+        b'\n'
         b'[circuit]\n'
         b'ej1 = 55.03\n'
         b'ej2 = 55.03\n'
@@ -396,6 +399,11 @@ GOLDEN = [
         b'freq_stop = 20\n'
         b'freq_points = 5\n'
         b'k_max = 4\n'
+        b'\n'
+        b'[basis]\n'
+        b'n_cut = 12\n'
+        b'n_g = 0\n'
+        b'n_levels = 6\n'
         b'\n'
         b'[circuit]\n'
         b'ej1 = 55.03\n'
