@@ -24,6 +24,7 @@ from .potentials import (
     find_phi_min,
     fourier_u,
     fourier_v,
+    interfere_arms,
     internal_mode_freq,
     locate_minimum,
     parity_sums,

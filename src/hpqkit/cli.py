@@ -119,7 +119,8 @@ def _basis_from(
     n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=defaults.n_cut)
     if n_cut < k_max + spectrum.CUTOFF_HEADROOM:
         raise ConfigError(
-            f"basis.n_cut={n_cut} too small for k_max={k_max} (need k_max+{spectrum.CUTOFF_HEADROOM})"
+            f"{_source(args, 'ncut', 'basis.n_cut')}={n_cut} too small for k_max={k_max}"
+            f" (need k_max+{spectrum.CUTOFF_HEADROOM})"
         )
     n_levels = cfg.get_int("basis", "n_levels", default=defaults.n_levels)
     if not 1 <= n_levels <= 2 * n_cut + 1:
@@ -134,8 +135,15 @@ def _basis_from(
 def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
     k_max = args.kmax if args.kmax is not None else cfg.get_int(section, "k_max", default=potentials.K_MAX)
     if k_max < 1:
-        raise ConfigError(f"{section}: k_max must be >= 1, got {k_max}")
+        raise ConfigError(f"{_source(args, 'kmax', f'{section}.k_max')} must be >= 1, got {k_max}")
     return k_max
+
+
+def _source(args: argparse.Namespace, dest: str, key: str) -> str:
+    """Where the value of ``--<dest>`` came from: the flag, ``HPQKIT_<DEST>`` or the config ``key``."""
+    if getattr(args, dest) is None:
+        return key
+    return ENV_PREFIX + dest.upper() if dest in args.from_env else f"--{dest}"
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -231,13 +239,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     channels = cfgmod.channels_from_config(cfg)
     k_max = _kmax_from(cfg, args, "synth")
     if args.seed is not None:
-        seed, where = args.seed, ENV_PREFIX + "SEED" if "seed" in args.from_env else "--seed"
+        seed = args.seed
     elif cfg.raw("synth", "seed") is not None:
-        seed, where = cfg.get_int("synth", "seed"), "synth.seed"
+        seed = cfg.get_int("synth", "seed")
     else:
         raise ConfigError("synth needs a seed (--seed or synth.seed)")
     if seed < 0:
-        raise ConfigError(f"{where} must be >= 0, got {seed}")
+        raise ConfigError(f"{_source(args, 'seed', 'synth.seed')} must be >= 0, got {seed}")
     labels = cfgmod.parse_labels(
         cfg.get_str("synth", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="synth.labels"
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -45,6 +45,7 @@ __all__ = [
     "fourier_u",
     "fourier_v",
     "combine_harmonics",
+    "interfere_arms",
     "parity_sums",
     "find_phi_min",
     "locate_minimum",
@@ -415,9 +416,17 @@ def fourier_v(channels: NanowireChannels, gap: float, k_max: int) -> np.ndarray:
 
 
 def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicSpectrum:
-    """Interfere the two arms at a flux bias.
+    """Interfere the two arms at a flux bias: the one-point case of :func:`interfere_arms`."""
+    c, s = interfere_arms(u, v, [flux])
+    return HarmonicSpectrum(u=u, v=v, c=c[0], s=s[0])
 
-    ``c[k] = u[k] + cos(k phi_e) v[k]`` and ``s[k] = sin(k phi_e) v[k]``;
+
+def interfere_arms(
+    u: np.ndarray, v: np.ndarray, fluxes: Iterable[FluxBias]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine amplitudes ``c[p, k]``, ``s[p, k]`` of the arms interfered at each flux bias.
+
+    ``c[p, k] = u[k] + cos(k phi_p) v[k]`` and ``s[p, k] = sin(k phi_p) v[k]``;
     at half flux quantum the sine content vanishes and odd-k cosine
     amplitudes become differences of the two arms.
     """
@@ -425,12 +434,14 @@ def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicS
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"u and v must be 1-d arrays of equal length, got {u.shape} vs {v.shape}")
+    phi = np.array([flux.phi_e for flux in fluxes], dtype=float)[:, None]
     k = np.arange(len(u))
-    c = u + np.cos(k * flux.phi_e) * v
+    c = u + np.cos(k * phi) * v
+    s = np.sin(k * phi) * v
     # sin(k * -pi) rounds to about k * 1e-16, not 0; half flux (wrapped to
     # -pi) gets exactly zero sine content, so its potential stays even
-    s = np.zeros_like(v) if flux.phi_e == -math.pi else np.sin(k * flux.phi_e) * v
-    return HarmonicSpectrum(u=u, v=v, c=c, s=s)
+    s[phi[:, 0] == -math.pi] = 0.0
+    return c, s
 
 
 def parity_sums(spec: HarmonicSpectrum) -> ParitySums:

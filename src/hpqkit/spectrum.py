@@ -14,7 +14,9 @@ In the basis ``|0>``, ``(|n> + |-n>)/sqrt2``, ``i(|n> - |-n>)/sqrt2``
 (n = 1..n_cut) such a matrix is real symmetric with the same dimension,
 and it is solved in that real form with LAPACK ``dsyevr``. A real matrix
 (no sine content) goes to ``dsyevr`` as it is, and a complex matrix
-without the symmetry (n_g != 0) to ``zheevr``.
+without the symmetry (n_g != 0) to ``zheevr``. :func:`solve_flux_grid`
+gathers each point's matrix, or its real form, straight from the point's
+band row and takes the same routes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .potentials import K_MAX, CircuitParams, FluxBias, HarmonicSpectrum, NanowireChannels
-from .potentials import combine_harmonics, fourier_u, fourier_v
+from .potentials import fourier_u, fourier_v, interfere_arms
 from .tables import write_csv
 
 __all__ = [
@@ -105,45 +107,57 @@ class ParityWeights:
 def build_hamiltonian(spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig) -> np.ndarray:
     """Assemble the charge-basis Hamiltonian for one harmonic spectrum.
 
-    The matrix is real unless the spectrum has sine content. The constant
-    term ``c[0]`` is dropped (pure energy offset). The basis must leave
-    headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
+    The one-point case of the gather :func:`solve_flux_grid` makes at each
+    flux. The matrix is real unless the spectrum has sine content. The
+    constant term ``c[0]`` is dropped (pure energy offset). The basis must
+    leave headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
     """
-    k_max = spec.k_max
-    if k_max >= 1 and cfg.n_cut < k_max + CUTOFF_HEADROOM:
-        raise ValueError(
-            f"n_cut={cfg.n_cut} too small for k_max={k_max}; need n_cut >= k_max + {CUTOFF_HEADROOM}"
-        )
-    dim = cfg.dim
-    upper, lower, ks = _band_index(dim, k_max)
-    band = spec.c[ks] / 2.0
-    if _has_sine(spec):
-        band = band + 1j * spec.s[ks] / 2.0
-    h = np.zeros(dim * dim, dtype=band.dtype)
-    h[:: dim + 1] = 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
-    # adding +0.0 stores a -0.0 amplitude as +0.0, as accumulating into the
+    dense, _ = _slots(cfg.n_cut, spec.k_max)
+    return np.concatenate((_band_entries(spec.c, spec.s), _diagonal(ec, cfg)))[dense].T
+
+
+def _diagonal(ec: float, cfg: ChargeBasisConfig) -> np.ndarray:
+    """The charging energies ``4 E_C (n - n_g)^2`` on the diagonal."""
+    return 4.0 * ec * (cfg.charges - cfg.n_g) ** 2
+
+
+def _band_entries(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``[0, H[n, n+k], H[n+k, n]]`` (k = 1..k_max) for each row of amplitudes ``c``, ``s``.
+
+    Followed by the diagonal, a row is the table whose entries the slots of
+    :func:`_slots` pick. It is complex when some row has sine content.
+    """
+    band = c[..., 1:] / 2.0
+    if s[..., 1:].any():
+        band = band + 1j * s[..., 1:] / 2.0
+    zero = np.zeros(band.shape[:-1] + (1,), band.dtype)
+    # adding +0.0 stores a -0.0 amplitude as +0.0, as accumulating into a
     # zeroed matrix does; the sign of a zero steers LAPACK's reflections
-    h[upper] = band + 0.0
-    h[lower] = np.conj(band) + 0.0
-    return h.reshape(dim, dim)
-
-
-def _has_sine(spec: HarmonicSpectrum) -> bool:
-    """Whether ``spec`` has sine content, which makes its Hamiltonian complex."""
-    return bool(spec.s[1:].any())
+    return np.concatenate((zero, band + 0.0, np.conj(band) + 0.0), axis=-1)
 
 
 @lru_cache(maxsize=16)
-def _band_index(dim: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # flat positions of the upper and lower band entries of a dim x dim
-    # matrix, with the harmonic order k = col - row of each
-    rows, cols = np.triu_indices(dim, 1)
-    keep = cols - rows <= k_max
-    rows, cols = rows[keep], cols[keep]
-    index = (rows * dim + cols, cols * dim + rows, cols - rows)
-    for arr in index:
+def _slots(n_cut: int, k_max: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Where the entries of a charge-basis matrix sit in its table ``[band entries, diagonal]``.
+
+    The first array gathers the transposed matrix, so that its ``.T`` is
+    the matrix in Fortran order; the others gather its reflection blocks,
+    as :func:`_reflection_blocks` slices them from a dense matrix.
+    """
+    if k_max >= 1 and n_cut < k_max + CUTOFF_HEADROOM:
+        raise ValueError(
+            f"n_cut={n_cut} too small for k_max={k_max}; need n_cut >= k_max + {CUTOFF_HEADROOM}"
+        )
+    dim = 2 * n_cut + 1
+    k = np.arange(dim) - np.arange(dim)[:, None]  # column minus row
+    slots = np.where(k > 0, k, k_max - k)
+    slots[np.abs(k) > k_max] = 0
+    np.fill_diagonal(slots, 2 * k_max + 1 + np.arange(dim))
+    corner, *blocks = _reflection_blocks(slots)
+    arrays = [np.ascontiguousarray(slots.T), *map(np.ascontiguousarray, blocks)]
+    for arr in arrays:
         arr.flags.writeable = False
-    return index
+    return arrays[0], (corner, *arrays[1:])
 
 
 def _close_to_next(energies: np.ndarray) -> np.ndarray:
@@ -174,20 +188,25 @@ def _degeneracy_reorder(
     return energies[order], vectors[:, order]
 
 
-def _real_form(h: np.ndarray) -> np.ndarray:
-    """A charge-reflection-symmetric ``h`` in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
+def _reflection_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``H[0, 0]``, ``H[0, q]``, ``H[p, q]`` and ``H[p, -q]`` (p, q = 1..n_cut) of a charge-basis matrix."""
+    n_cut = (len(h) - 1) // 2
+    return h[n_cut, n_cut], h[n_cut, n_cut + 1 :], h[n_cut + 1 :, n_cut + 1 :], h[n_cut + 1 :, :n_cut][:, ::-1]
 
+
+def _real_form(corner, row: np.ndarray, pos: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    """A charge-reflection-symmetric matrix in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
+
+    It is given by its blocks, as :func:`_reflection_blocks` names them.
     The result is real symmetric, in Fortran order, with the even
     combinations n = 1..n_cut after ``|0>`` and the odd ones after them.
     """
-    dim = len(h)
-    n_cut = (dim - 1) // 2
-    pos = h[n_cut + 1 :, n_cut + 1 :]  # H[p, q], p, q = 1..n_cut
-    mirror = h[n_cut + 1 :, :n_cut][:, ::-1]  # H[p, -q]
-    row = math.sqrt(2.0) * h[n_cut, n_cut + 1 :]  # sqrt2 H[0, q]
+    n_cut = len(row)
+    dim = 2 * n_cut + 1
+    row = math.sqrt(2.0) * row
     even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
     r = np.empty((dim, dim), order="F")
-    r[0, 0] = h[n_cut, n_cut].real
+    r[0, 0] = corner.real
     r[0, even] = r[even, 0] = row.real
     r[0, odd] = r[odd, 0] = -row.imag
     r[even, even] = pos.real + mirror.real
@@ -244,8 +263,9 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     even-charge weight so labeling stays deterministic.
 
     A complex ``h`` with ``h[::-1, ::-1] == conj(h)`` (any n_g = 0
-    Hamiltonian) is solved in its real form and its vectors are mapped
-    back to the charge basis; they match the complex solve up to a
+    Hamiltonian) is solved in its real form, built from the blocks
+    :func:`_reflection_blocks` slices from ``h``, and its vectors are
+    mapped back to the charge basis; they match the complex solve up to a
     phase. A real ``h`` is solved as it is, and any other complex ``h``
     with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
     bit. A non-finite entry or a LAPACK failure raises :class:`SolverError`.
@@ -255,14 +275,24 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
     if not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    if not np.isfinite(h).all():
-        raise SolverError(f"matrix of dim={dim} has non-finite entries")
+    _require_finite(h, dim)
     if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
-        energies, z = _evr(_real_form(h), n_levels, overwrite_a=True)
-        vectors = _from_real_form(z)
+        energies, vectors = _solve_real_form(_reflection_blocks(h), n_levels)
     else:
         energies, vectors = _evr(h, n_levels)
     return _degeneracy_reorder(energies, vectors, (dim - 1) // 2)
+
+
+def _require_finite(values: np.ndarray, dim: int) -> None:
+    """Raise :class:`SolverError` when ``values``, the entries of a dim x dim matrix, are not all finite."""
+    if not np.isfinite(values).all():
+        raise SolverError(f"matrix of dim={dim} has non-finite entries")
+
+
+def _solve_real_form(blocks: Sequence, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs, in the charge basis, of the matrix whose reflection blocks are ``blocks``."""
+    energies, z = _evr(_real_form(*blocks), n_levels, overwrite_a=True)
+    return energies, _from_real_form(z)
 
 
 def parse_transition_label(label: str) -> tuple[int, int, int]:
@@ -384,28 +414,38 @@ def solve_flux_grid(
 ) -> FluxGrid:
     """Lowest ``cfg.n_levels`` eigenpairs at each flux, stacked in a :class:`FluxGrid`.
 
-    ``u`` and ``v`` are the arm amplitudes of
-    :func:`~hpqkit.potentials.combine_harmonics`. Each point is solved as
-    ``eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg))``,
-    so its flux wraps into [-pi, pi) and its matrix is real without sine
-    content, as on that route. ``vectors`` is complex when some point has
-    sine content. A failed solve raises a :class:`SolverError` naming its
-    point when ``strict``; otherwise it logs a warning and flags the point.
+    ``u`` and ``v`` are the arm amplitudes, which
+    :func:`~hpqkit.potentials.interfere_arms` interferes at every flux at
+    once. Each point's matrix is gathered from its band row through the
+    slots :func:`build_hamiltonian` uses: real without sine content, the
+    real form at n_g = 0 (no complex matrix is made), else complex. Each
+    point takes one LAPACK call and gives ``eigensolve(build_hamiltonian(
+    combine_harmonics(u, v, FluxBias(phi)), ec, cfg))`` bit for bit.
+    ``vectors`` is complex when some point has sine content. A failed
+    solve raises a :class:`SolverError` naming its point when ``strict``;
+    otherwise it logs a warning and flags the point.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError(f"u and v must be 1-d arrays of equal length, got {u.shape} vs {v.shape}")
     flux_values = np.asarray(flux_values, dtype=float)
     if not np.all(np.isfinite(flux_values)):
         raise ValueError("flux values must be finite")
-    specs = [combine_harmonics(u, v, FluxBias(phi)) for phi in flux_values]
-    energies = np.full((len(specs), cfg.n_levels), np.nan)
-    dtype = complex if any(map(_has_sine, specs)) else float
-    vectors = np.full((len(specs), cfg.dim, cfg.n_levels), np.nan, dtype)
-    for idx, spec in enumerate(specs):
+    c, s = interfere_arms(u, v, (FluxBias(phi) for phi in flux_values))
+    dense, blocks = _slots(cfg.n_cut, c.shape[1] - 1)
+    diag = _diagonal(ec, cfg)
+    sine = s[:, 1:].any(axis=1)
+    # only the diagonal can break the charge-reflection symmetry (at n_g != 0)
+    reflected = sine & np.array_equal(diag, diag[::-1])
+    rows = _band_entries(c, s)
+    energies = np.full((len(rows), cfg.n_levels), np.nan)
+    vectors = np.full((len(rows), cfg.dim, cfg.n_levels), np.nan, rows.dtype)
+    for idx, row in enumerate(rows):
         try:
-            energies[idx], vectors[idx] = eigensolve(build_hamiltonian(spec, ec, cfg), cfg.n_levels)
+            table = np.concatenate((row if sine[idx] else row.real, diag))
+            _require_finite(table, cfg.dim)
+            if reflected[idx]:
+                pairs = _solve_real_form([table[slot] for slot in blocks], cfg.n_levels)
+            else:
+                pairs = _evr(table[dense].T, cfg.n_levels, overwrite_a=True)
+            energies[idx], vectors[idx] = _degeneracy_reorder(*pairs, cfg.n_cut)
         except SolverError as exc:
             if strict:
                 raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}") from exc

@@ -115,21 +115,37 @@ class TestDecompose:
         assert f"HPQKIT_{name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, env, section",
+        "argv, env, section, source",
         [
-            (["--kmax", "0"], None, ""),
-            (["--kmax", "-3"], None, ""),
-            ([], "0", ""),
-            ([], None, "\n[decompose]\nk_max = 0\n"),
+            (["--kmax", "0"], None, "", "--kmax"),
+            (["--kmax", "-3"], None, "", "--kmax"),
+            ([], "0", "", "HPQKIT_KMAX"),
+            ([], None, "\n[decompose]\nk_max = 0\n", "decompose.k_max"),
         ],
         ids=["flag-zero", "flag-negative", "env", "section-key"],
     )
-    def test_kmax_below_one_exits_two(self, tmp_path, monkeypatch, capsys, argv, env, section):
+    def test_kmax_below_one_exits_two(self, tmp_path, monkeypatch, capsys, argv, env, section, source):
         if env is not None:
             monkeypatch.setenv("HPQKIT_KMAX", env)
         cfg = write(tmp_path / "run.ini", HPQ_CONFIG + section)
         assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
-        assert "decompose: k_max must be >= 1" in capsys.readouterr().err
+        assert f"error: {source} must be >= 1, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, env, section, source",
+        [
+            (["--ncut", "3"], None, "", "--ncut"),
+            ([], "3", "", "HPQKIT_NCUT"),
+            ([], None, "\n[basis]\nn_cut = 3\n", "basis.n_cut"),
+        ],
+        ids=["flag", "env", "section-key"],
+    )
+    def test_ncut_below_headroom_names_its_source(self, tmp_path, monkeypatch, capsys, argv, env, section, source):
+        if env is not None:
+            monkeypatch.setenv("HPQKIT_NCUT", env)
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG + section)
+        assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
+        assert f"error: {source}=3 too small for k_max=10" in capsys.readouterr().err
 
     def test_env_out_dir_override(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"

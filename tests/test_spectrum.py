@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
 
@@ -102,6 +102,24 @@ def reflection_symmetric_cases(draw):
         n_cut=k_max + 5 + draw(st.integers(0, 10)), n_levels=draw(st.integers(1, 6))
     )
     return HarmonicSpectrum.from_cosine(c, s=s), draw(st.floats(0.1, 1.0)), cfg
+
+
+@st.composite
+def flux_grid_cases(draw):
+    """Arm amplitudes (``v`` zero or not), a flux grid, a charging energy and a basis at one of four n_g."""
+    k_max = draw(st.integers(1, 10))
+    amplitudes = st.lists(st.floats(-60.0, 60.0), min_size=k_max + 1, max_size=k_max + 1)
+    u = np.array(draw(amplitudes))
+    v = np.array(draw(amplitudes)) if draw(st.booleans()) else np.zeros(k_max + 1)
+    # 0, +-pi (half flux), their images beyond 2 pi, and arbitrary points
+    landmarks = st.sampled_from([0.0, math.pi, -math.pi, 3.0 * math.pi, -5.0 * math.pi, 2.0 * math.pi])
+    flux = draw(st.lists(landmarks | st.floats(-20.0, 20.0), min_size=1, max_size=6))
+    cfg = ChargeBasisConfig(
+        n_cut=k_max + 5 + draw(st.integers(0, 10)),
+        n_g=draw(st.sampled_from([0.0, 0.3, 0.5, -0.5])),
+        n_levels=draw(st.integers(1, 6)),
+    )
+    return u, v, np.array(flux), draw(st.floats(0.1, 1.0)), cfg
 
 
 def transmon_spectrum(ej: float) -> HarmonicSpectrum:
@@ -272,7 +290,7 @@ class TestSolverForms:
         q = reflection_basis(cfg.n_cut)
         full = q.conj().T @ h @ q
         atol = 8.0 * np.finfo(float).eps * np.max(np.abs(h))
-        assert np.max(np.abs(full.real - spectrum._real_form(h))) <= atol
+        assert np.max(np.abs(full.real - spectrum._real_form(*spectrum._reflection_blocks(h)))) <= atol
         assert np.max(np.abs(full.imag)) <= atol
 
     @pytest.mark.parametrize("route", list(ROUTES))
@@ -443,17 +461,15 @@ class TestSpectrumVsFlux:
         ],
     )
     def test_level_beyond_basis_raises_before_any_solve(
-        self, hpq_params, mixed_channels, monkeypatch, labels, pairs, message
+        self, hpq_params, mixed_channels, drivers, labels, pairs, message
     ):
-        solves = []
-        monkeypatch.setattr(spectrum, "eigensolve", lambda *args: solves.append(args))
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         with pytest.raises(ValueError, match=message):
             spectrum_vs_flux(
                 hpq_params, mixed_channels, np.linspace(0.0, math.pi, 5), cfg,
                 labels=labels, me_pairs=pairs,
             )
-        assert solves == []
+        assert drivers.calls == []
 
     def test_csv_export(self, tmp_path, hpq_params, odd_channels):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
@@ -506,29 +522,22 @@ class TestSolveFluxGrid:
                 assert np.array_equal(grid.vectors[p], want_v), (name, phi)
 
     def test_cases_cover_real_complex_and_degenerate_points(
-        self, hpq_params, mixed_channels, monkeypatch
+        self, hpq_params, mixed_channels, drivers
     ):
-        solved = []
-
-        def recording(h, n_levels):
-            solved.append(h.dtype)
-            return eigensolve(h, n_levels)
-
-        monkeypatch.setattr(spectrum, "eigensolve", recording)
-        cases = self.cases(hpq_params, mixed_channels)
-        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
-
-        def solve(name):
-            solved.clear()
-            u, v, _ = cases[name]
-            return solve_flux_grid(u, v, self.GRID, 0.28, cfg)
-
-        assert solve("mixed").vectors.dtype == complex
-        assert set(solved) == {np.dtype(float), np.dtype(complex)}
-        assert solve("open nanowire").vectors.dtype == float
-        assert set(solved) == {np.dtype(float)}
-        grid = solve("even-only doublet")
-        assert len(solved) == len(self.GRID)
+        solved = {}
+        for name, (u, v, n_g) in self.cases(hpq_params, mixed_channels).items():
+            drivers.calls.clear()
+            grid = solve_flux_grid(u, v, self.GRID, 0.28, ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4))
+            sine = [combine_harmonics(u, v, FluxBias(phi)).s[1:].any() for phi in self.GRID]
+            # dsyevr at every n_g = 0 point; zheevr only off n_g = 0 with sine content
+            assert drivers.calls == ["zheevr" if n_g and has else "dsyevr" for has in sine], name
+            assert grid.vectors.dtype == (complex if any(sine) else float), name
+            solved[name] = (grid, sine)
+        # the cases cover real and sine-content points at both offset charges
+        for name in ("mixed", "mixed, n_g = 0.3"):
+            assert 0 < sum(solved[name][1]) < len(self.GRID), name
+        assert not any(solved["open nanowire"][1])
+        grid = solved["even-only doublet"][0]
         for energies, vectors in zip(grid.energies, grid.vectors):
             # inside DEGENERACY_TOL, so the pair is ordered by even weight
             assert energies[1] - energies[0] < 1e-9
@@ -561,23 +570,29 @@ class TestSolveFluxGrid:
             solve_flux_grid(u, v, wrapped, 0.28, cfg).energies,
         )
 
-    def test_solves_each_point_through_the_public_route(self, hpq_params, mixed_channels, monkeypatch):
-        calls = {"build_hamiltonian": 0, "combine_harmonics": 0}
+    @settings(max_examples=80)
+    @given(case=flux_grid_cases())
+    def test_bit_identical_to_the_public_route(self, case):
+        u, v, flux, ec, cfg = case
+        grid = solve_flux_grid(u, v, flux, ec, cfg)
+        want = [
+            eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg), cfg.n_levels)
+            for phi in flux
+        ]
+        assert grid.vectors.dtype == np.result_type(*(vectors for _, vectors in want))
+        for p, (want_e, want_v) in enumerate(want):
+            assert grid.energies[p].tobytes() == want_e.tobytes(), flux[p]
+            assert grid.vectors[p].tobytes() == want_v.astype(grid.vectors.dtype).tobytes(), flux[p]
+        gaps = [np.diff(want_e) for want_e, _ in want]
 
-        def counting(name):
-            original = getattr(spectrum, name)
+        def close(p, n):
+            return n + 1 < cfg.n_levels and gaps[p][n] < DEGENERACY_TOL
 
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(spectrum, name, call)
-
-        for name in calls:
-            counting(name)
-        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
-        solve_flux_grid(u, v, self.GRID, 0.28, ChargeBasisConfig(n_cut=25, n_levels=4))
-        assert calls == {name: len(self.GRID) for name in calls}
+        assert grid.clustered.tolist() == [
+            [close(p, n) or (n > 0 and close(p, n - 1)) for n in range(cfg.n_levels)]
+            for p in range(len(flux))
+        ]
+        assert not grid.failed.any()
 
     def test_peak_memory_is_the_grid_plus_a_few_matrices(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
@@ -644,6 +659,20 @@ def test_only_spectrum_module_spells_the_cutoff_headroom():
     assert offenders == []
 
 
+def test_one_spelling_of_the_band_fill_and_the_real_form():
+    """The band row is filled and the real form is built once; every route reads them."""
+    spellings = (
+        "band + 0.0",
+        "np.conj(band) + 0.0",
+        "math.sqrt(2.0) * row",
+        "pos.real + mirror.real",
+        "pos.real - mirror.real",
+        "mirror.imag - pos.imag",
+    )
+    spectrum_text = (SRC / "spectrum.py").read_text(encoding="utf-8")
+    assert [spectrum_text.count(text) for text in spellings] == [1] * len(spellings)
+
+
 def test_only_potentials_module_wraps_flux_and_interferes_the_arms():
     """``FluxBias`` wraps the flux and ``combine_harmonics`` interferes the arms; no copy elsewhere."""
     spellings = ("% (2.0 * math.pi)", "np.cos(k", "np.sin(k")
@@ -660,7 +689,7 @@ def test_only_potentials_module_wraps_flux_and_interferes_the_arms():
 
 
 def test_only_spectrum_module_calls_an_eigen_driver():
-    """Every eigensolve goes through ``spectrum.eigensolve``, which picks the form."""
+    """Every eigensolve goes through the ``spectrum`` module, which picks the form."""
     driver = re.compile(r"\beigh\b|syevr|heevr|linalg\.eig")
     assert driver.search((SRC / "spectrum.py").read_text(encoding="utf-8"))
     offenders = [
