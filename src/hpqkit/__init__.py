@@ -22,6 +22,7 @@ from .potentials import (
     classify_regime,
     combine_harmonics,
     find_phi_min,
+    find_phi_mins,
     fourier_u,
     fourier_v,
     interfere_arms,

@@ -18,7 +18,7 @@ from .potentials import (
     NanowireChannels,
     Regime,
     combine_harmonics,
-    find_phi_min,
+    find_phi_mins,
     fourier_u,
     fourier_v,
     parity_sums,
@@ -113,12 +113,12 @@ def gate_sweep_regimes(
     gates: Sequence[GatePoint],
     flux: FluxBias,
 ) -> list[RegimeRow]:
-    """Potential-minimum location and parity regime for each gate point."""
-    rows = []
-    for gate, channels in gates:
-        label = find_phi_min(params, channels, flux)
-        rows.append(RegimeRow(gate=gate, phi_min=label.phi_min, regime=label.regime))
-    return rows
+    """Potential-minimum location and parity regime for each gate point, found in one batch."""
+    labels = find_phi_mins(params, [channels for _, channels in gates], flux)
+    return [
+        RegimeRow(gate=gate, phi_min=label.phi_min, regime=label.regime)
+        for (gate, _), label in zip(gates, labels)
+    ]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import binom, hyp2f1
 
 from .tables import write_csv
@@ -48,6 +47,7 @@ __all__ = [
     "interfere_arms",
     "parity_sums",
     "find_phi_min",
+    "find_phi_mins",
     "locate_minimum",
     "classify_regime",
     "internal_mode_freq",
@@ -69,6 +69,16 @@ MINIMUM_GRID_POINTS = 4097
 
 #: distance (rad) within which a minimum snaps to 0, pi/2 or pi
 MINIMUM_TOL = 1e-6
+
+_MINIMUM_GRID = np.linspace(0.0, math.pi, MINIMUM_GRID_POINTS)
+_MINIMUM_GRID.flags.writeable = False
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: golden-section steps that shrink a two-spacing bracket below MINIMUM_TOL * 1e-3
+_POLISH_STEPS = math.ceil(
+    math.log(2.0 * (_MINIMUM_GRID[1] - _MINIMUM_GRID[0]) / (MINIMUM_TOL * 1e-3)) / -math.log(_INV_GOLDEN)
+)
 
 #: phi_min (rad) below which the potential is odd dominated
 ODD_MAX = 0.1
@@ -158,7 +168,8 @@ class FluxBias:
         if not math.isfinite(self.phi_e):
             raise ValueError(f"phi_e must be finite, got {self.phi_e!r}")
         wrapped = (self.phi_e + math.pi) % (2.0 * math.pi) - math.pi
-        object.__setattr__(self, "phi_e", wrapped)
+        # the modulo rounds up to 2pi when phi_e + pi is a tiny negative number
+        object.__setattr__(self, "phi_e", -math.pi if wrapped == math.pi else wrapped)
 
     @classmethod
     def from_phi0(cls, flux_in_phi0: float) -> "FluxBias":
@@ -303,10 +314,20 @@ def sns_potential(
     """
     phi = np.asarray(phi, dtype=float)
     s2 = np.sin((phi - flux.phi_e) / 2.0) ** 2
-    out = np.zeros_like(s2)
-    for t in channels:
-        out -= gap * np.sqrt(1.0 - t * s2)
+    out = _nanowire_arm(s2, channels.transmissions, [gap] * len(channels))
     return out if out.shape else float(out)
+
+
+def _nanowire_arm(s2: np.ndarray, transmissions: Iterable, gaps: Iterable) -> np.ndarray:
+    """``-sum_i gaps[i] * sqrt(1 - transmissions[i] * s2)``, summed channel by channel.
+
+    Entries may be arrays that broadcast against ``s2``; a channel with
+    zero gap adds nothing, which pads channel sets to a common width.
+    """
+    out = np.zeros_like(s2)
+    for t, gap in zip(transmissions, gaps):
+        out -= gap * np.sqrt(1.0 - t * s2)
+    return out
 
 
 def total_potential(
@@ -323,11 +344,16 @@ def total_potential(
     the vanishing-junction-capacitance limit; it exists so analytic
     closed forms stay reachable for validation.
     """
+    out = _junction_arm(phi, params, include_bo) + sns_potential(phi, channels, params.gap, flux)
+    return out if out.shape else float(out)
+
+
+def _junction_arm(phi: np.ndarray | float, params: CircuitParams, include_bo: bool) -> np.ndarray:
+    """Double-junction arm with its internal-mode correction unless disabled."""
     out = np.asarray(sissis_potential(phi, params), dtype=float)
     if include_bo:
         out = out + bo_correction(phi, params)
-    out = out + sns_potential(phi, channels, params.gap, flux)
-    return out if out.shape else float(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,30 +490,58 @@ def parity_sums(spec: HarmonicSpectrum) -> ParitySums:
 def locate_minimum(potential: Callable[[np.ndarray], np.ndarray]) -> float:
     """Global minimizer of an even periodic potential over [0, pi].
 
-    Dense grid bracketing followed by a bounded scalar polish; the result
-    snaps to the landmark points {0, pi/2, pi} when within
+    The one-curve case of the search behind :func:`find_phi_mins`: the
+    lowest point of a :data:`MINIMUM_GRID_POINTS` grid brackets the
+    minimum, and a golden-section polish of that bracket fixes it to
+    about 1e-7 rad (the well bottom is flat to double precision). The
+    result snaps to the landmark points {0, pi/2, pi} when within
     :data:`MINIMUM_TOL` so the symmetric cases come out exact.
+    ``potential`` must accept an array of phases.
     """
-    grid = np.linspace(0.0, math.pi, MINIMUM_GRID_POINTS)
-    values = np.asarray(potential(grid), dtype=float)
-    best = int(np.argmin(values))
-    h = grid[1] - grid[0]
-    lo = max(grid[best] - h, 0.0)
-    hi = min(grid[best] + h, math.pi)
-    result = minimize_scalar(
-        lambda p: float(potential(np.asarray(p))),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": MINIMUM_TOL * 1e-3},
-    )
-    x = float(result.x)
-    fx = float(potential(np.asarray(x)))
-    if values[best] < fx:
-        x, fx = float(grid[best]), float(values[best])
-    scale = 1.0 + abs(fx)
+    values = np.asarray(potential(_MINIMUM_GRID), dtype=float)
+    best = np.array([np.argmin(values)])
+    return float(_polish(lambda phi: np.asarray(potential(phi), dtype=float), best, values[best])[0])
+
+
+def _polish(
+    potential: Callable[[np.ndarray], np.ndarray], best: np.ndarray, low: np.ndarray
+) -> np.ndarray:
+    """Minimizers of several curves at once, one per grid bracket.
+
+    ``potential(phi)`` evaluates curve ``g`` at ``phi[g]`` for every
+    curve; ``best[g]`` is curve ``g``'s lowest grid index and ``low[g]``
+    its value there. A lockstep golden-section search runs the same
+    :data:`_POLISH_STEPS` steps on every bracket
+    ``[grid[best] - h, grid[best] + h]`` clipped to [0, pi], so one
+    curve's result never depends on the others. The grid point wins if
+    it is lower than the polished one, and the result snaps to a
+    landmark as :func:`locate_minimum` describes.
+    """
+    h = _MINIMUM_GRID[1] - _MINIMUM_GRID[0]
+    a = np.maximum(_MINIMUM_GRID[best] - h, 0.0)
+    b = np.minimum(_MINIMUM_GRID[best] + h, math.pi)
+    x1 = b - _INV_GOLDEN * (b - a)
+    x2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = potential(x1), potential(x2)
+    for _ in range(_POLISH_STEPS):
+        # keep the lower interior point; ties keep the left part
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        kept, f_kept = np.where(left, x1, x2), np.where(left, f1, f2)
+        new = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        f_new = potential(new)
+        x1, f1 = np.where(left, new, kept), np.where(left, f_new, f_kept)
+        x2, f2 = np.where(left, kept, new), np.where(left, f_kept, f_new)
+    lower = f1 <= f2
+    x, fx = np.where(lower, x1, x2), np.where(lower, f1, f2)
+    grid_wins = low < fx
+    x = np.where(grid_wins, _MINIMUM_GRID[best], x)
+    fx = np.where(grid_wins, low, fx)
+    scale = 1.0 + np.abs(fx)
     for landmark in (0.0, math.pi / 2.0, math.pi):
-        if abs(x - landmark) <= MINIMUM_TOL and float(potential(np.asarray(landmark))) <= fx + 1e-9 * scale:
-            return landmark
+        near = np.abs(x - landmark) <= MINIMUM_TOL
+        x = np.where(near & (potential(np.full_like(x, landmark)) <= fx + 1e-9 * scale), landmark, x)
     return x
 
 
@@ -509,14 +563,66 @@ def find_phi_min(
 ) -> RegimeLabel:
     """Locate the total-potential minimum and classify the parity regime.
 
+    The one-gate case of :func:`find_phi_mins`, which documents the
+    search; the result is bit-identical to that gate's entry in any
+    batch.
+    """
+    return find_phi_mins(params, [channels], flux, include_bo=include_bo)[0]
+
+
+def find_phi_mins(
+    params: CircuitParams,
+    channel_sets: Sequence[NanowireChannels],
+    flux: FluxBias,
+    *,
+    include_bo: bool = True,
+) -> list[RegimeLabel]:
+    """Potential minimum and parity regime of every gate's channel set.
+
     Minima come in +/- pairs; the nonnegative representative in [0, pi]
     is reported. The landscape is the exact branch sum, not its truncated
     Fourier series, so shallow features near the junction cusps are kept.
+    Each gate's grid values (:func:`_grid_rows`) bracket its minimum, and
+    one lockstep polish refines every bracket at once, channels padded to
+    the widest gate (see :func:`locate_minimum`). A gate's result does
+    not depend on the other gates in the list.
     """
-    phi_min = locate_minimum(
-        lambda phi: total_potential(phi, params, channels, flux, include_bo=include_bo)
-    )
-    return RegimeLabel(regime=classify_regime(phi_min), phi_min=phi_min)
+    channel_sets = list(channel_sets)
+    if not channel_sets:
+        return []
+    best, low = [], []
+    for values in _grid_rows(params, channel_sets, flux, include_bo):
+        best.append(np.argmin(values))
+        low.append(values[best[-1]])
+    # channels padded to the widest gate; a padding channel has zero gap
+    width = max(len(channels) for channels in channel_sets)
+    transmissions = np.zeros((width, len(channel_sets)))
+    gaps = np.zeros((width, len(channel_sets)))
+    for g, channels in enumerate(channel_sets):
+        transmissions[: len(channels), g] = channels.transmissions
+        gaps[: len(channels), g] = params.gap
+
+    def potential(phi: np.ndarray) -> np.ndarray:
+        s2_phi = np.sin((phi - flux.phi_e) / 2.0) ** 2
+        return _junction_arm(phi, params, include_bo) + _nanowire_arm(s2_phi, transmissions, gaps)
+
+    phi_min = _polish(potential, np.array(best), np.array(low))
+    return [RegimeLabel(regime=classify_regime(p), phi_min=p) for p in phi_min.tolist()]
+
+
+def _grid_rows(
+    params: CircuitParams, channel_sets: Sequence[NanowireChannels], flux: FluxBias, include_bo: bool
+) -> Iterator[np.ndarray]:
+    """Each channel set's :func:`total_potential` on the minimum grid, bit for bit, one row at a time.
+
+    The junction arm and ``sin^2((phi - phi_e)/2)`` are evaluated once;
+    a row adds only its nanowire sum. Rows are made one by one because a
+    gates x grid array would dominate the memory of a large sweep.
+    """
+    junction = _junction_arm(_MINIMUM_GRID, params, include_bo)
+    s2 = np.sin((_MINIMUM_GRID - flux.phi_e) / 2.0) ** 2
+    for channels in channel_sets:
+        yield junction + _nanowire_arm(s2, channels.transmissions, [params.gap] * len(channels))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .spectrum import (
     parse_transition_label,
     spectrum_vs_flux,
 )
-from .tables import write_csv
+from .tables import fmt, write_csv
 
 __all__ = [
     "Trace",
@@ -183,9 +183,18 @@ def synthesize_map(
 
 
 def write_map_csv(traces: Sequence[Trace], path: str) -> None:
-    """Long-format CSV: one row per (flux, drive frequency) cell."""
-    rows = chain.from_iterable(
-        zip(repeat(trace.phi_e / (2.0 * math.pi)), trace.freqs.tolist(), trace.signal.tolist())
-        for trace in traces
-    )
-    write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), rows)
+    """Long-format CSV: one row per (flux, drive frequency) cell.
+
+    A trace's flux cell and each distinct frequency-grid array are
+    formatted once (the traces of one map share one grid), so only the
+    signal is formatted per row.
+    """
+    grids: dict[int, list[str]] = {}
+
+    def rows(trace: Trace):
+        freqs = grids.get(id(trace.freqs))
+        if freqs is None:
+            freqs = grids[id(trace.freqs)] = [fmt(f) for f in trace.freqs.tolist()]
+        return zip(repeat(fmt(trace.phi_e / (2.0 * math.pi))), freqs, trace.signal.tolist())
+
+    write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), chain.from_iterable(map(rows, traces)))

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -57,3 +58,45 @@ def project_cosine_sine(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.
         cos_out[k] = 2.0 * np.mean(values * np.cos(k * phi))
         sin_out[k] = 2.0 * np.mean(values * np.sin(k * phi))
     return cos_out, sin_out
+
+
+def exact_phi_min(params: CircuitParams, transmissions, phi_e: float, *, include_bo: bool = True) -> float:
+    """Independent oracle for the minimum of the total potential on [0, pi].
+
+    The exact branch sum and its derivative are written out in 40-digit
+    mpmath, deliberately not sharing code with the package: a coarse scan
+    of U picks the lowest point, and the root of dU/dphi in the bracket
+    around it is the minimum, or an end of [0, pi] where dU/dphi already
+    points inward.
+    """
+    with mpmath.workdps(40):
+        ej1, ej2 = mpmath.mpf(params.ej1), mpmath.mpf(params.ej2)
+        ej = ej1 + ej2
+        lam = 4 * ej1 * ej2 / ej**2
+        ecj, gap, pe = mpmath.mpf(params.ecj), mpmath.mpf(params.gap), mpmath.mpf(phi_e)
+        ts = [mpmath.mpf(t) for t in transmissions]
+
+        def junction_root(phi):
+            return mpmath.sqrt(1 - lam * mpmath.sin(phi / 2) ** 2)
+
+        def u(phi):
+            root = junction_root(phi)
+            out = -ej * root + (ej * mpmath.sqrt(ecj / ej * root) if include_bo else 0)
+            return out - gap * mpmath.fsum(mpmath.sqrt(1 - t * mpmath.sin((phi - pe) / 2) ** 2) for t in ts)
+
+        def du(phi):
+            root = junction_root(phi)
+            droot = -lam * mpmath.sin(phi) / (4 * root)
+            out = -ej * droot + (mpmath.sqrt(ej * ecj) * droot / (2 * mpmath.sqrt(root)) if include_bo else 0)
+            return out + gap * mpmath.fsum(
+                t * mpmath.sin(phi - pe) / (4 * mpmath.sqrt(1 - t * mpmath.sin((phi - pe) / 2) ** 2)) for t in ts
+            )
+
+        scan = [mpmath.pi * i / 256 for i in range(257)]
+        best = min(range(len(scan)), key=lambda i: u(scan[i]))
+        lo, hi = scan[max(best - 1, 0)], scan[min(best + 1, len(scan) - 1)]
+        if du(lo) >= 0:
+            return float(lo)
+        if du(hi) <= 0:
+            return float(hi)
+        return float(mpmath.findroot(du, (lo, hi), solver="anderson"))

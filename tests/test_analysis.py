@@ -11,6 +11,7 @@ from hpqkit import (
     NanowireChannels,
     Regime,
     combine_harmonics,
+    find_phi_mins,
     fourier_u,
     fourier_v,
     gate_sweep_harmonics,
@@ -27,7 +28,23 @@ from hpqkit.analysis import (
     write_sns_report_csv,
 )
 
+from conftest import exact_phi_min
+
 HALF_FLUX = FluxBias.from_phi0(0.5)
+
+
+def interpolated_sweep() -> list[tuple[float, NanowireChannels]]:
+    """21 gates with per-channel monotone interpolation through the three published settings."""
+    anchors = np.array(
+        [[0.68, 0.47, 0.46, 0.0], [0.94, 0.58, 0.58, 0.0], [0.98, 0.98, 0.75, 0.54]]
+    )
+    gates = []
+    for i, x in enumerate(np.linspace(0.0, 2.0, 21)):
+        seg = min(int(x), 1)
+        frac = x - seg
+        ts = (1.0 - frac) * anchors[seg] + frac * anchors[seg + 1]
+        gates.append((float(i), NanowireChannels(tuple(t for t in ts if t > 1e-12))))
+    return gates
 
 
 class TestGateSweepHarmonics:
@@ -99,16 +116,7 @@ class TestGateSweepRegimes:
         assert abs(rows[2].phi_min - math.pi / 2.0) < 0.35
 
     def test_regime_ratio_coherence_on_monotone_sweep(self, hpq_params):
-        # per-channel monotone interpolation through the three settings
-        anchors = np.array(
-            [[0.68, 0.47, 0.46, 0.0], [0.94, 0.58, 0.58, 0.0], [0.98, 0.98, 0.75, 0.54]]
-        )
-        gates = []
-        for i, x in enumerate(np.linspace(0.0, 2.0, 21)):
-            seg = min(int(x), 1)
-            frac = x - seg
-            ts = (1.0 - frac) * anchors[seg] + frac * anchors[seg + 1]
-            gates.append((float(i), NanowireChannels(tuple(t for t in ts if t > 1e-12))))
+        gates = interpolated_sweep()
         harmonic_rows = gate_sweep_harmonics(hpq_params, gates, HALF_FLUX)
         regime_rows = gate_sweep_regimes(hpq_params, gates, HALF_FLUX)
         even_ratios = [
@@ -121,6 +129,14 @@ class TestGateSweepRegimes:
         ]
         assert even_ratios and odd_ratios
         assert min(even_ratios) > max(odd_ratios)
+
+    def test_sweep_minima_match_exact_oracle(self, hpq_params):
+        gates = interpolated_sweep()
+        labels = find_phi_mins(hpq_params, [channels for _, channels in gates], HALF_FLUX)
+        rows = gate_sweep_regimes(hpq_params, gates, HALF_FLUX)
+        for label, row, (_, channels) in zip(labels, rows, gates):
+            assert (row.phi_min, row.regime) == (label.phi_min, label.regime)
+            assert abs(label.phi_min - exact_phi_min(hpq_params, channels, HALF_FLUX.phi_e)) < 1e-6
 
 
 class TestSnsBranchReport:

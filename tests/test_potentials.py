@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq, least_squares
 
 from hpqkit import (
+    ChargeBasisConfig,
     CircuitParams,
     FluxBias,
     HarmonicSpectrum,
@@ -15,21 +16,24 @@ from hpqkit import (
     classify_regime,
     combine_harmonics,
     find_phi_min,
+    find_phi_mins,
     fourier_u,
     fourier_v,
+    interfere_arms,
     internal_mode_freq,
     locate_minimum,
     parity_sums,
     sissis_potential,
     sns_potential,
+    solve_flux_grid,
     total_potential,
     validate_bo,
     write_harmonics_csv,
 )
 
-from hpqkit.potentials import _power_amplitudes
+from hpqkit.potentials import _MINIMUM_GRID, _grid_rows, _power_amplitudes
 
-from conftest import project_cosine_sine
+from conftest import exact_phi_min, project_cosine_sine
 
 PHI = np.linspace(-np.pi, np.pi, 301)
 
@@ -101,6 +105,23 @@ class TestFluxBias:
         a = FluxBias.from_phi0(frac)
         b = FluxBias.from_phi0(frac + 1.0)
         assert abs(a.phi_e - b.phi_e) < 1e-9
+
+    @pytest.mark.parametrize(
+        "phi", [-math.pi - 4e-16, float(np.nextafter(-math.pi, -math.inf))], ids=["minus-4e-16", "nextafter"]
+    )
+    def test_just_below_minus_pi_takes_the_real_half_flux_solve(self, phi, hpq_params, mixed_channels):
+        # (phi + pi) % 2pi rounds up to 2pi here; the wrap must not store +pi
+        assert FluxBias(phi).phi_e == -math.pi
+        u = fourier_u(hpq_params, 10)
+        v = fourier_v(mixed_channels, hpq_params.gap, 10)
+        _, s = interfere_arms(u, v, [FluxBias(phi)])
+        assert not s.any()
+        cfg = ChargeBasisConfig(n_cut=15, n_levels=4)
+        grid = solve_flux_grid(u, v, [phi], hpq_params.ec, cfg)
+        half = solve_flux_grid(u, v, [FluxBias.from_phi0(0.5).phi_e], hpq_params.ec, cfg)
+        assert grid.vectors.dtype == np.float64
+        assert np.array_equal(grid.energies, half.energies)
+        assert np.array_equal(grid.vectors, half.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +469,10 @@ class TestMinimaAndRegimes:
         spec = HarmonicSpectrum.from_cosine([0.0, 0.0, 5.0])
         assert locate_minimum(spec.potential) == math.pi / 2.0
 
+    def test_reversed_first_harmonic_minimum_exact_pi(self):
+        spec = HarmonicSpectrum.from_cosine([0.0, 5.0])
+        assert locate_minimum(spec.potential) == math.pi
+
     def test_classification_bands(self):
         assert classify_regime(0.0) is Regime.ODD_DOMINATED
         assert classify_regime(math.pi / 2.0) is Regime.EVEN_DOMINATED
@@ -466,11 +491,58 @@ class TestMinimaAndRegimes:
 
     def test_minimum_location_tolerance(self, hpq_params, mixed_channels):
         label = find_phi_min(hpq_params, mixed_channels, FluxBias.from_phi0(0.5))
-        # oracle: dense scan plus local quadratic refinement
-        grid = np.linspace(0.0, math.pi, 200001)
-        values = total_potential(grid, hpq_params, mixed_channels, FluxBias.from_phi0(0.5))
-        oracle = grid[int(np.argmin(values))]
-        assert abs(label.phi_min - oracle) < 1e-4
+        oracle = exact_phi_min(hpq_params, mixed_channels, FluxBias.from_phi0(0.5).phi_e)
+        assert abs(label.phi_min - oracle) < 1e-6
+
+
+class TestFindPhiMins:
+    HALF = FluxBias.from_phi0(0.5)
+    SETS = [
+        NanowireChannels((0.68, 0.47, 0.46)),
+        NanowireChannels((0.94, 0.58, 0.58)),
+        NanowireChannels((0.98, 0.98, 0.75, 0.54)),
+        NanowireChannels((1.0,)),
+        NanowireChannels(()),
+        NanowireChannels((0.9, 0.9)),
+    ]
+
+    def test_each_gate_matches_its_one_gate_call_bit_for_bit(self, hpq_params):
+        labels = find_phi_mins(hpq_params, self.SETS, self.HALF)
+        assert len(labels) == len(self.SETS)
+        for label, channels in zip(labels, self.SETS):
+            single = find_phi_min(hpq_params, channels, self.HALF)
+            assert label == single
+            assert label.phi_min.hex() == single.phi_min.hex()
+
+    def test_independent_of_order_and_of_the_other_gates(self, hpq_params):
+        labels = find_phi_mins(hpq_params, self.SETS, self.HALF)
+        assert find_phi_mins(hpq_params, self.SETS[::-1], self.HALF) == labels[::-1]
+        assert find_phi_mins(hpq_params, self.SETS[1:4], self.HALF) == labels[1:4]
+        assert find_phi_mins(hpq_params, self.SETS[4:], self.HALF) == labels[4:]
+
+    @pytest.mark.parametrize("include_bo", [True, False])
+    def test_grid_rows_equal_total_potential_bit_for_bit(self, hpq_params, include_bo):
+        rows = list(_grid_rows(hpq_params, self.SETS, self.HALF, include_bo))
+        assert len(rows) == len(self.SETS)
+        for row, channels in zip(rows, self.SETS):
+            expected = total_potential(_MINIMUM_GRID, hpq_params, channels, self.HALF, include_bo=include_bo)
+            assert np.array_equal(row, expected)
+
+    def test_empty_list(self, hpq_params):
+        assert find_phi_mins(hpq_params, [], self.HALF) == []
+
+    def test_landmarks_stay_exact_in_a_batch(self):
+        p = CircuitParams(ej1=5.0, ej2=4.0, ecj=0.1, ec=0.05, gap=1.0)
+        sets = [NanowireChannels(()), NanowireChannels((0.5,)), NanowireChannels((0.3, 0.2))]
+        labels = find_phi_mins(p, sets, FluxBias(0.0))
+        assert [label.phi_min for label in labels] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("include_bo", [True, False])
+    def test_against_exact_oracle(self, hpq_params, include_bo):
+        labels = find_phi_mins(hpq_params, self.SETS, self.HALF, include_bo=include_bo)
+        for label, channels in zip(labels, self.SETS):
+            oracle = exact_phi_min(hpq_params, channels, self.HALF.phi_e, include_bo=include_bo)
+            assert abs(label.phi_min - oracle) < 1e-6, channels
 
 
 class TestInternalMode:
