@@ -62,7 +62,6 @@ from .fitstack import (
     TransitionPoint,
     extract_transitions,
     fit_global,
-    harmonic_agreement,
     hints_from_table,
     lorentzian_fit,
     model_residuals,

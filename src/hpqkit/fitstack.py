@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,7 +51,6 @@ __all__ = [
     "ThetaLayout",
     "FitResult",
     "ChannelSelection",
-    "HarmonicAgreementRow",
     "lorentzian_fit",
     "hints_from_table",
     "extract_transitions",
@@ -60,7 +59,6 @@ __all__ = [
     "fit_global",
     "rmse",
     "select_channel_count",
-    "harmonic_agreement",
     "read_dataset_csv",
     "write_dataset_csv",
     "write_fit_result",
@@ -82,6 +80,9 @@ SEPARATION_FACTOR = 2.0
 
 #: fits whose RMSE lies within this factor of the best one count as equally good
 RMSE_FACTOR = 1.5
+
+#: start transmission of each channel a warm start adds to the count below
+WARM_T = 0.05
 
 
 class FitRejection(Exception):
@@ -760,7 +761,16 @@ def select_channel_count(
     """Fit one gate with each candidate channel count and keep the leanest.
 
     The globals stay at ``cfg.fixed_params``, so ``cfg.globals_mode`` must
-    be ``"fixed"``. The chosen count is the smallest whose RMSE is within
+    be ``"fixed"``. Counts are fitted in ascending order. The smallest
+    count runs the default starts of :func:`fit_global`. Each larger
+    count first runs one warm start: the previous fitted count's
+    transmissions plus one channel at :data:`WARM_T` for each channel it
+    adds, a point that nests the smaller model. The default starts run
+    as well only if that warm fit would change the selection, i.e. if
+    its RMSE times ``cfg.rmse_factor`` is below every RMSE fitted so
+    far; the lower-cost fit of the two is kept, and it counts the
+    evaluations of both. A warm fit that fails falls back to the default
+    starts. The chosen count is the smallest whose RMSE is within
     ``cfg.rmse_factor`` of the best count's RMSE (a parsimony rule:
     additional channels must buy real fit quality).
     """
@@ -768,9 +778,9 @@ def select_channel_count(
         raise ValueError("channel-count selection requires globals_mode='fixed'")
     fits: dict[int, FitResult] = {}
     errors: dict[int, str] = {}
-    for count in counts:
+    for count in sorted(set(counts)):
         try:
-            fits[count] = fit_global([dataset], [count], cfg)
+            fits[count] = _fit_count(dataset, count, cfg, fits)
         except (SolverError, ValueError) as exc:
             errors[count] = str(exc)
     if not fits:
@@ -780,6 +790,30 @@ def select_channel_count(
     best = min(rmse_by_count.values())
     chosen = min(count for count, value in rmse_by_count.items() if value <= cfg.rmse_factor * best)
     return ChannelSelection(chosen=chosen, rmse_by_count=rmse_by_count, fits_by_count=fits)
+
+
+def _fit_count(
+    dataset: SpectroscopyDataset, count: int, cfg: FitConfig, fits: Mapping[int, FitResult]
+) -> FitResult:
+    """One count of :func:`select_channel_count`; ``fits`` holds the smaller counts fitted so far."""
+    if not fits:
+        return fit_global([dataset], [count], cfg)
+    below = list(fits.values())[-1].channels[0].transmissions
+    start = [*below, *[WARM_T] * (count - len(below))]
+    try:
+        warm = fit_global([dataset], [count], cfg, initial_transmissions=[start])
+    except (SolverError, ValueError):
+        return fit_global([dataset], [count], cfg)
+    if not warm.rmse * cfg.rmse_factor < min(fit.rmse for fit in fits.values()):
+        return warm
+    cold = fit_global([dataset], [count], cfg)
+    return replace(
+        cold if cold.cost < warm.cost else warm,
+        n_evaluations=warm.n_evaluations + cold.n_evaluations,
+        n_jacobian_evaluations=warm.n_jacobian_evaluations + cold.n_jacobian_evaluations,
+        jacobian_fallbacks=warm.jacobian_fallbacks + cold.jacobian_fallbacks,
+        start_costs=warm.start_costs + cold.start_costs,
+    )
 
 
 def _merge_single_gate_fits(
@@ -804,52 +838,6 @@ def _merge_single_gate_fits(
         n_jacobian_evaluations=sum(r.n_jacobian_evaluations for r in results),
         jacobian_fallbacks=sum(r.jacobian_fallbacks for r in results),
     )
-
-
-@dataclass(frozen=True)
-class HarmonicAgreementRow:
-    """Relative nanowire-harmonic deviation of one (gate, count) model."""
-
-    gate: float
-    count: int
-    included: bool
-    v_rel_diff: tuple[float, ...]
-
-
-def harmonic_agreement(
-    fits: Mapping[float, Mapping[int, FitResult]],
-    reference_count: int,
-    *,
-    k_max: int = 2,
-) -> list[HarmonicAgreementRow]:
-    """Compare nanowire harmonics across channel-count models, RMSE gated.
-
-    For each gate, the low-order ``v_k`` of every count model are
-    compared against the reference-count model. Gates where the RMSE
-    values are not mutually within :data:`RMSE_FACTOR` of that gate's
-    best are marked excluded, so harmonics are only compared between
-    fits of similar quality.
-    """
-    rows: list[HarmonicAgreementRow] = []
-    for gate in sorted(fits):
-        by_count = fits[gate]
-        if reference_count not in by_count:
-            raise ValueError(f"gate {gate} lacks the reference count {reference_count}")
-        best = min(fit.rmse for fit in by_count.values())
-        included = all(fit.rmse <= RMSE_FACTOR * best for fit in by_count.values())
-        ref = by_count[reference_count]
-        v_ref = fourier_v(ref.channels[0], ref.params.gap, k_max)
-        for count in sorted(by_count):
-            fit = by_count[count]
-            v = fourier_v(fit.channels[0], fit.params.gap, k_max)
-            diffs = tuple(
-                float((v[k] - v_ref[k]) / v_ref[k]) if v_ref[k] != 0.0 else math.inf
-                for k in range(1, k_max + 1)
-            )
-            rows.append(
-                HarmonicAgreementRow(gate=gate, count=count, included=included, v_rel_diff=diffs)
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hpqkit import (
     FitConfig,
     FitRejection,
     NanowireChannels,
+    SolverError,
     SpectroscopyDataset,
     ThetaLayout,
     TransitionHint,
@@ -20,7 +21,6 @@ from hpqkit import (
     extract_transitions,
     fit_global,
     fourier_v,
-    harmonic_agreement,
     lorentzian_fit,
     model_residuals,
     read_dataset_csv,
@@ -64,6 +64,23 @@ def make_dataset(
         for p, f in zip(skeleton, freqs)
     )
     return SpectroscopyDataset(gate=gate, points=points)
+
+
+def fake_fit(transmissions: tuple[float, ...], fit_rmse: float) -> FitResult:
+    """A one-gate FitResult at ``TRUE_PARAMS`` that no optimizer produced."""
+    return FitResult(
+        params=TRUE_PARAMS,
+        channels=(NanowireChannels(transmissions),),
+        rmse=fit_rmse,
+        rmse_per_dataset=(fit_rmse,),
+        residuals=np.zeros(1),
+        cost=0.0,
+        converged=True,
+        message="ok",
+        n_evaluations=1,
+        boundary_active=((False,) * len(transmissions),),
+        start_costs=(0.0,),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +530,30 @@ SELECT_CFG = FitConfig(
     ec=0.28, k_max=6, n_cut=11, globals_mode="fixed", fixed_params=TRUE_PARAMS, max_nfev=60
 )
 
+#: selection datasets: true transmissions, noise seed, and the counts offered
+SELECTION_CASES = {
+    "three-channel truth": ((0.8, 0.55, 0.3), 1, (2, 3, 4)),
+    "two-channel truth": ((0.75, 0.4), 2, (2, 3)),
+    "single dominant channel": ((0.85, 0.001, 0.001), 3, (2, 3)),
+}
+
+
+def selection_dataset(name: str) -> SpectroscopyDataset:
+    truth, seed, _ = SELECTION_CASES[name]
+    return make_dataset(
+        TRUE_PARAMS, truth, 0.0, SELECT_CFG, sigma=2e-4, noise_rng=np.random.default_rng(seed)
+    )
+
+
+def assert_same_fit(got: FitResult, want: FitResult) -> None:
+    """Every field equal, arrays bit for bit."""
+    for f in dataclasses.fields(FitResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
 
 class TestChannelCountSelection:
     def test_free_globals_rejected_before_any_fit(self):
@@ -521,27 +562,101 @@ class TestChannelCountSelection:
             select_channel_count(ds, (1, 2), SMALL_CFG_FREE)
 
     def test_three_channel_truth_chooses_three(self):
-        rng = np.random.default_rng(1)
-        ds = make_dataset(
-            TRUE_PARAMS, (0.8, 0.55, 0.3), 0.0, SELECT_CFG, sigma=2e-4, noise_rng=rng
-        )
-        selection = select_channel_count(ds, (2, 3, 4), SELECT_CFG)
+        selection = select_channel_count(selection_dataset("three-channel truth"), (2, 3, 4), SELECT_CFG)
         assert selection.chosen == 3
         assert selection.rmse_by_count[2] / selection.rmse_by_count[3] >= 10.0
 
     def test_two_channel_truth_chooses_two(self):
-        rng = np.random.default_rng(2)
-        ds = make_dataset(TRUE_PARAMS, (0.75, 0.4), 0.0, SELECT_CFG, sigma=2e-4, noise_rng=rng)
-        selection = select_channel_count(ds, (2, 3), SELECT_CFG)
+        selection = select_channel_count(selection_dataset("two-channel truth"), (2, 3), SELECT_CFG)
         assert selection.chosen == 2
 
     def test_single_dominant_channel_prefers_lean_model(self):
-        rng = np.random.default_rng(3)
-        ds = make_dataset(
-            TRUE_PARAMS, (0.85, 0.001, 0.001), 0.0, SELECT_CFG, sigma=2e-4, noise_rng=rng
-        )
-        selection = select_channel_count(ds, (2, 3), SELECT_CFG)
+        selection = select_channel_count(selection_dataset("single dominant channel"), (2, 3), SELECT_CFG)
         assert selection.chosen == 2
+
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_agrees_with_one_default_fit_per_count(self, name):
+        """Oracle: each count fitted from the default starts alone, with no warm start."""
+        ds, counts = selection_dataset(name), SELECTION_CASES[name][2]
+        selection = select_channel_count(ds, counts, SELECT_CFG)
+        oracle = {n: fit_global([ds], [n], SELECT_CFG) for n in counts}
+        best = min(fit.rmse for fit in oracle.values())
+        assert selection.chosen == min(
+            n for n, fit in oracle.items() if fit.rmse <= SELECT_CFG.rmse_factor * best
+        )
+        assert_same_fit(selection.fits_by_count[counts[0]], oracle[counts[0]])
+        assert selection.rmse_by_count[selection.chosen] <= oracle[selection.chosen].rmse
+
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_rmse_does_not_rise_above_the_chosen_count(self, name):
+        counts = SELECTION_CASES[name][2]
+        selection = select_channel_count(selection_dataset(name), (*counts, counts[-1] + 1), SELECT_CFG)
+        by_count = selection.rmse_by_count
+        for n in range(selection.chosen, max(by_count)):
+            assert by_count[n + 1] <= 1.01 * by_count[n], (n, by_count)
+
+    def test_evaluations_count_every_grid_solve(self, monkeypatch):
+        ds = selection_dataset("three-channel truth")
+        solves = []
+        original = fitstack.solve_flux_grid
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
+        n_solves = len(solves)
+        monkeypatch.undo()
+        assert all(fit.jacobian_fallbacks == 0 for fit in fits.values())
+        assert n_solves == sum(fit.n_evaluations for fit in fits.values())
+        # count 3 buys real fit quality, so it runs the warm start and then the default starts
+        warm = fit_global(
+            [ds], [3], SELECT_CFG,
+            initial_transmissions=[[*fits[2].channels[0].transmissions, fitstack.WARM_T]],
+        )
+        cold = fit_global([ds], [3], SELECT_CFG)
+        assert fits[3].start_costs == (warm.cost, *cold.start_costs)
+        assert fits[3].n_evaluations == warm.n_evaluations + cold.n_evaluations
+        assert fits[3].n_jacobian_evaluations == warm.n_jacobian_evaluations + cold.n_jacobian_evaluations
+        assert fits[3].cost == min(warm.cost, cold.cost)
+        # count 4 does not, so its warm start is its only start
+        assert len(fits[4].start_costs) == 1
+
+    @pytest.mark.parametrize("error", [SolverError, ValueError])
+    def test_failed_warm_start_falls_back_to_the_default_starts(self, monkeypatch, error):
+        ds = selection_dataset("two-channel truth")
+        original = fitstack.fit_global
+
+        def warm_starts_fail(datasets, counts, cfg, **kwargs):
+            if kwargs.get("initial_transmissions") is not None:
+                raise error("forced warm-start failure")
+            return original(datasets, counts, cfg, **kwargs)
+
+        monkeypatch.setattr(fitstack, "fit_global", warm_starts_fail)
+        selection = select_channel_count(ds, (3, 2), SELECT_CFG)
+        assert list(selection.fits_by_count) == list(selection.rmse_by_count) == [2, 3]
+        for n, fit in selection.fits_by_count.items():
+            assert_same_fit(fit, original([ds], [n], SELECT_CFG))
+
+    def test_count_whose_every_start_fails_is_skipped(self, monkeypatch):
+        ds = selection_dataset("three-channel truth")
+        original = fitstack.fit_global
+        warm_starts = []
+
+        def count_three_fails(datasets, counts, cfg, **kwargs):
+            if list(counts) == [3]:
+                raise SolverError("forced failure")
+            if kwargs.get("initial_transmissions") is not None:
+                warm_starts.append(kwargs["initial_transmissions"])
+            return original(datasets, counts, cfg, **kwargs)
+
+        monkeypatch.setattr(fitstack, "fit_global", count_three_fails)
+        selection = select_channel_count(ds, (4, 3, 2), SELECT_CFG)
+        assert list(selection.fits_by_count) == [2, 4]
+        # count 4 starts from count 2, with one new channel for each count it skips
+        below = selection.fits_by_count[2].channels[0].transmissions
+        assert warm_starts == [[[*below, fitstack.WARM_T, fitstack.WARM_T]]]
 
 
 class TestMergeSingleGateFits:
@@ -573,45 +688,6 @@ class TestMergeSingleGateFits:
         ])
         data = [p.freq for ds in gates for p in ds.used_points]
         assert merged.rmse == pytest.approx(rmse(model, data), rel=1e-12)
-
-
-class TestHarmonicAgreement:
-    @staticmethod
-    def _fake_fit(transmissions: tuple[float, ...], fit_rmse: float) -> FitResult:
-        return FitResult(
-            params=TRUE_PARAMS,
-            channels=(NanowireChannels(transmissions),),
-            rmse=fit_rmse,
-            rmse_per_dataset=(fit_rmse,),
-            residuals=np.zeros(1),
-            cost=0.0,
-            converged=True,
-            message="ok",
-            n_evaluations=1,
-            boundary_active=((False,) * len(transmissions),),
-            start_costs=(0.0,),
-        )
-
-    def test_gating_and_relative_differences(self):
-        from hpqkit import fourier_v
-
-        fits = {
-            -1.0: {2: self._fake_fit((0.8, 0.4), 0.001), 3: self._fake_fit((0.8, 0.4, 0.01), 0.0012)},
-            1.0: {2: self._fake_fit((0.9, 0.5), 0.02), 3: self._fake_fit((0.7, 0.4, 0.3), 0.001)},
-        }
-        rows = harmonic_agreement(fits, reference_count=3, k_max=2)
-        by_key = {(row.gate, row.count): row for row in rows}
-        assert by_key[(-1.0, 2)].included
-        assert not by_key[(1.0, 2)].included  # rmse ratio 20 > 1.5
-        ref = fourier_v(NanowireChannels((0.8, 0.4, 0.01)), TRUE_PARAMS.gap, 2)
-        got = fourier_v(NanowireChannels((0.8, 0.4)), TRUE_PARAMS.gap, 2)
-        assert by_key[(-1.0, 2)].v_rel_diff[0] == pytest.approx(
-            (got[1] - ref[1]) / ref[1], rel=1e-9
-        )
-
-    def test_missing_reference_rejected(self):
-        with pytest.raises(ValueError):
-            harmonic_agreement({0.0: {2: self._fake_fit((0.5, 0.5), 0.1)}}, reference_count=3)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +745,7 @@ class TestDatasetFiles:
             read_dataset_csv(str(path))
 
     def test_fit_result_document(self, tmp_path):
-        result = TestHarmonicAgreement._fake_fit((0.8, 0.4), 0.001)
+        result = fake_fit((0.8, 0.4), 0.001)
         path = tmp_path / "fit.ini"
         write_fit_result(result, [-7.0], str(path), chosen_counts={-7.0: 2})
         text = path.read_text()
@@ -680,7 +756,7 @@ class TestDatasetFiles:
         assert "channel_count = 2" in text
 
     def test_fit_result_rejects_repeated_gate(self, tmp_path):
-        result = TestHarmonicAgreement._fake_fit((0.8, 0.4), 0.001)
+        result = fake_fit((0.8, 0.4), 0.001)
         twice = dataclasses.replace(
             result,
             channels=result.channels * 2,
