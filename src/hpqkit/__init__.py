@@ -73,13 +73,9 @@ from .fitstack import (
 )
 from .analysis import (
     GateHarmonics,
-    ParityRow,
     RegimeRow,
-    SnsBranchReport,
     gate_sweep_harmonics,
     gate_sweep_regimes,
-    parity_table,
-    sns_branch_report,
 )
 
 __version__ = "0.1.0"

@@ -216,16 +216,26 @@ def _real_form(corner, row: np.ndarray, pos: np.ndarray, mirror: np.ndarray) -> 
     return r
 
 
-def _from_real_form(z: np.ndarray) -> np.ndarray:
-    """Charge-basis columns of real-form eigenvectors ``z`` (the inverse basis change of :func:`_real_form`)."""
+def _from_real_form(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Charge-basis columns of real-form eigenvectors ``z`` (the inverse basis change of :func:`_real_form`).
+
+    They are written into ``out`` (complex, shaped like ``z``; a new array
+    when not given) with ``even ± 1j * odd`` spelled as ufunc calls on its
+    rows, so each cell matches that complex arithmetic, signed zeros
+    included. ``1j * odd`` is the one temporary.
+    """
     n_cut = (len(z) - 1) // 2
+    if out is None:
+        out = np.empty(z.shape, dtype=complex)
     scale = math.sqrt(0.5)
-    even, odd = scale * z[1 : n_cut + 1], scale * z[n_cut + 1 :]
-    vectors = np.empty(z.shape, dtype=complex)
-    vectors[n_cut] = z[0]
-    vectors[n_cut + 1 :] = even + 1j * odd
-    vectors[:n_cut] = (even - 1j * odd)[::-1]
-    return vectors
+    # charges 1..n_cut, and -1..-n_cut in the same order
+    pos, neg = out[n_cut + 1 :], out[:n_cut][::-1]
+    odd = np.multiply(z[n_cut + 1 :], 1j * scale)
+    np.multiply(z[1 : n_cut + 1], scale, out=pos)
+    np.subtract(pos, odd, out=neg)
+    np.add(pos, odd, out=pos)
+    out[n_cut] = z[0]
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -275,7 +285,7 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got {h.shape}")
     if not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
-    _require_finite(h, dim)
+    _require_finite(np.isfinite(h).all(), dim)
     if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
         energies, vectors = _solve_real_form(_reflection_blocks(h), n_levels)
     else:
@@ -283,16 +293,21 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     return _degeneracy_reorder(energies, vectors, (dim - 1) // 2)
 
 
-def _require_finite(values: np.ndarray, dim: int) -> None:
-    """Raise :class:`SolverError` when ``values``, the entries of a dim x dim matrix, are not all finite."""
-    if not np.isfinite(values).all():
+def _require_finite(finite: bool, dim: int) -> None:
+    """Raise :class:`SolverError` unless ``finite``: the entries of a dim x dim matrix are all finite."""
+    if not finite:
         raise SolverError(f"matrix of dim={dim} has non-finite entries")
 
 
-def _solve_real_form(blocks: Sequence, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs, in the charge basis, of the matrix whose reflection blocks are ``blocks``."""
+def _solve_real_form(
+    blocks: Sequence, n_levels: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs, in the charge basis, of the matrix whose reflection blocks are ``blocks``.
+
+    The vectors are written into ``out`` when it is given.
+    """
     energies, z = _evr(_real_form(*blocks), n_levels, overwrite_a=True)
-    return energies, _from_real_form(z)
+    return energies, _from_real_form(z, out)
 
 
 def parse_transition_label(label: str) -> tuple[int, int, int]:
@@ -424,6 +439,11 @@ def solve_flux_grid(
     ``vectors`` is complex when some point has sine content. A failed
     solve raises a :class:`SolverError` naming its point when ``strict``;
     otherwise it logs a warning and flags the point.
+
+    The bookkeeping is per grid: finiteness is checked once over the band
+    rows (a non-finite point fails before any LAPACK call), real-form
+    vectors are mapped back straight into ``vectors``, and degenerate
+    clusters are reordered only at the points that have one.
     """
     flux_values = np.asarray(flux_values, dtype=float)
     if not np.all(np.isfinite(flux_values)):
@@ -435,21 +455,25 @@ def solve_flux_grid(
     # only the diagonal can break the charge-reflection symmetry (at n_g != 0)
     reflected = sine & np.array_equal(diag, diag[::-1])
     rows = _band_entries(c, s)
+    finite = np.isfinite(rows).all(axis=1) & np.isfinite(diag).all()
     energies = np.full((len(rows), cfg.n_levels), np.nan)
     vectors = np.full((len(rows), cfg.dim, cfg.n_levels), np.nan, rows.dtype)
     for idx, row in enumerate(rows):
         try:
+            _require_finite(finite[idx], cfg.dim)
             table = np.concatenate((row if sine[idx] else row.real, diag))
-            _require_finite(table, cfg.dim)
             if reflected[idx]:
-                pairs = _solve_real_form([table[slot] for slot in blocks], cfg.n_levels)
+                blocks_at = [table[slot] for slot in blocks]
+                energies[idx], _ = _solve_real_form(blocks_at, cfg.n_levels, out=vectors[idx])
             else:
-                pairs = _evr(table[dense].T, cfg.n_levels, overwrite_a=True)
-            energies[idx], vectors[idx] = _degeneracy_reorder(*pairs, cfg.n_cut)
+                energies[idx], vectors[idx] = _evr(table[dense].T, cfg.n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:
                 raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}") from exc
             logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
+    for idx in np.flatnonzero(_close_to_next(energies).any(axis=1)):
+        energies[idx], vectors[idx] = _degeneracy_reorder(energies[idx], vectors[idx], cfg.n_cut)
+    # flagged after the reorder, which can widen a gap inside a cluster of three or more
     close = _close_to_next(energies)
     clustered = np.zeros(energies.shape, dtype=bool)
     clustered[:, 1:] = close

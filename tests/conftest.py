@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -58,6 +60,23 @@ def project_cosine_sine(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.
         cos_out[k] = 2.0 * np.mean(values * np.cos(k * phi))
         sin_out[k] = 2.0 * np.mean(values * np.sin(k * phi))
     return cos_out, sin_out
+
+
+def from_real_form(z: np.ndarray) -> np.ndarray:
+    """Allocating oracle for the in-place ``spectrum._from_real_form``.
+
+    The charge-basis columns of real-form eigenvectors ``z`` (rows ``|0>``,
+    ``(|n>+|-n>)/sqrt2``, ``i(|n>-|-n>)/sqrt2``), written with plain
+    complex arithmetic on fresh arrays.
+    """
+    n_cut = (len(z) - 1) // 2
+    scale = math.sqrt(0.5)
+    even, odd = scale * z[1 : n_cut + 1], scale * z[n_cut + 1 :]
+    vectors = np.empty(z.shape, dtype=complex)
+    vectors[n_cut] = z[0]
+    vectors[n_cut + 1 :] = even + 1j * odd
+    vectors[:n_cut] = (even - 1j * odd)[::-1]
+    return vectors
 
 
 def exact_phi_min(params: CircuitParams, transmissions, phi_e: float, *, include_bo: bool = True) -> float:

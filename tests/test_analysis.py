@@ -5,7 +5,6 @@ import pytest
 from scipy.optimize import brentq
 
 from hpqkit import (
-    ChargeBasisConfig,
     CircuitParams,
     FluxBias,
     NanowireChannels,
@@ -17,16 +16,8 @@ from hpqkit import (
     gate_sweep_harmonics,
     gate_sweep_regimes,
     parity_sums,
-    parity_table,
-    sns_branch_report,
 )
-from hpqkit.analysis import (
-    DOMINANT_CUTOFF,
-    write_gate_harmonics_csv,
-    write_parity_csv,
-    write_regimes_csv,
-    write_sns_report_csv,
-)
+from hpqkit.analysis import write_gate_harmonics_csv, write_regimes_csv
 
 from conftest import exact_phi_min
 
@@ -139,78 +130,6 @@ class TestGateSweepRegimes:
             assert abs(label.phi_min - exact_phi_min(hpq_params, channels, HALF_FLUX.phi_e)) < 1e-6
 
 
-class TestSnsBranchReport:
-    def test_open_channel_rows_are_zero(self):
-        report = sns_branch_report([(0.0, NanowireChannels(()))], 40.0, k_max=6)
-        row = report.rows[0]
-        assert np.all(row.v == 0.0)
-        assert row.v_even == 0.0 and row.v_odd == 0.0 and row.t_sum == 0.0
-
-    def test_first_harmonic_grows_with_transmission(self):
-        report = sns_branch_report(
-            [(0.0, NanowireChannels((0.2,))), (1.0, NanowireChannels((0.4,)))], 40.0
-        )
-        assert abs(report.rows[1].v[1]) > abs(report.rows[0].v[1])
-
-    def test_fixed_junction_arm_overlay(self, hpq_params, odd_channels):
-        report = sns_branch_report(
-            [(0.0, odd_channels)], hpq_params.gap, k_max=8, params=hpq_params
-        )
-        u = fourier_u(hpq_params, 8)
-        assert report.u_even == pytest.approx(float(np.sum(u[2::2])), rel=1e-12)
-        assert report.u_odd == pytest.approx(float(np.sum(u[1::2])), rel=1e-12)
-
-    def test_transmission_sum_column(self, even_channels):
-        report = sns_branch_report([(0.0, even_channels)], 40.0)
-        assert report.rows[0].t_sum == pytest.approx(sum(even_channels), rel=1e-12)
-
-
-class TestParityTable:
-    def test_pure_even_potential_weights(self):
-        # matched arms: unit-transmission channel against equal junctions
-        ej = 20.0
-        params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-6, ec=0.3, gap=2.0 * ej)
-        rows = parity_table(
-            params, NanowireChannels((1.0,)), HALF_FLUX,
-            ChargeBasisConfig(n_cut=25), 2, include_bo=False,
-        )
-        assert rows[0].even_weight == pytest.approx(1.0, abs=1e-10)
-        assert rows[1].odd_weight == pytest.approx(1.0, abs=1e-10)
-
-    def test_open_nanowire_mixes_parities(self, hpq_params):
-        rows = parity_table(
-            hpq_params, NanowireChannels(()), FluxBias(0.0), ChargeBasisConfig(n_cut=30), 2
-        )
-        for row in rows:
-            assert 0.3 < row.even_weight < 0.7
-
-    def test_high_transmission_gate_separates_parity(self, hpq_params, even_channels):
-        rows = parity_table(
-            hpq_params, even_channels, HALF_FLUX, ChargeBasisConfig(n_cut=30), 2
-        )
-        assert rows[0].even_weight >= 0.95
-        assert rows[1].odd_weight >= 0.95
-
-    def test_dominant_components_sorted_and_cut(self, hpq_params, mixed_channels):
-        rows = parity_table(hpq_params, mixed_channels, HALF_FLUX, ChargeBasisConfig(n_cut=30), 1)
-        probs = [p for _, p in rows[0].dominant]
-        assert all(p > DOMINANT_CUTOFF for p in probs)
-        assert probs == sorted(probs, reverse=True)
-        assert sum(probs) == pytest.approx(1.0, abs=0.05)
-
-    def test_equal_probabilities_listed_by_ascending_charge(self, hpq_params, mixed_channels):
-        # at n_g = 0 the solve is charge-reflection symmetric, so |psi_n|^2 = |psi_-n|^2 exactly
-        rows = parity_table(
-            hpq_params, mixed_channels, FluxBias.from_phi0(0.3), ChargeBasisConfig(n_cut=25), 2,
-        )
-        for row in rows:
-            probs = dict(row.dominant)
-            assert all(probs[-n] == p for n, p in row.dominant)
-            assert list(row.dominant) == sorted(row.dominant, key=lambda np_: (-np_[1], np_[0]))
-        assert [n for n, _ in rows[0].dominant] == [0, -1, 1, -2, 2, -3, 3, -4, 4]
-        assert [n for n, _ in rows[1].dominant] == [-2, 2, -3, 3, -1, 1, -4, 4, -5, 5]
-
-
 class TestTableExports:
     def test_gate_harmonics_csv(self, tmp_path, hpq_params, mixed_channels):
         rows = gate_sweep_harmonics(hpq_params, [(0.0, mixed_channels)], HALF_FLUX, k_max=4)
@@ -229,23 +148,3 @@ class TestTableExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "gate,phi_min_rad,regime"
         assert lines[1].endswith("OddDominated")
-
-    def test_sns_report_csv(self, tmp_path, hpq_params, odd_channels):
-        report = sns_branch_report(
-            [(0.0, odd_channels)], hpq_params.gap, k_max=4, params=hpq_params
-        )
-        path = tmp_path / "sns.csv"
-        write_sns_report_csv(report, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("gate,v1,v2,v3,v4,v_even,v_odd,t_sum,u_even")
-
-    def test_parity_csv(self, tmp_path, hpq_params, even_channels):
-        rows = parity_table(
-            hpq_params, even_channels, HALF_FLUX, ChargeBasisConfig(n_cut=30), 2
-        )
-        path = tmp_path / "parity.csv"
-        write_parity_csv(rows, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "state,energy_ghz,even_weight,odd_weight,dominant"
-        assert len(lines) == 3
-        assert ":" in lines[1].split(",")[4]

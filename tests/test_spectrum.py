@@ -16,6 +16,7 @@ import hpqkit.spectrum as spectrum
 
 from hpqkit import (
     ChargeBasisConfig,
+    CircuitParams,
     FluxBias,
     HarmonicSpectrum,
     NanowireChannels,
@@ -33,6 +34,8 @@ from hpqkit import (
     transition_frequencies,
 )
 from hpqkit.spectrum import DEGENERACY_TOL
+
+from conftest import from_real_form
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -293,6 +296,26 @@ class TestSolverForms:
         assert np.max(np.abs(full.real - spectrum._real_form(*spectrum._reflection_blocks(h)))) <= atol
         assert np.max(np.abs(full.imag)) <= atol
 
+    @given(
+        n_cut=st.integers(0, 30),
+        n_levels=st.integers(1, 6),
+        fortran=st.booleans(),
+        data=st.data(),
+    )
+    def test_in_place_back_map_matches_the_allocating_oracle(self, n_cut, n_levels, fortran, data):
+        cells = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0])
+        dim = 2 * n_cut + 1
+        values = data.draw(st.lists(cells, min_size=dim * n_levels, max_size=dim * n_levels))
+        z = np.array(values).reshape(dim, n_levels, order="F" if fortran else "C")
+        want = from_real_form(z)
+        # a row of a grid's vectors, as the grid solver passes it
+        grid = np.full((3, dim, n_levels), np.nan, complex)
+        out = grid[1]
+        assert spectrum._from_real_form(z, out) is out
+        assert grid[1].tobytes() == want.tobytes()
+        assert np.isnan(grid[[0, 2]]).all()
+        assert spectrum._from_real_form(z).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_each_matrix_takes_its_driver(self, drivers, route):
         h = self.matrix(route)
@@ -397,6 +420,34 @@ class TestChargeStructure:
         w = parity_weights(vectors[:, 0])
         assert 0.05 < w.even_weight < 0.95
         assert 0.05 < w.odd_weight < 0.95
+
+    @staticmethod
+    def lowest_parity_weights(params, channels, flux, n_cut, n_states, include_bo=True):
+        u = fourier_u(params, 10, include_bo=include_bo)
+        v = fourier_v(channels, params.gap, 10)
+        cfg = ChargeBasisConfig(n_cut=n_cut, n_levels=n_states)
+        vectors = solve_flux_grid(u, v, [flux.phi_e], params.ec, cfg).vectors[0]
+        return [parity_weights(vectors[:, m]) for m in range(n_states)]
+
+    def test_pure_even_potential_weights(self):
+        # matched arms: unit-transmission channel against equal junctions
+        ej = 20.0
+        params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-6, ec=0.3, gap=2.0 * ej)
+        w0, w1 = self.lowest_parity_weights(
+            params, NanowireChannels((1.0,)), FluxBias.from_phi0(0.5), 25, 2, include_bo=False
+        )
+        assert w0.even_weight == pytest.approx(1.0, abs=1e-10)
+        assert w1.odd_weight == pytest.approx(1.0, abs=1e-10)
+
+    def test_open_nanowire_mixes_parities(self, hpq_params):
+        weights = self.lowest_parity_weights(hpq_params, NanowireChannels(()), FluxBias(0.0), 30, 2)
+        for w in weights:
+            assert 0.3 < w.even_weight < 0.7
+
+    def test_high_transmission_gate_separates_parity(self, hpq_params, even_channels):
+        w0, w1 = self.lowest_parity_weights(hpq_params, even_channels, FluxBias.from_phi0(0.5), 30, 2)
+        assert w0.even_weight >= 0.95
+        assert w1.odd_weight >= 0.95
 
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -629,6 +680,21 @@ class TestSolveFluxGrid:
             assert np.array_equal(table.frequencies[label][keep], clean.frequencies[label][keep])
         for pair in table.me_pairs:
             assert math.isnan(table.matrix_elements[pair][2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n_g", [0.0, 0.3])
+    def test_non_finite_harmonics_fail_before_lapack(self, hpq_params, mixed_channels, drivers, bad, n_g):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        u = u.copy()
+        u[3] = bad
+        cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4)
+        flux = np.linspace(0.0, math.pi, 5)
+        with pytest.raises(SolverError, match=r"^flux point 0 \(phi_e=.*\): matrix of dim=51 has non-finite entries$"):
+            solve_flux_grid(u, v, flux, hpq_params.ec, cfg)
+        grid = solve_flux_grid(u, v, flux, hpq_params.ec, cfg, strict=False)
+        assert np.isnan(grid.energies).all() and np.isnan(grid.vectors).all()
+        assert grid.failed.all() and not grid.clustered.any()
+        assert drivers.calls == []
 
     def test_strict_failure_names_flux_index(self, hpq_params, mixed_channels, fail_solve):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]

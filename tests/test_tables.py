@@ -2,8 +2,9 @@
 
 Each case writes one file from small fixed inputs and compares the whole
 file with a bytes literal, so a change of number format, column order,
-section layout or line ending shows here. The structure test keeps the
-file policy and the number format in ``hpqkit.tables`` alone.
+section layout or line ending shows here. A property compares the
+block-formatting CSV writer with a row-at-a-time reference. The structure
+test keeps the file policy and the number format in ``hpqkit.tables`` alone.
 """
 
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hpqkit import (
     CircuitParams,
@@ -28,19 +31,9 @@ from hpqkit import (
     write_harmonics_csv,
     write_map_csv,
 )
-from hpqkit.analysis import (
-    GateHarmonics,
-    ParityRow,
-    RegimeRow,
-    SnsBranchReport,
-    SnsBranchRow,
-    write_gate_harmonics_csv,
-    write_parity_csv,
-    write_regimes_csv,
-    write_sns_report_csv,
-)
+from hpqkit.analysis import GateHarmonics, RegimeRow, write_gate_harmonics_csv, write_regimes_csv
 from hpqkit.cli import main
-from hpqkit.tables import write_csv
+from hpqkit.tables import CSV_BLOCK_ROWS, fmt, write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -104,25 +97,25 @@ def _regimes(path):
     write_regimes_csv(rows, path)
 
 
-def _sns(path, u_even=None, u_odd=None, rows=True):
-    body = (
-        SnsBranchRow(gate=-1.0, v=np.array([-3.0, 1.5, -0.25]), v_even=-0.25, v_odd=1.5,
-                     t_sum=1.75),
-        SnsBranchRow(gate=2.0, v=np.array([-4.0, 2.0, -0.0]), v_even=-0.0, v_odd=2.0,
-                     t_sum=2.0 / 3.0),
-    )
-    write_sns_report_csv(SnsBranchReport(rows=body if rows else (), u_even=u_even, u_odd=u_odd),
-                         path)
+def _signed_zero_columns(path, *extra):
+    """Numpy cells, -0.0 among them; ``extra`` cells repeat on every row, as constant columns do."""
+    header = ["gate", "v1", "v2", "v_even", "v_odd", "t_sum"] + ["u_even", "u_odd"][: len(extra)]
+    v = (np.array([1.5, -0.25]), np.array([2.0, -0.0]))
+    write_csv(path, header, [
+        (-1.0, *v[0], v[0][1], v[0][0], 1.75, *extra),
+        (2.0, *v[1], v[1][1], v[1][0], 2.0 / 3.0, *extra),
+    ])
 
 
-def _parity(path):
-    rows = [
-        ParityRow(state=0, energy=-12.345678901234, even_weight=0.9999999999999,
-                  odd_weight=1e-13, dominant=((0, 0.75), (-2, 0.2), (2, 1.0 / 30.0))),
-        ParityRow(state=1, energy=5.0, even_weight=-0.0, odd_weight=1.0, dominant=()),
-        ParityRow(state=2, energy=9.5, even_weight=0.5, odd_weight=0.5, dominant=((1, 1.0),)),
-    ]
-    write_parity_csv(rows, path)
+def _joined_cells(path):
+    """A ``;``-joined ``str`` cell of formatted numbers, and an empty ``str`` cell."""
+    dominant = (((0, 0.75), (-2, 0.2), (2, 1.0 / 30.0)), (), ((1, 1.0),))
+    cells = [";".join(f"{n}:{fmt(p)}" for n, p in pairs) for pairs in dominant]
+    write_csv(path, ("state", "energy_ghz", "even_weight", "odd_weight", "dominant"), [
+        (0, -12.345678901234, 0.9999999999999, 1e-13, cells[0]),
+        (1, 5.0, -0.0, 1.0, cells[1]),
+        (2, 9.5, 0.5, 0.5, cells[2]),
+    ])
 
 
 def _csv_cells(path):
@@ -254,26 +247,26 @@ GOLDEN = [
         id="regimes-empty",
     ),
     pytest.param(
-        _sns,
+        _signed_zero_columns,
         b'gate,v1,v2,v_even,v_odd,t_sum\n'
         b'-1,1.5,-0.25,-0.25,1.5,1.75\n'
         b'2,2,-0,-0,2,0.666666666667\n',
         id="sns",
     ),
     pytest.param(
-        lambda p: _sns(p, -50.0, 0.125),
+        lambda p: _signed_zero_columns(p, -50.0, 0.125),
         b'gate,v1,v2,v_even,v_odd,t_sum,u_even,u_odd\n'
         b'-1,1.5,-0.25,-0.25,1.5,1.75,-50,0.125\n'
         b'2,2,-0,-0,2,0.666666666667,-50,0.125\n',
         id="sns-with-u",
     ),
     pytest.param(
-        lambda p: _sns(p, rows=False),
+        lambda p: write_csv(p, ("gate", "v_even", "v_odd", "t_sum"), iter(())),
         b'gate,v_even,v_odd,t_sum\n',
         id="sns-empty",
     ),
     pytest.param(
-        _parity,
+        _joined_cells,
         b'state,energy_ghz,even_weight,odd_weight,dominant\n'
         b'0,-12.3456789012,1,1e-13,0:0.75;-2:0.2;2:0.0333333333333\n'
         b'1,5,-0,1,\n'
@@ -424,6 +417,59 @@ def test_file_bytes(tmp_path, write, expected):
     path = tmp_path / "out.txt"
     write(str(path))
     assert path.read_bytes() == expected
+
+
+def csv_row_at_a_time(header, rows) -> bytes:
+    """Reference CSV bytes: each row formatted alone by the template its first row fixes."""
+    rows = iter(rows)
+    first = next(rows, None)
+    out = [",".join(header) + "\n"]
+    if first is not None:
+        template = ",".join("%s" if isinstance(c, str) else "%.12g" for c in first) + "\n"
+        out.append(template % first)
+        out.extend(template % row for row in rows)
+    return "".join(out).encode("utf-8")
+
+
+NUMBER_CELLS = {
+    int: st.integers(-(10**15), 10**15),
+    float: st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300]),
+}
+STR_CELLS = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def csv_tables(draw):
+    """A header, and rows whose columns each hold one cell type, at counts around the block size."""
+    kinds = draw(st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=5))
+    pools = [
+        draw(st.lists(STR_CELLS if kind is str else NUMBER_CELLS[kind], min_size=1, max_size=8))
+        for kind in kinds
+    ]
+    n_rows = draw(st.sampled_from([0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                   2 * CSV_BLOCK_ROWS + 1]))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [tuple(rnd.choice(pool) for pool in pools) for _ in range(n_rows)]
+    return [f"col{i}" for i in range(len(kinds))], rows
+
+
+@given(table=csv_tables())
+def test_write_csv_matches_row_at_a_time_formatting(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(str(path), header, iter(rows))
+    assert path.read_bytes() == csv_row_at_a_time(header, rows)
+
+
+@pytest.mark.parametrize("ragged", [
+    [(1.0, 2.0, 3.0), (4.0, 5.0)],
+    # cell counts that a flattened block would absorb with every cell shifted
+    [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)],
+    [(1.0, 2.0, 3.0)] * (CSV_BLOCK_ROWS + 5) + [(1.0, 2.0, 3.0, 4.0)],
+], ids=["short", "short-then-long", "long-in-second-block"])
+def test_write_csv_rejects_a_row_of_another_width(tmp_path, ragged):
+    with pytest.raises(TypeError, match="3 cells"):
+        write_csv(str(tmp_path / "out.csv"), ("a", "b", "c"), ragged)
 
 
 def test_only_tables_module_writes_files():
