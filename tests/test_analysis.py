@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from hpqkit import (
+    ChargeBasisConfig,
     CircuitParams,
     FluxBias,
     NanowireChannels,
@@ -16,6 +17,8 @@ from hpqkit import (
     gate_sweep_harmonics,
     gate_sweep_regimes,
     parity_sums,
+    parity_weights,
+    solve_flux_grid,
 )
 from hpqkit.analysis import write_gate_harmonics_csv, write_regimes_csv
 
@@ -128,6 +131,36 @@ class TestGateSweepRegimes:
         for label, row, (_, channels) in zip(labels, rows, gates):
             assert (row.phi_min, row.regime) == (label.phi_min, label.regime)
             assert abs(label.phi_min - exact_phi_min(hpq_params, channels, HALF_FLUX.phi_e)) < 1e-6
+
+
+class TestParityTable:
+    @staticmethod
+    def lowest_parity_weights(params, channels, flux, n_cut, n_states, include_bo=True):
+        u = fourier_u(params, 10, include_bo=include_bo)
+        v = fourier_v(channels, params.gap, 10)
+        cfg = ChargeBasisConfig(n_cut=n_cut, n_levels=n_states)
+        vectors = solve_flux_grid(u, v, [flux.phi_e], params.ec, cfg).vectors[0]
+        return [parity_weights(vectors[:, m]) for m in range(n_states)]
+
+    def test_pure_even_potential_weights(self):
+        # matched arms: unit-transmission channel against equal junctions
+        ej = 20.0
+        params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-6, ec=0.3, gap=2.0 * ej)
+        w0, w1 = self.lowest_parity_weights(
+            params, NanowireChannels((1.0,)), FluxBias.from_phi0(0.5), 25, 2, include_bo=False
+        )
+        assert w0.even_weight == pytest.approx(1.0, abs=1e-10)
+        assert w1.odd_weight == pytest.approx(1.0, abs=1e-10)
+
+    def test_open_nanowire_mixes_parities(self, hpq_params):
+        weights = self.lowest_parity_weights(hpq_params, NanowireChannels(()), FluxBias(0.0), 30, 2)
+        for w in weights:
+            assert 0.3 < w.even_weight < 0.7
+
+    def test_high_transmission_gate_separates_parity(self, hpq_params, even_channels):
+        w0, w1 = self.lowest_parity_weights(hpq_params, even_channels, FluxBias.from_phi0(0.5), 30, 2)
+        assert w0.even_weight >= 0.95
+        assert w1.odd_weight >= 0.95
 
 
 class TestTableExports:
