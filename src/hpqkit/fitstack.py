@@ -28,7 +28,8 @@ from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
 from .config import MAX_ENERGY_GHZ, MAX_FLUX_PHI0
-from .potentials import K_MAX, CircuitParams, NanowireChannels, _power_amplitudes, fourier_u, fourier_v
+from .potentials import K_MAX, CircuitParams, NanowireChannels, fourier_u
+from .potentials import _junction_terms, _nanowire_v, _power_amplitudes
 from .spectrum import (
     CUTOFF_HEADROOM,
     ChargeBasisConfig,
@@ -377,39 +378,72 @@ class ThetaLayout:
         return params, channels
 
 
+@dataclass(eq=False)
+class _Plan:
+    """What every evaluation of one fit reads of one dataset's ``points``, made once per fit.
+
+    ``flux`` holds each distinct flux once, in first-seen order; ``rows``
+    maps each point to its flux's row, ``levels`` holds each point's
+    ``(i, j, divisor)`` as three rows, ``sigmas`` are floored at
+    ``cfg.sigma_floor`` and ``phase`` is the Jacobian's ``exp(i k phi)``
+    at each flux. With fixed globals the first solve keeps its junction
+    arm in ``u``.
+    """
+
+    gate: float
+    points: tuple[TransitionPoint, ...]
+    flux: np.ndarray
+    rows: np.ndarray
+    levels: np.ndarray
+    data: np.ndarray
+    sigmas: np.ndarray
+    basis: ChargeBasisConfig
+    phase: np.ndarray
+    u: np.ndarray | None = None
+
+
+def _plan(gate: float, points: Sequence[TransitionPoint], cfg: FitConfig) -> _Plan:
+    if not points:
+        raise ValueError(f"dataset gate={gate} has no fittable points")
+    rows: dict[float, int] = {}
+    point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
+    levels = np.array([p.levels for p in points]).T
+    flux = np.array(list(rows), dtype=float)
+    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
+    phase = np.exp(1j * np.outer(flux, np.arange(1, cfg.k_max + 1)))[:, np.newaxis, :]
+    data, sigmas = np.array([(p.freq, max(p.sigma, cfg.sigma_floor)) for p in points]).T
+    return _Plan(gate, tuple(points), flux, point_rows, levels, data, sigmas, basis, phase)
+
+
 @dataclass(frozen=True)
 class _GridSolution:
     """One dataset's points on their solved flux grid.
 
-    ``grid`` holds each distinct flux once, in first-seen order; ``rows``
-    maps each point to its flux's row, and ``levels`` holds each point's
-    ``(i, j, divisor)`` as three rows.
+    ``amplitudes[channel]`` holds ``A(T, 1/2)`` and ``A(T, -1/2)``: the
+    first gives the nanowire arm, and the Jacobian reads both.
     """
 
     grid: FluxGrid
-    rows: np.ndarray
-    levels: np.ndarray
+    plan: _Plan
+    amplitudes: np.ndarray
 
     def model(self) -> np.ndarray:
         """Model frequency of each point."""
-        i, j, divisor = self.levels
-        return (self.grid.energies[self.rows, j] - self.grid.energies[self.rows, i]) / divisor
+        rows = self.plan.rows
+        i, j, divisor = self.plan.levels
+        return (self.grid.energies[rows, j] - self.grid.energies[rows, i]) / divisor
 
 
 def _solve_points(
-    params: CircuitParams,
-    channels: NanowireChannels,
-    points: Sequence[TransitionPoint],
-    cfg: FitConfig,
+    params: CircuitParams, channels: NanowireChannels, plan: _Plan, cfg: FitConfig
 ) -> _GridSolution:
-    """Solve each distinct flux of ``points`` once: the fit's only route to eigenpairs."""
-    u = fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
-    v = fourier_v(channels, params.gap, cfg.k_max)
-    rows: dict[float, int] = {}
-    point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
-    levels = np.array([p.levels for p in points]).T
-    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
-    return _GridSolution(solve_flux_grid(u, v, list(rows), cfg.ec, basis), point_rows, levels)
+    """Solve each distinct flux of the plan once: the fit's only route to eigenpairs."""
+    u = plan.u if plan.u is not None else fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
+    if cfg.globals_mode == "fixed":
+        plan.u = u
+    amplitudes = _power_amplitudes(np.array(channels.transmissions)[:, None], (0.5, -0.5), cfg.k_max)
+    v = _nanowire_v(amplitudes[:, 0], params.gap)
+    return _GridSolution(solve_flux_grid(u, v, plan.flux, cfg.ec, plan.basis), plan, amplitudes)
 
 
 def dataset_model_frequencies(
@@ -419,11 +453,7 @@ def dataset_model_frequencies(
     cfg: FitConfig,
 ) -> np.ndarray:
     """Model frequencies for arbitrary labeled points (used points or not)."""
-    return _solve_points(params, channels, points, cfg).model()
-
-
-def _sigmas(points: Sequence[TransitionPoint], cfg: FitConfig) -> np.ndarray:
-    return np.array([max(p.sigma, cfg.sigma_floor) for p in points])
+    return _solve_points(params, channels, _plan(math.nan, points, cfg), cfg).model()
 
 
 def model_residuals(
@@ -440,22 +470,20 @@ def model_residuals(
     evaluation with the offending dataset identified. When ``grids`` is
     a list, each dataset's solved flux grid (energies and eigenvectors)
     is appended to it, so the Jacobian at the same ``theta`` needs no
-    new solve.
+    new solve. :func:`fit_global` passes the plans it made of its
+    datasets in their place.
     """
     params, channel_sets = layout.unpack(theta, cfg)
     chunks: list[np.ndarray] = []
     for dataset, channels in zip(datasets, channel_sets):
-        points = dataset.used_points
-        if not points:
-            raise ValueError(f"dataset gate={dataset.gate} has no usable points")
+        plan = dataset if isinstance(dataset, _Plan) else _plan(dataset.gate, dataset.used_points, cfg)
         try:
-            grid = _solve_points(params, channels, points, cfg)
+            grid = _solve_points(params, channels, plan, cfg)
         except SolverError as exc:
-            raise SolverError(f"dataset gate={dataset.gate}: {exc}") from exc
+            raise SolverError(f"dataset gate={plan.gate}: {exc}") from exc
         if grids is not None:
             grids.append(grid)
-        data = np.array([p.freq for p in points])
-        chunks.append((grid.model() - data) / _sigmas(points, cfg))
+        chunks.append((grid.model() - plan.data) / plan.sigmas)
     return np.concatenate(chunks)
 
 
@@ -482,28 +510,15 @@ def model_residuals(
 _CENTRAL_STEP = np.finfo(float).eps ** (1.0 / 3.0)
 
 
-def _u_derivatives(params: CircuitParams, cfg: FitConfig, layout: ThetaLayout) -> np.ndarray:
-    """d u_k / d theta for k = 1..k_max; nonzero only in the free-globals columns."""
-    du = np.zeros((cfg.k_max, layout.n_params))
-    if layout.globals_free:
-        junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), cfg.k_max)[:, 1:]
-        junction = -params.ej_sigma * junction
-        if cfg.include_bo:
-            correction = math.sqrt(params.ej_sigma * params.ecj) * correction
-        else:
-            correction = 0.0
-        du[:, 0] = junction + correction / 2.0
-        du[:, 1] = correction / 2.0
-    return du
-
-
 def _v_derivatives(
-    theta: np.ndarray, gap: float, cfg: FitConfig, layout: ThetaLayout, d: int
+    theta: np.ndarray, gap: float, amplitudes: np.ndarray, layout: ThetaLayout, d: int
 ) -> np.ndarray:
-    """d v_k / d theta for k = 1..k_max of dataset ``d``'s nanowire arm."""
-    dv = np.zeros((cfg.k_max, layout.n_params))
+    """d v_k / d theta for k = 1..k_max of dataset ``d``'s nanowire arm, from its solve's amplitudes."""
     logits = theta[layout.t_slice(d)]
-    amplitudes = _power_amplitudes(expit(logits)[:, None], (0.5, -0.5), cfg.k_max)[..., 1:]
+    # the solve's rows follow NanowireChannels' descending order; tied
+    # transmissions have equal rows, so each logit's rank finds its row
+    amplitudes = amplitudes[np.argsort(np.argsort(-logits))][..., 1:]
+    dv = np.zeros((amplitudes.shape[-1], layout.n_params))
     dv[:, layout.t_slice(d)] = (
         -0.5 * gap * expit(-logits)[:, None] * (amplitudes[:, 0] - amplitudes[:, 1])
     ).T
@@ -512,34 +527,20 @@ def _v_derivatives(
     return dv
 
 
-def _level_derivatives(grid: FluxGrid, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+def _level_derivatives(grid: FluxGrid, phase: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Hellmann-Feynman dE/d theta of every solved level, shape ``(fluxes, levels, params)``."""
-    k = np.arange(1, len(du) + 1)
     vectors = grid.vectors
-    g = np.stack(
-        [np.einsum("rml,rml->rl", vectors[:, :-kk].conj(), vectors[:, kk:]) for kk in k], axis=-1
-    )
-    phase = np.exp(1j * np.outer(grid.flux, k))[:, np.newaxis, :]
+    conj = vectors.conj()
+    g = np.stack([np.einsum("rml,rml->rl", conj[:, :-k], vectors[:, k:]) for k in range(1, len(du) + 1)], -1)
     return g.real @ du + (phase * g).real @ dv
 
 
-def _degenerate_rows(solution: _GridSolution) -> np.ndarray:
-    """Flux rows where a point uses a level of a degenerate cluster."""
-    clustered, rows = solution.grid.clustered, solution.rows
-    i, j, _ = solution.levels
-    return np.unique(rows[clustered[rows, i] | clustered[rows, j]])
-
-
 def _central_rows(
-    theta: np.ndarray,
-    points: Sequence[TransitionPoint],
-    d: int,
-    cfg: FitConfig,
-    layout: ThetaLayout,
+    theta: np.ndarray, plan: _Plan, d: int, cfg: FitConfig, layout: ThetaLayout
 ) -> np.ndarray:
-    """Central-difference Jacobian rows of some of dataset ``d``'s points."""
+    """Central-difference Jacobian rows of the points of ``plan``, a part of dataset ``d``."""
     columns = [*range(layout.n_globals), *range(layout.n_params)[layout.t_slice(d)]]
-    rows = np.zeros((len(points), layout.n_params))
+    rows = np.zeros((len(plan.points), layout.n_params))
     for c in columns:
         h = _CENTRAL_STEP * max(1.0, abs(theta[c]))
         model = []
@@ -547,17 +548,13 @@ def _central_rows(
             x = theta.copy()
             x[c] += step
             params, channel_sets = layout.unpack(x, cfg)
-            model.append(_solve_points(params, channel_sets[d], points, cfg).model())
+            model.append(_solve_points(params, channel_sets[d], plan, cfg).model())
         rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
-    return rows / _sigmas(points, cfg)[:, None]
+    return rows / plan.sigmas[:, None]
 
 
 def _model_jacobian(
-    theta: np.ndarray,
-    datasets: Sequence[SpectroscopyDataset],
-    cfg: FitConfig,
-    layout: ThetaLayout,
-    solutions: Sequence[_GridSolution],
+    theta: np.ndarray, cfg: FitConfig, layout: ThetaLayout, solutions: Sequence[_GridSolution]
 ) -> tuple[np.ndarray, int]:
     """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there.
 
@@ -565,22 +562,30 @@ def _model_jacobian(
     central differences.
     """
     params, _ = layout.unpack(theta, cfg)
-    du = _u_derivatives(params, cfg, layout)
+    # d u_k / d theta for k = 1..k_max; nonzero only in the free-globals columns
+    du = np.zeros((cfg.k_max, layout.n_params))
+    if layout.globals_free:
+        junction, correction = (term[1:] for term in _junction_terms(params, cfg.k_max))
+        correction = correction if cfg.include_bo else 0.0
+        du[:, 0] = junction + correction / 2.0
+        du[:, 1] = correction / 2.0
     blocks: list[np.ndarray] = []
     fallbacks = 0
-    for d, (dataset, solution) in enumerate(zip(datasets, solutions)):
-        points = dataset.used_points
-        d_energy = _level_derivatives(solution.grid, du, _v_derivatives(theta, params.gap, cfg, layout, d))
-        rows = solution.rows
-        i, j, divisor = solution.levels
-        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * _sigmas(points, cfg))[:, None]
-        degenerate = _degenerate_rows(solution)
+    for d, solution in enumerate(solutions):
+        plan = solution.plan
+        dv = _v_derivatives(theta, params.gap, solution.amplitudes, layout, d)
+        d_energy = _level_derivatives(solution.grid, plan.phase, du, dv)
+        rows = plan.rows
+        i, j, divisor = plan.levels
+        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * plan.sigmas)[:, None]
+        # flux rows where a point uses a level of a degenerate cluster
+        clustered = solution.grid.clustered
+        degenerate = np.unique(rows[clustered[rows, i] | clustered[rows, j]])
         if len(degenerate):
             fallbacks += len(degenerate)
             mask = np.isin(rows, degenerate)
-            block[mask] = _central_rows(
-                theta, [p for p, m in zip(points, mask) if m], d, cfg, layout
-            )
+            part = _plan(plan.gate, [p for p, m in zip(plan.points, mask) if m], cfg)
+            block[mask] = _central_rows(theta, part, d, cfg, layout)
         blocks.append(block)
     return np.vstack(blocks), fallbacks
 
@@ -651,9 +656,7 @@ def fit_global(
     counts = tuple(int(n) for n in channel_counts)
     if len(counts) != len(datasets):
         raise ValueError("one channel count per dataset required")
-    for dataset in datasets:
-        if not dataset.used_points:
-            raise ValueError(f"dataset gate={dataset.gate} has no fittable points")
+    plans = [_plan(dataset.gate, dataset.used_points, cfg) for dataset in datasets]
 
     layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=counts)
     if layout.globals_free and initial_params is None:
@@ -677,7 +680,7 @@ def fit_global(
 
     def objective(x: np.ndarray) -> np.ndarray:
         grids: list[_GridSolution] = []
-        r = model_residuals(x, datasets, cfg, layout, grids=grids)
+        r = model_residuals(x, plans, cfg, layout, grids=grids)
         latest.update(x=x.copy(), grids=grids)
         return r
 
@@ -686,7 +689,7 @@ def fit_global(
         if not np.array_equal(x, latest["x"]):
             objective(x)
         latest["read"] = (latest["x"], latest["grids"])
-        jac, n_fallbacks = _model_jacobian(x, datasets, cfg, layout, latest["grids"])
+        jac, n_fallbacks = _model_jacobian(x, cfg, layout, latest["grids"])
         fallbacks += n_fallbacks
         return jac
 
@@ -714,11 +717,11 @@ def fit_global(
     solution, (x_read, grids) = best
     if not np.array_equal(solution.x, x_read):
         grids = []
-        model_residuals(solution.x, datasets, cfg, layout, grids=grids)
+        model_residuals(solution.x, plans, cfg, layout, grids=grids)
 
     params, channel_sets = layout.unpack(solution.x, cfg)
     models = [grid.model() for grid in grids]
-    data = [np.array([p.freq for p in dataset.used_points]) for dataset in datasets]
+    data = [plan.data for plan in plans]
     all_data = np.concatenate(data)
 
     boundary = tuple(

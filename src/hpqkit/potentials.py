@@ -420,11 +420,14 @@ def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> 
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    junction, correction = _junction_terms(params, k_max)
+    return junction + correction if include_bo else junction
+
+
+def _junction_terms(params: CircuitParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The junction term ``-E_Jsigma A(lam, 1/2)`` and the correction ``sqrt(E_Jsigma E_CJ) A(lam, 1/4)``."""
     junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), k_max)
-    u = -params.ej_sigma * junction
-    if include_bo:
-        u = u + math.sqrt(params.ej_sigma * params.ecj) * correction
-    return u
+    return -params.ej_sigma * junction, math.sqrt(params.ej_sigma * params.ecj) * correction
 
 
 def fourier_v(channels: NanowireChannels, gap: float, k_max: int) -> np.ndarray:
@@ -436,9 +439,13 @@ def fourier_v(channels: NanowireChannels, gap: float, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    amplitudes = _power_amplitudes(np.array(channels.transmissions), 0.5, k_max)
+    return _nanowire_v(_power_amplitudes(np.array(channels.transmissions), 0.5, k_max), gap)
+
+
+def _nanowire_v(amplitudes: np.ndarray, gap: float) -> np.ndarray:
+    """The nanowire arm ``-gap * sum_i A(T_i, 1/2)`` from each channel's row of amplitudes."""
     # subtracting from +0.0 keeps zero amplitudes from printing as -0
-    return np.zeros(k_max + 1) - gap * amplitudes.sum(axis=0)
+    return np.zeros(amplitudes.shape[-1]) - gap * amplitudes.sum(axis=0)
 
 
 def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicSpectrum:

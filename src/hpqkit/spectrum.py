@@ -469,7 +469,7 @@ def solve_flux_grid(
                 energies[idx], vectors[idx] = _evr(table[dense].T, cfg.n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:
-                raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]!r}): {exc}") from exc
+                raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]:g}): {exc}") from exc
             logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
     for idx in np.flatnonzero(_close_to_next(energies).any(axis=1)):
         energies[idx], vectors[idx] = _degeneracy_reorder(energies[idx], vectors[idx], cfg.n_cut)

@@ -1,11 +1,16 @@
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.special import expit
 
-from hpqkit import CircuitParams, NanowireChannels
+import hpqkit.fitstack as fitstack
+from hpqkit import CircuitParams, NanowireChannels, fourier_v
+from hpqkit.potentials import _power_amplitudes
+from hpqkit.spectrum import ChargeBasisConfig, FluxGrid, solve_flux_grid
 
 settings.register_profile(
     "ci",
@@ -77,6 +82,113 @@ def from_real_form(z: np.ndarray) -> np.ndarray:
     vectors[n_cut + 1 :] = even + 1j * odd
     vectors[:n_cut] = (even - 1j * odd)[::-1]
     return vectors
+
+
+@dataclass(frozen=True)
+class PerEvaluationGrid:
+    """One dataset's solve on the per-evaluation route: its grid and the bookkeeping it rebuilt."""
+
+    grid: FluxGrid
+    points: tuple
+    rows: np.ndarray
+    levels: np.ndarray
+
+    def model(self) -> np.ndarray:
+        i, j, divisor = self.levels
+        return (self.grid.energies[self.rows, j] - self.grid.energies[self.rows, i]) / divisor
+
+
+def _per_evaluation_solve(params, channels, points, cfg) -> PerEvaluationGrid:
+    # looked up on fitstack, so a test that patches the fit's junction arm patches both routes
+    u = fitstack.fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
+    v = fourier_v(channels, params.gap, cfg.k_max)
+    rows: dict[float, int] = {}
+    point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
+    levels = np.array([p.levels for p in points]).T
+    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
+    return PerEvaluationGrid(solve_flux_grid(u, v, list(rows), cfg.ec, basis), tuple(points), point_rows, levels)
+
+
+def _per_evaluation_sigmas(points, cfg) -> np.ndarray:
+    return np.array([max(p.sigma, cfg.sigma_floor) for p in points])
+
+
+def per_evaluation_residuals(theta, datasets, cfg, layout, *, grids=None) -> np.ndarray:
+    """Reference for ``fitstack.model_residuals``: the route that rebuilds everything per evaluation.
+
+    Every call makes both arms from ``fourier_u`` and ``fourier_v`` and
+    each dataset's rows, levels, data, sigmas and basis anew, as the fit
+    did before it planned them once. ``grids`` collects
+    :class:`PerEvaluationGrid` objects for :func:`per_evaluation_jacobian`.
+    """
+    params, channel_sets = layout.unpack(theta, cfg)
+    chunks = []
+    for dataset, channels in zip(datasets, channel_sets):
+        points = dataset.used_points
+        solution = _per_evaluation_solve(params, channels, points, cfg)
+        if grids is not None:
+            grids.append(solution)
+        data = np.array([p.freq for p in points])
+        chunks.append((solution.model() - data) / _per_evaluation_sigmas(points, cfg))
+    return np.concatenate(chunks)
+
+
+def per_evaluation_jacobian(theta, cfg, layout, solutions) -> tuple[np.ndarray, int]:
+    """Reference for ``fitstack._model_jacobian`` on grids of :func:`per_evaluation_residuals`.
+
+    The arms' derivatives come from their own amplitude calls, the phase
+    table and each conjugate are made per call, and a point with a used
+    level in a degenerate cluster takes central differences.
+    """
+    params, _ = layout.unpack(theta, cfg)
+    k = np.arange(1, cfg.k_max + 1)
+    du = np.zeros((cfg.k_max, layout.n_params))
+    if layout.globals_free:
+        junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), cfg.k_max)[:, 1:]
+        junction = -params.ej_sigma * junction
+        correction = math.sqrt(params.ej_sigma * params.ecj) * correction if cfg.include_bo else 0.0
+        du[:, 0] = junction + correction / 2.0
+        du[:, 1] = correction / 2.0
+    blocks, fallbacks = [], 0
+    for d, solution in enumerate(solutions):
+        t_slice = layout.t_slice(d)
+        dv = np.zeros((cfg.k_max, layout.n_params))
+        logits = theta[t_slice]
+        amplitudes = _power_amplitudes(expit(logits)[:, None], (0.5, -0.5), cfg.k_max)[..., 1:]
+        dv[:, t_slice] = (-0.5 * params.gap * expit(-logits)[:, None] * (amplitudes[:, 0] - amplitudes[:, 1])).T
+        if layout.globals_free:
+            dv[:, 2] = -params.gap * amplitudes[:, 0].sum(axis=0)
+        vectors = solution.grid.vectors
+        g = np.stack([np.einsum("rml,rml->rl", vectors[:, :-kk].conj(), vectors[:, kk:]) for kk in k], axis=-1)
+        phase = np.exp(1j * np.outer(solution.grid.flux, k))[:, np.newaxis, :]
+        d_energy = g.real @ du + (phase * g).real @ dv
+        rows, (i, j, divisor) = solution.rows, solution.levels
+        sigmas = _per_evaluation_sigmas(solution.points, cfg)
+        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * sigmas)[:, None]
+        clustered = solution.grid.clustered
+        degenerate = np.unique(rows[clustered[rows, i] | clustered[rows, j]])
+        if len(degenerate):
+            fallbacks += len(degenerate)
+            mask = np.isin(rows, degenerate)
+            points = [p for p, m in zip(solution.points, mask) if m]
+            block[mask] = _per_evaluation_central_rows(theta, points, d, cfg, layout)
+        blocks.append(block)
+    return np.vstack(blocks), fallbacks
+
+
+def _per_evaluation_central_rows(theta, points, d, cfg, layout) -> np.ndarray:
+    columns = [*range(layout.n_globals), *range(layout.n_params)[layout.t_slice(d)]]
+    rows = np.zeros((len(points), layout.n_params))
+    for c in columns:
+        h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, abs(theta[c]))
+        model = []
+        for step in (h, -h):
+            x = theta.copy()
+            x[c] += step
+            params, channel_sets = layout.unpack(x, cfg)
+            model.append(_per_evaluation_solve(params, channel_sets[d], points, cfg).model())
+        rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
+    return rows / _per_evaluation_sigmas(points, cfg)[:, None]
 
 
 def exact_phi_min(params: CircuitParams, transmissions, phi_e: float, *, include_bo: bool = True) -> float:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ from scipy.optimize._numdiff import approx_derivative
 from scipy.special import expit
 
 import hpqkit.fitstack as fitstack
+from conftest import per_evaluation_jacobian, per_evaluation_residuals
 from hpqkit import (
     CircuitParams,
     FitConfig,
@@ -299,7 +301,7 @@ class TestAnalyticJacobian:
     def jacobians(theta, datasets, cfg, layout, **difference):
         grids = []
         model_residuals(theta, datasets, cfg, layout, grids=grids)
-        analytic, fallbacks = fitstack._model_jacobian(theta, datasets, cfg, layout, grids)
+        analytic, fallbacks = fitstack._model_jacobian(theta, cfg, layout, grids)
         central = approx_derivative(
             lambda x: model_residuals(x, datasets, cfg, layout), theta, method="3-point",
             **difference,
@@ -391,6 +393,8 @@ def test_only_solve_points_reaches_the_eigenpairs():
     source = Path(fitstack.__file__).read_text(encoding="utf-8")
     assert source.count("solve_flux_grid(") == 1
     assert source.count("fourier_u(") == 1
+    # one amplitude call per solve gives the nanowire arm and its Jacobian
+    assert source.count("_power_amplitudes(") == 1
 
 
 class TestRmse:
@@ -657,6 +661,167 @@ class TestChannelCountSelection:
         # count 4 starts from count 2, with one new channel for each count it skips
         below = selection.fits_by_count[2].channels[0].transmissions
         assert warm_starts == [[[*below, fitstack.WARM_T, fitstack.WARM_T]]]
+
+
+@pytest.fixture
+def per_evaluation_route(monkeypatch):
+    """Calling the returned function makes ``fit_global`` evaluate through the per-evaluation reference."""
+
+    def residuals(theta, plans, cfg, layout, *, grids=None):
+        datasets = [SpectroscopyDataset(plan.gate, plan.points) for plan in plans]
+        return per_evaluation_residuals(theta, datasets, cfg, layout, grids=grids)
+
+    def use() -> None:
+        monkeypatch.setattr(fitstack, "model_residuals", residuals)
+        monkeypatch.setattr(fitstack, "_model_jacobian", per_evaluation_jacobian)
+
+    return use
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of fitstack's arm kernels, evaluations and fits; ``in_jacobian`` counts amplitude calls the Jacobian made."""
+    calls = collections.Counter()
+    inside = []
+
+    def counted(name):
+        original = getattr(fitstack, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            calls["in_jacobian"] += name == "_power_amplitudes" and bool(inside)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitstack, name, wrapper)
+
+    for name in ("fourier_u", "_power_amplitudes", "model_residuals", "fit_global"):
+        counted(name)
+    jacobian = fitstack._model_jacobian
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return jacobian(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(fitstack, "_model_jacobian", marked)
+    return calls
+
+
+class TestPlannedEvaluation:
+    """A fit plans each dataset once; every evaluation matches the per-evaluation route bit for bit."""
+
+    @staticmethod
+    def doublet_case(cfg, monkeypatch):
+        """Two gates with unused points, a repeated flux, ``f02/2`` and one degenerate flux point.
+
+        The junction arm cancels the first gate's odd nanowire harmonics at
+        half flux (see the even-only doublet test), and both gates' thetas
+        list their transmissions in ascending order.
+        """
+        v = fourier_v(NanowireChannels((0.8, 0.4)), TRUE_PARAMS.gap, cfg.k_max)
+        u = np.zeros(cfg.k_max + 1)
+        u[1::2] = v[1::2]
+        u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
+        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max, include_bo: u)
+
+        def point(flux, label, used=True):
+            return TransitionPoint(flux=flux, label=label, freq=1.0 + 0.1 * flux, sigma=2e-4, used=used)
+
+        first = [point(phi, lab) for phi in (0.0, 1.0, 2.0, math.pi) for lab in ("f01", "f12", "f02")]
+        first += [point(1.0, "f02/2"), point(0.5, "f01", used=False), point(2.0, "f01")]
+        second = [point(phi, lab) for phi in (0.3, 1.7, 2.9) for lab in ("f01", "f02/2")]
+        second += [point(0.3, "f12", used=False), point(0.3, "f12")]
+        datasets = [SpectroscopyDataset(-1.0, tuple(first)), SpectroscopyDataset(1.0, tuple(second))]
+        layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=(2, 2))
+        return datasets, layout, layout.pack(TRUE_PARAMS, [(0.4, 0.8), (0.3, 0.6)])
+
+    @pytest.mark.parametrize("mode", ["fixed", "free"])
+    def test_residuals_and_jacobian_match_bit_for_bit(self, mode, monkeypatch):
+        cfg = dataclasses.replace(SMALL_CFG_FIXED, k_max=10, n_cut=25, globals_mode=mode)
+        datasets, layout, theta = self.doublet_case(cfg, monkeypatch)
+        grids, reference = [], []
+        got = model_residuals(theta, datasets, cfg, layout, grids=grids)
+        want = per_evaluation_residuals(theta, datasets, cfg, layout, grids=reference)
+        assert got.tobytes() == want.tobytes()
+        jacobian, fallbacks = fitstack._model_jacobian(theta, cfg, layout, grids)
+        want_jacobian, want_fallbacks = per_evaluation_jacobian(theta, cfg, layout, reference)
+        assert fallbacks == want_fallbacks == 1
+        assert jacobian.tobytes() == want_jacobian.tobytes()
+
+    @pytest.mark.parametrize("name", SELECTION_CASES)
+    def test_selection_matches_the_per_evaluation_route(self, name, per_evaluation_route):
+        ds, counts = selection_dataset(name), SELECTION_CASES[name][2]
+        planned = select_channel_count(ds, counts, SELECT_CFG)
+        single = fit_global([ds], [counts[-1]], SELECT_CFG)
+        per_evaluation_route()
+        reference = select_channel_count(ds, counts, SELECT_CFG)
+        assert planned.chosen == reference.chosen
+        assert planned.rmse_by_count == reference.rmse_by_count
+        for n in counts:
+            assert_same_fit(planned.fits_by_count[n], reference.fits_by_count[n])
+        assert_same_fit(single, fit_global([ds], [counts[-1]], SELECT_CFG))
+
+    def test_free_globals_fit_matches_the_per_evaluation_route(self, per_evaluation_route):
+        cfg = dataclasses.replace(SMALL_CFG_FREE, max_nfev=12)
+        ds = [
+            make_dataset(TRUE_PARAMS, (0.8, 0.4), -1.0, cfg, flux_values=FLUX_GRID[::2]),
+            make_dataset(TRUE_PARAMS, (0.6, 0.5), 1.0, cfg, flux_values=FLUX_GRID[1::2]),
+        ]
+        options = {"initial_params": TestAnalyticJacobian.START, "initial_transmissions": [(0.5, 0.7), (0.45, 0.65)]}
+        planned = fit_global(ds, [2, 2], cfg, **options)
+        per_evaluation_route()
+        assert_same_fit(planned, fit_global(ds, [2, 2], cfg, **options))
+
+    def test_fixed_globals_make_the_junction_arm_once_per_fit(self, kernel_calls):
+        ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FIXED, flux_values=FLUX_GRID[::2])
+        kernel_calls.clear()
+        result = fit_global([ds], [2], SMALL_CFG_FIXED)
+        assert result.n_jacobian_evaluations > 0 and result.jacobian_fallbacks == 0
+        assert kernel_calls["fourier_u"] == 1
+        assert kernel_calls["_power_amplitudes"] == kernel_calls["model_residuals"] == result.n_evaluations
+        assert kernel_calls["in_jacobian"] == 0
+        ds = selection_dataset("three-channel truth")
+        kernel_calls.clear()
+        fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
+        assert kernel_calls["fourier_u"] == kernel_calls["fit_global"] >= len(fits)
+        assert kernel_calls["in_jacobian"] == 0
+
+    def test_free_globals_remake_the_junction_arm_at_each_evaluation(self, kernel_calls):
+        ds = [
+            make_dataset(TRUE_PARAMS, (0.8, 0.4), -1.0, SMALL_CFG_FREE, flux_values=FLUX_GRID[::3]),
+            make_dataset(TRUE_PARAMS, (0.6, 0.5), 1.0, SMALL_CFG_FREE, flux_values=FLUX_GRID[::3]),
+        ]
+        start = {"initial_params": TestAnalyticJacobian.START, "initial_transmissions": [(0.7, 0.5)] * 2}
+        kernel_calls.clear()
+        result = fit_global(ds, [2, 2], dataclasses.replace(SMALL_CFG_FREE, max_nfev=6), **start)
+        assert result.n_jacobian_evaluations > 0 and result.jacobian_fallbacks == 0
+        assert kernel_calls["model_residuals"] == result.n_evaluations
+        assert kernel_calls["fourier_u"] == kernel_calls["_power_amplitudes"] == 2 * result.n_evaluations
+        assert kernel_calls["in_jacobian"] == 0
+
+    def test_each_fit_plans_its_own_dataset(self, per_evaluation_route):
+        """Settings that change a plan never leak into the next fit of the same dataset.
+
+        The reference fits a fresh copy on the per-evaluation route, which
+        plans nothing, so a plan kept under the dataset's value cannot
+        reach it.
+        """
+        ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FIXED, flux_values=FLUX_GRID[::3])
+        before = hash(ds)
+        configs = [
+            dataclasses.replace(SMALL_CFG_FIXED, max_nfev=6, **changes)
+            for changes in ({}, {"sigma_floor": 5e-4}, {"n_cut": 13}, {"n_g": 0.1}, {})
+        ]
+        start = {"initial_transmissions": [(0.7, 0.5)]}
+        planned = [fit_global([ds], [2], cfg, **start) for cfg in configs]
+        assert ds == SpectroscopyDataset(ds.gate, ds.points) and hash(ds) == before
+        assert len({fit.cost for fit in planned}) == 4
+        per_evaluation_route()
+        for cfg, got in zip(configs, planned):
+            fresh = SpectroscopyDataset(ds.gate, tuple(dataclasses.replace(p) for p in ds.points))
+            assert_same_fit(got, fit_global([fresh], [2], cfg, **start))
 
 
 class TestMergeSingleGateFits:
