@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -27,15 +27,14 @@ from .tables import fmt, write_csv, write_ini, write_lines
 
 ENV_PREFIX = "HPQKIT_"
 
+#: the flags that an ``HPQKIT_<FLAG>`` variable fills, each with the type of its value
+ENV_FLAGS = {"config": str, "out_dir": str, "channels": str, "kmax": int, "ncut": int, "seed": int}
+
 #: flux bias of fit's per-gate harmonics and of classify without a [flux] section
 HALF_FLUX = FluxBias.from_phi0(0.5)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(*, config_in_env: bool = False) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hpqkit",
         description="Hybrid-SQUID harmonic decomposition, spectra, and transmission fits",
@@ -43,9 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, *, needs_config: bool = True) -> None:
-        p.add_argument("--config", required=needs_config and _env("CONFIG") is None,
-                       default=_env("CONFIG"), help="run configuration document")
-        p.add_argument("--out-dir", default=_env("OUT_DIR") or ".", help="output directory")
+        p.add_argument("--config", required=needs_config and not config_in_env,
+                       help="run configuration document")
+        p.add_argument("--out-dir", help="output directory")
 
     def solver(p: argparse.ArgumentParser) -> None:
         """``common`` plus the truncation overrides of the commands that read them."""
@@ -66,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit transmissions (and optionally globals) to datasets")
     solver(p)
     p.add_argument("datasets", nargs="+", help="dataset CSV file(s)")
-    p.add_argument("--channels", default=_env("CHANNELS"),
-                   help="channel counts, e.g. '3' or '2..5' (selection mode)")
+    p.add_argument("--channels", help="channel counts, e.g. '3' or '2..5' (selection mode)")
 
     p = sub.add_parser("classify", help="regime map from fitted gate channels")
     common(p, needs_config=False)
@@ -76,21 +74,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_int_defaults(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill ``--kmax``, ``--ncut`` and ``--seed`` from ``HPQKIT_<FLAG>`` where the command
-    has the flag and the line left it unset; ``args.from_env`` names the filled ones."""
+def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
+    """The command line, each unset flag filled from a non-empty ``HPQKIT_<FLAG>``; the one reader
+    of the environment. ``args.from_env`` names the filled flags."""
+    args = build_parser(config_in_env=bool(os.environ.get(ENV_PREFIX + "CONFIG"))).parse_args(argv)
     args.from_env = set()
-    for dest in ("kmax", "ncut", "seed"):
+    for dest, kind in ENV_FLAGS.items():
         name = ENV_PREFIX + dest.upper()
         # a flag the command lacks is absent from args, so its variable goes unread
         text = os.environ.get(name) if vars(args).get(dest, 0) is None else None
         if text:
             try:
-                setattr(args, dest, int(text))
-                args.from_env.add(dest)
+                setattr(args, dest, kind(text))
             except ValueError as exc:
                 raise ConfigError(f"environment {name}: not an integer: {text!r}") from exc
+            args.from_env.add(dest)
     return args
+
+
+def _setting(cfg: RunConfig, args: argparse.Namespace, dest: str, key: str, default: Any) -> tuple[Any, str]:
+    """A flag-backed setting and its source: ``--<dest>`` (or the ``HPQKIT_<DEST>`` that filled it),
+    else the config ``key`` ("section.name"), else ``default``; an empty flag counts as unset."""
+    value = getattr(args, dest)
+    if value not in (None, ""):
+        return value, (ENV_PREFIX + dest.upper() if dest in args.from_env else f"--{dest}")
+    section, name = key.split(".")
+    if cfg.raw(section, name) is None:
+        return default, key
+    read = cfg.get_int if ENV_FLAGS[dest] is int else cfg.get_str
+    return read(section, name), key
+
+
+def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
+    """``make(**fields)``, a ``ValueError`` reported as ``<section>.<message>``: each domain
+    config's message starts with the field it rejects."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -98,52 +119,44 @@ def _env_int_defaults(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _out(args: argparse.Namespace, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    out_dir = "." if args.out_dir is None else args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
-def _n_g_from(cfg: RunConfig, section: str) -> float:
+def _solver_settings(
+    cfg: RunConfig, args: argparse.Namespace, section: str, basis_section: str, ncut_default: int,
+) -> tuple[int, int, float]:
+    """``k_max`` of ``section``, and ``n_cut`` and ``n_g`` of ``basis_section``."""
+    k_max, source = _setting(cfg, args, "kmax", f"{section}.k_max", potentials.K_MAX)
+    if k_max < 1:
+        raise ConfigError(f"{source} must be >= 1, got {k_max}")
+    n_cut, source = _setting(cfg, args, "ncut", f"{basis_section}.n_cut", ncut_default)
+    if n_cut < k_max + spectrum.CUTOFF_HEADROOM:
+        raise ConfigError(
+            f"{source}={n_cut} too small for k_max={k_max} (need k_max+{spectrum.CUTOFF_HEADROOM})"
+        )
     # the spectrum repeats with period 1 in n_g, so [-1, 1] holds every distinct offset
-    n_g = cfg.get_float(section, "n_g", default=0.0)
+    n_g = cfg.get_float(basis_section, "n_g", default=0.0)
     if abs(n_g) > 1.0:
-        raise ConfigError(f"{section}.n_g must lie in [-1, 1], got {n_g!r}")
-    return n_g
+        raise ConfigError(f"{basis_section}.n_g must lie in [-1, 1], got {n_g!r}")
+    return k_max, n_cut, n_g
 
 
 def _basis_from(
-    cfg: RunConfig, args: argparse.Namespace, k_max: int,
+    cfg: RunConfig, args: argparse.Namespace, section: str,
     labels: Sequence[str], pairs: Sequence[tuple[int, int]] = (),
-) -> spectrum.ChargeBasisConfig:
-    """The ``[basis]`` section; it must solve every level ``labels`` and ``pairs`` need."""
+) -> tuple[int, spectrum.ChargeBasisConfig]:
+    """``k_max`` of ``section``, and the ``[basis]`` that solves every level ``labels`` and ``pairs`` need."""
     defaults = spectrum.ChargeBasisConfig
-    n_cut = args.ncut if args.ncut is not None else cfg.get_int("basis", "n_cut", default=defaults.n_cut)
-    if n_cut < k_max + spectrum.CUTOFF_HEADROOM:
-        raise ConfigError(
-            f"{_source(args, 'ncut', 'basis.n_cut')}={n_cut} too small for k_max={k_max}"
-            f" (need k_max+{spectrum.CUTOFF_HEADROOM})"
-        )
-    n_levels = cfg.get_int("basis", "n_levels", default=defaults.n_levels)
-    if not 1 <= n_levels <= 2 * n_cut + 1:
-        raise ConfigError(f"basis.n_levels must be in [1, {2 * n_cut + 1}], got {n_levels}")
+    k_max, n_cut, n_g = _solver_settings(cfg, args, section, "basis", defaults.n_cut)
+    basis = _build("basis", spectrum.ChargeBasisConfig, n_cut=n_cut, n_g=n_g,
+                   n_levels=cfg.get_int("basis", "n_levels", default=defaults.n_levels))
     try:
-        spectrum.check_levels(n_levels, labels, pairs)
+        spectrum.check_levels(basis.n_levels, labels, pairs)
     except ValueError as exc:
         raise ConfigError(f"basis.n_levels: {exc}") from exc
-    return spectrum.ChargeBasisConfig(n_cut=n_cut, n_g=_n_g_from(cfg, "basis"), n_levels=n_levels)
-
-
-def _kmax_from(cfg: RunConfig, args: argparse.Namespace, section: str) -> int:
-    k_max = args.kmax if args.kmax is not None else cfg.get_int(section, "k_max", default=potentials.K_MAX)
-    if k_max < 1:
-        raise ConfigError(f"{_source(args, 'kmax', f'{section}.k_max')} must be >= 1, got {k_max}")
-    return k_max
-
-
-def _source(args: argparse.Namespace, dest: str, key: str) -> str:
-    """Where the value of ``--<dest>`` came from: the flag, ``HPQKIT_<DEST>`` or the config ``key``."""
-    if getattr(args, dest) is None:
-        return key
-    return ENV_PREFIX + dest.upper() if dest in args.from_env else f"--{dest}"
+    return k_max, basis
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -151,7 +164,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     params = cfgmod.circuit_from_config(cfg)
     channels = cfgmod.channels_from_config(cfg)
     flux = cfgmod.flux_from_config(cfg)
-    k_max = _kmax_from(cfg, args, "decompose")
+    k_max, basis = _basis_from(cfg, args, "decompose", spectrum.DEFAULT_LABELS, spectrum.DEFAULT_PAIRS)
     include_bo = cfg.get_bool("decompose", "include_bo", default=True)
 
     u = potentials.fourier_u(params, k_max, include_bo=include_bo)
@@ -160,7 +173,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     sums = potentials.parity_sums(spec)
     regime = potentials.find_phi_min(params, channels, flux, include_bo=include_bo)
 
-    basis = _basis_from(cfg, args, k_max, spectrum.DEFAULT_LABELS, spectrum.DEFAULT_PAIRS)
     table = spectrum.spectrum_vs_flux(
         params, channels, np.array([flux.phi_e]), basis, k_max=k_max, include_bo=include_bo
     )
@@ -209,7 +221,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = cfgmod.circuit_from_config(cfg)
     channels = cfgmod.channels_from_config(cfg)
-    k_max = _kmax_from(cfg, args, "sweep")
     include_bo = cfg.get_bool("sweep", "include_bo", default=True)
     labels = cfgmod.parse_labels(
         cfg.get_str("sweep", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="sweep.labels"
@@ -218,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pairs = spectrum.DEFAULT_PAIRS if pairs_text is None else tuple(
         cfgmod.parse_pairs(pairs_text, field="sweep.matrix_elements")
     )
-    basis = _basis_from(cfg, args, k_max, labels, pairs)
+    k_max, basis = _basis_from(cfg, args, "sweep", labels, pairs)
     grid = _flux_grid(cfg, "sweep")
     table = spectrum.spectrum_vs_flux(
         params, channels, grid, basis,
@@ -237,32 +248,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = cfgmod.circuit_from_config(cfg)
     channels = cfgmod.channels_from_config(cfg)
-    k_max = _kmax_from(cfg, args, "synth")
-    if args.seed is not None:
-        seed = args.seed
-    elif cfg.raw("synth", "seed") is not None:
-        seed = cfg.get_int("synth", "seed")
-    else:
+    seed, source = _setting(cfg, args, "seed", "synth.seed", None)
+    if seed is None:
         raise ConfigError("synth needs a seed (--seed or synth.seed)")
     if seed < 0:
-        raise ConfigError(f"{_source(args, 'seed', 'synth.seed')} must be >= 0, got {seed}")
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
     labels = cfgmod.parse_labels(
         cfg.get_str("synth", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="synth.labels"
     )
     defaults = synth.SynthConfig
-    try:
-        scfg = synth.SynthConfig(
-            seed=seed,
-            fwhm=cfg.get_energy("synth", "fwhm", default=defaults.fwhm),
-            amplitude=cfg.get_float("synth", "amplitude", default=defaults.amplitude),
-            noise_sigma=cfg.get_float("synth", "noise_sigma", default=defaults.noise_sigma),
-            weight_by_matrix_element=cfg.get_bool(
-                "synth", "weight_by_matrix_element", default=defaults.weight_by_matrix_element
-            ),
-        )
-    except ValueError as exc:
-        # each SynthConfig message starts with the field it rejects
-        raise ConfigError(f"synth.{exc}") from exc
+    scfg = _build(
+        "synth", synth.SynthConfig,
+        seed=seed,
+        fwhm=cfg.get_energy("synth", "fwhm", default=defaults.fwhm),
+        amplitude=cfg.get_float("synth", "amplitude", default=defaults.amplitude),
+        noise_sigma=cfg.get_float("synth", "noise_sigma", default=defaults.noise_sigma),
+        weight_by_matrix_element=cfg.get_bool(
+            "synth", "weight_by_matrix_element", default=defaults.weight_by_matrix_element
+        ),
+    )
     f_start = cfg.get_float("synth", "freq_start", default=0.1)
     f_stop = cfg.get_float("synth", "freq_stop", default=20.0)
     f_points = cfg.get_int("synth", "freq_points", default=2000)
@@ -276,7 +280,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"synth.freq_points must be >= 2, got {f_points}")
     freqs = np.linspace(f_start, f_stop, f_points)
     grid = _flux_grid(cfg, "synth")
-    basis = _basis_from(cfg, args, k_max, labels)
+    k_max, basis = _basis_from(cfg, args, "synth", labels)
 
     traces, _ = synth.synthesize_map(
         params, channels, grid, freqs, scfg,
@@ -306,6 +310,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gate_line(gate: float, transmissions: Sequence[float], rmse: float, chosen: int | None = None) -> str:
+    choice = "" if chosen is None else f"chose {chosen} channels, "
+    return f"gate {fmt(gate)}: {choice}T = [{', '.join(fmt(t) for t in transmissions)}], rmse = {fmt(rmse)} GHz"
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     initial = cfgmod.circuit_from_config(cfg)
@@ -313,81 +322,62 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if globals_mode not in ("free", "fixed"):
         raise ConfigError(f"fit.globals must be 'free' or 'fixed', got {globals_mode!r}")
     ec = cfg.get_energy("fit", "ec", default=initial.ec)
-    k_max = _kmax_from(cfg, args, "fit")
-    counts_text = args.channels or cfg.get_str("fit", "channels", default="3")
-    counts = cfgmod.parse_counts(counts_text, field="fit.channels")
+    counts_text, source = _setting(cfg, args, "channels", "fit.channels", "3")
+    counts = cfgmod.parse_counts(counts_text, field=source)
 
     defaults = fitstack.FitConfig
-    n_cut = args.ncut if args.ncut is not None else cfg.get_int("fit", "n_cut", default=defaults.n_cut)
-    try:
-        fit_cfg = fitstack.FitConfig(
-            ec=ec,
-            k_max=k_max,
-            n_cut=n_cut,
-            n_g=_n_g_from(cfg, "fit"),
-            include_bo=cfg.get_bool("fit", "include_bo", default=defaults.include_bo),
-            globals_mode=globals_mode,
-            fixed_params=replace(initial, ec=ec) if globals_mode == "fixed" else None,
-            sigma_floor=cfg.get_float("fit", "sigma_floor", default=defaults.sigma_floor),
-            max_nfev=cfg.get_int("fit", "max_nfev", default=0) or None,
-            rmse_factor=cfg.get_float("fit", "rmse_factor", default=defaults.rmse_factor),
-        )
-    except ValueError as exc:
-        # each FitConfig message starts with the field it rejects
-        raise ConfigError(f"fit.{exc}") from exc
+    k_max, n_cut, n_g = _solver_settings(cfg, args, "fit", "fit", defaults.n_cut)
+    fit_cfg = _build(
+        "fit", fitstack.FitConfig,
+        ec=ec,
+        k_max=k_max,
+        n_cut=n_cut,
+        n_g=n_g,
+        include_bo=cfg.get_bool("fit", "include_bo", default=defaults.include_bo),
+        globals_mode=globals_mode,
+        fixed_params=replace(initial, ec=ec) if globals_mode == "fixed" else None,
+        sigma_floor=cfg.get_float("fit", "sigma_floor", default=defaults.sigma_floor),
+        max_nfev=cfg.get_int("fit", "max_nfev", default=0) or None,
+        rmse_factor=cfg.get_float("fit", "rmse_factor", default=defaults.rmse_factor),
+    )
 
-    datasets: list[fitstack.SpectroscopyDataset] = []
-    for path in args.datasets:
-        datasets.extend(fitstack.read_dataset_csv(path))
+    datasets = [dataset for path in args.datasets for dataset in fitstack.read_dataset_csv(path)]
+    if not datasets:
+        raise ConfigError(f"datasets: no points in {', '.join(args.datasets)}")
     for dataset in datasets:
         if not dataset.used_points:
             raise ConfigError(f"dataset gate={fmt(dataset.gate)}: no fittable points")
-
     gates = [d.gate for d in datasets]
     if len({fmt(gate) for gate in gates}) != len(gates):
         raise ConfigError("datasets: each gate tag may appear in only one dataset file")
-    chosen_counts: dict[float, int] = {}
-    warnings_seen = False
 
     if len(counts) > 1:
         if fit_cfg.globals_mode != "fixed":
             raise ConfigError("channel-count selection requires fit.globals = fixed")
         rmse_rows: list[tuple[float, int, float, int]] = []
-        per_gate_results: list[fitstack.FitResult] = []
+        chosen_fits: list[fitstack.FitResult] = []
         for dataset in datasets:
+            # each gate is reported once it is fitted, so a long sweep shows its progress
             selection = fitstack.select_channel_count(dataset, counts, fit_cfg)
-            chosen_counts[dataset.gate] = selection.chosen
-            per_gate_results.append(selection.fits_by_count[selection.chosen])
-            for count in sorted(selection.rmse_by_count):
-                chosen = 1 if count == selection.chosen else 0
-                rmse_rows.append((dataset.gate, count, selection.rmse_by_count[count], chosen))
-            print(
-                f"gate {fmt(dataset.gate)}: chose {selection.chosen} channels, "
-                "T = [" + ", ".join(fmt(t) for t in selection.fits_by_count[selection.chosen].channels[0]) + "], "
-                f"rmse = {fmt(selection.rmse_by_count[selection.chosen])} GHz"
-            )
-            if not selection.fits_by_count[selection.chosen].converged:
-                warnings_seen = True
+            fit = selection.fits_by_count[selection.chosen]
+            chosen_fits.append(fit)
+            print(_gate_line(dataset.gate, fit.channels[0], fit.rmse, selection.chosen))
+            rmse_rows += [(dataset.gate, count, rmse, int(count == selection.chosen))
+                          for count, rmse in sorted(selection.rmse_by_count.items())]
         rmse_path = _out(args, "rmse_by_count.csv")
         write_csv(rmse_path, ("gate_v", "channels", "rmse_ghz", "chosen"), rmse_rows)
         print(f"wrote {rmse_path}")
-        result = fitstack._merge_single_gate_fits(per_gate_results, datasets)
+        result = fitstack._merge_single_gate_fits(chosen_fits, datasets)
     else:
-        count = counts[0]
         result = fitstack.fit_global(
-            datasets, [count] * len(datasets), fit_cfg,
+            datasets, counts * len(datasets), fit_cfg,
             initial_params=initial if fit_cfg.globals_mode == "free" else None,
         )
         for gate, channels, gate_rmse in zip(gates, result.channels, result.rmse_per_dataset):
-            print(
-                f"gate {fmt(gate)}: T = [" + ", ".join(fmt(t) for t in channels) + "], "
-                f"rmse = {fmt(gate_rmse)} GHz"
-            )
-        chosen_counts = {gate: count for gate in gates}
-        if not result.converged:
-            warnings_seen = True
+            print(_gate_line(gate, channels, gate_rmse))
 
     result_path = _out(args, "fit_result.ini")
+    chosen_counts = {gate: len(channels) for gate, channels in zip(gates, result.channels)}
     fitstack.write_fit_result(result, gates, result_path, chosen_counts=chosen_counts)
     harmonics = analysis.gate_sweep_harmonics(
         result.params, sorted(zip(gates, result.channels), key=lambda item: item[0]), HALF_FLUX,
@@ -396,7 +386,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     analysis.write_gate_harmonics_csv(harmonics, _out(args, "gate_harmonics.csv"))
     print(f"global rmse = {fmt(result.rmse)} GHz")
     print(f"wrote {result_path}")
-    if warnings_seen:
+    # the merged selection result is converged only when every chosen fit is
+    if not result.converged:
         print("warning: at least one fit hit its iteration budget (best-so-far reported)",
               file=sys.stderr)
     return 0
@@ -439,8 +430,8 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        # the integer defaults come from the environment, which may be malformed
-        args = _env_int_defaults(build_parser().parse_args(argv))
+        # the filled flags come from the environment, which may be malformed
+        args = parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ConfigError, fitstack.DatasetFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -300,6 +300,10 @@ class FitConfig:
     rmse_factor: float = RMSE_FACTOR
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.ec) and self.ec > 0.0):
+            raise ValueError(f"ec must be finite and > 0, got {self.ec!r}")
+        if not math.isfinite(self.n_g):
+            raise ValueError(f"n_g must be finite, got {self.n_g!r}")
         if self.globals_mode not in ("free", "fixed"):
             raise ValueError(f"globals_mode must be 'free' or 'fixed', got {self.globals_mode!r}")
         if self.globals_mode == "fixed" and self.fixed_params is None:

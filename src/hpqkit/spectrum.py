@@ -84,6 +84,8 @@ class ChargeBasisConfig:
     def __post_init__(self) -> None:
         if self.n_cut < 0:
             raise ValueError(f"n_cut must be >= 0, got {self.n_cut}")
+        if not math.isfinite(self.n_g):
+            raise ValueError(f"n_g must be finite, got {self.n_g!r}")
         if not 1 <= self.n_levels <= 2 * self.n_cut + 1:
             raise ValueError(
                 f"n_levels must be in [1, {2 * self.n_cut + 1}], got {self.n_levels}"

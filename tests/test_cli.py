@@ -1,3 +1,4 @@
+import ast
 import configparser
 import contextlib
 import inspect
@@ -26,6 +27,7 @@ from hpqkit import (
     synthesize_map,
     write_dataset_csv,
 )
+from hpqkit import cli
 from hpqkit.analysis import write_gate_harmonics_csv
 from hpqkit.cli import main
 from hpqkit.config import circuit_from_config, load_config, read_gate_channels
@@ -132,20 +134,30 @@ class TestDecompose:
         assert f"error: {source} must be >= 1, got " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, env, section, source",
+        "command, argv, env, section, source",
         [
-            (["--ncut", "3"], None, "", "--ncut"),
-            ([], "3", "", "HPQKIT_NCUT"),
-            ([], None, "\n[basis]\nn_cut = 3\n", "basis.n_cut"),
+            ("decompose", ["--ncut", "3"], None, "", "--ncut"),
+            ("decompose", [], "3", "", "HPQKIT_NCUT"),
+            ("decompose", [], None, "\n[basis]\nn_cut = 3\n", "basis.n_cut"),
+            ("fit", ["--ncut", "3"], None, "", "--ncut"),
+            ("fit", [], "3", "", "HPQKIT_NCUT"),
+            ("fit", [], None, "n_cut = 3\n", "fit.n_cut"),
         ],
-        ids=["flag", "env", "section-key"],
+        ids=["flag", "env", "section-key", "fit-flag", "fit-env", "fit-section-key"],
     )
-    def test_ncut_below_headroom_names_its_source(self, tmp_path, monkeypatch, capsys, argv, env, section, source):
+    def test_ncut_below_headroom_names_its_source(
+        self, tmp_path, monkeypatch, capsys, command, argv, env, section, source
+    ):
         if env is not None:
             monkeypatch.setenv("HPQKIT_NCUT", env)
-        cfg = write(tmp_path / "run.ini", HPQ_CONFIG + section)
-        assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
-        assert f"error: {source}=3 too small for k_max=10" in capsys.readouterr().err
+        if command == "fit":
+            # [fit] holds its own n_cut; k_max = 10 there as in [decompose]
+            cfg = write(tmp_path / "run.ini", FIT_CONFIG.replace("k_max = 6\nn_cut = 11\n", "k_max = 10\n" + section))
+            argv = [write(tmp_path / "data.csv", ONE_POINT_DATASET), *argv]
+        else:
+            cfg = write(tmp_path / "run.ini", HPQ_CONFIG + section)
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
+        assert f"error: {source}=3 too small for k_max=10 (need k_max+5)" in capsys.readouterr().err
 
     def test_env_out_dir_override(self, tmp_path, monkeypatch):
         out = tmp_path / "from_env"
@@ -153,6 +165,24 @@ class TestDecompose:
         cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
         assert main(["decompose", "--config", cfg]) == 0
         assert (out / "harmonics.csv").exists()
+
+    def test_empty_out_dir_env_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HPQKIT_OUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
+        assert main(["decompose", "--config", cfg]) == 0
+        assert (tmp_path / "harmonics.csv").exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "classify"])
+    def test_empty_config_env_exits_two(self, tmp_path, monkeypatch, command):
+        # an empty HPQKIT_CONFIG counts as unset: the parser may report the missing flag itself
+        monkeypatch.setenv("HPQKIT_CONFIG", "")
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main([command, "--out-dir", str(tmp_path)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 2
 
 
 SWEEP_CONFIG = """
@@ -380,6 +410,34 @@ class TestFit:
         err = capsys.readouterr().err
         assert "n_cut=10" in err and "runtime failure" not in err
 
+    @pytest.mark.parametrize(
+        "argv, env, key, message",
+        [
+            (["--channels", "0"], None, "2", "--channels: channel counts must be >= 1, got '0'"),
+            ([], "x", "2", "HPQKIT_CHANNELS: expected counts like '3', '2,3' or '2..5': 'x'"),
+            ([], None, "0", "fit.channels: channel counts must be >= 1, got '0'"),
+            ([], "", "0", "fit.channels: channel counts must be >= 1, got '0'"),
+            (["--channels", ""], None, "0", "fit.channels: channel counts must be >= 1, got '0'"),
+        ],
+        ids=["flag", "env", "section-key", "empty-env", "empty-flag"],
+    )
+    def test_bad_channel_counts_name_their_source(self, tmp_path, monkeypatch, capsys, argv, env, key, message):
+        if env is not None:
+            monkeypatch.setenv("HPQKIT_CHANNELS", env)
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG.replace("channels = 2", f"channels = {key}"))
+        data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--channels", "2..3"]], ids=["single-count", "selection"])
+    def test_header_only_dataset_exits_two_before_writing(self, tmp_path, capsys, extra):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        data = write(tmp_path / "empty.csv", ONE_POINT_DATASET.splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(out), *extra]) == 2
+        assert f"error: datasets: no points in {data}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gate_repeated_across_files_exits_two(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
         first = write(tmp_path / "a.csv", ONE_POINT_DATASET)
@@ -434,6 +492,26 @@ class TestFit:
         )
         # half flux leaves the potential even: every s_k is exactly zero
         assert np.all(cells[:, 7:13] == 0.0)
+
+    def test_selection_reports_each_gate_once_it_is_fitted(self, tmp_path, fit_dataset_csv, monkeypatch, capsys):
+        csv_path, _ = fit_dataset_csv
+        later = write(tmp_path / "later.csv",
+                      re.sub(r"^-0\.5,", "3,", Path(csv_path).read_text(), flags=re.M))
+        select = hpqkit.fitstack.select_channel_count
+        printed_before = []
+
+        def recording(*args):
+            printed_before.append(capsys.readouterr().out)
+            return select(*args)
+
+        monkeypatch.setattr(hpqkit.fitstack, "select_channel_count", recording)
+        # two evaluations leave every fit short of convergence
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG + "max_nfev = 2\n")
+        argv = ["fit", csv_path, later, "--config", cfg, "--out-dir", str(tmp_path), "--channels", "2..3"]
+        assert main(argv) == 0
+        assert printed_before[0] == ""
+        assert re.fullmatch(r"gate -0\.5: chose [23] channels, T = \[.*\], rmse = \S+ GHz\n", printed_before[1])
+        assert "warning: at least one fit hit its iteration budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "column, row",
@@ -495,6 +573,21 @@ def test_empty_sections_build_the_library_defaults(tmp_path, monkeypatch):
     circuit = CircuitParams(ej1=55.03, ej2=55.03, ecj=0.675, ec=0.28, gap=40.06)
     args, _ = seen["fit"]
     assert args[2] == FitConfig(ec=0.28, globals_mode="fixed", fixed_params=circuit)
+
+
+def test_one_function_reads_the_environment():
+    """``parse_args`` alone reads ``os.environ``, and README's command-line paragraph names
+    exactly the ``HPQKIT_*`` variables it fills."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    readers = [
+        node.name for node in tree.body
+        if any(isinstance(inner, ast.Attribute) and inner.attr in ("environ", "getenv")
+               for inner in ast.walk(node))
+    ]
+    assert readers == ["parse_args"]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("## Command line\n", 1)[1].strip().split("\n\n", 1)[0]
+    assert set(re.findall(r"HPQKIT_[A-Z_]+", paragraph)) == {f"HPQKIT_{dest.upper()}" for dest in cli.ENV_FLAGS}
 
 
 CLASSIFY_CONFIG = """

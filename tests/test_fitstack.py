@@ -203,12 +203,13 @@ class TestFitConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("sigma_floor", -1e-9),
-         ("sigma_floor", math.nan), ("max_nfev", 0)],
+         ("sigma_floor", math.nan), ("max_nfev", 0), ("ec", math.nan), ("ec", -1.0),
+         ("n_g", math.inf)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # below rmse_factor 1 select_channel_count finds no count within the factor of the best
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            FitConfig(ec=0.28, k_max=6, n_cut=11, **{field: value})
+            FitConfig(**{"ec": 0.28, "k_max": 6, "n_cut": 11, field: value})
 
     def test_fixed_params_must_carry_the_fit_ec(self):
         with pytest.raises(ValueError, match=r"^fixed_params\.ec=0\.28 differs from ec=0\.35"):

@@ -187,6 +187,20 @@ class TestBuildHamiltonian:
         n = cfg.charges
         assert np.allclose(np.diag(h), 4.0 * 0.5 * (n - 0.25) ** 2)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_cut": -1}, "n_cut must be >= 0, got -1"),
+            ({"n_levels": 0}, r"n_levels must be in \[1, 61\], got 0"),
+            ({"n_g": math.nan}, "n_g must be finite, got nan"),
+            ({"n_g": math.inf}, "n_g must be finite, got inf"),
+        ],
+    )
+    def test_out_of_range_basis_rejected(self, fields, message):
+        # a NaN offset would otherwise fail every point of a flux grid
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ChargeBasisConfig(**fields)
+
     def test_rejects_insufficient_cutoff(self):
         spec = HarmonicSpectrum.from_cosine([0.0] + [1.0] * 10)
         with pytest.raises(ValueError):

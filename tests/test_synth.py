@@ -66,6 +66,8 @@ class TestSynthesizeTrace:
             ({"fwhm": math.nan}, "fwhm must be > 0, got nan"),
             ({"noise_sigma": -0.1}, "noise_sigma must be >= 0, got -0.1"),
             ({"noise_sigma": math.nan}, "noise_sigma must be >= 0, got nan"),
+            ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
+            ({"amplitude": -math.inf}, "amplitude must be finite, got -inf"),
         ],
     )
     def test_nan_or_negative_setting_rejected(self, fields, message):
