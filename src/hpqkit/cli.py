@@ -92,12 +92,17 @@ def parse_args(argv: Sequence[str] | None = None) -> argparse.Namespace:
     return args
 
 
+def _flag_source(args: argparse.Namespace, dest: str) -> str:
+    """``--<dest>``, or the ``HPQKIT_<DEST>`` that filled it."""
+    return ENV_PREFIX + dest.upper() if dest in args.from_env else "--" + dest.replace("_", "-")
+
+
 def _setting(cfg: RunConfig, args: argparse.Namespace, dest: str, key: str, default: Any) -> tuple[Any, str]:
     """A flag-backed setting and its source: ``--<dest>`` (or the ``HPQKIT_<DEST>`` that filled it),
     else the config ``key`` ("section.name"), else ``default``; an empty flag counts as unset."""
     value = getattr(args, dest)
     if value not in (None, ""):
-        return value, (ENV_PREFIX + dest.upper() if dest in args.from_env else f"--{dest}")
+        return value, _flag_source(args, dest)
     section, name = key.split(".")
     if cfg.raw(section, name) is None:
         return default, key
@@ -119,8 +124,14 @@ def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
 
 
 def _out(args: argparse.Namespace, name: str) -> str:
-    out_dir = "." if args.out_dir is None else args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    """``name`` in the output directory, made if missing; an empty ``--out-dir`` counts as unset."""
+    out_dir = args.out_dir or "."
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"{_flag_source(args, 'out_dir')}: cannot create directory {out_dir!r}: {exc.strerror}"
+        ) from exc
     return os.path.join(out_dir, name)
 
 
@@ -147,7 +158,8 @@ def _basis_from(
     cfg: RunConfig, args: argparse.Namespace, section: str,
     labels: Sequence[str], pairs: Sequence[tuple[int, int]] = (),
 ) -> tuple[int, spectrum.ChargeBasisConfig]:
-    """``k_max`` of ``section``, and the ``[basis]`` that solves every level ``labels`` and ``pairs`` need."""
+    """``k_max`` of ``section``, and the ``[basis]``, whose ``n_levels`` bounds the levels ``labels``
+    and ``pairs`` may read; ``spectrum_vs_flux`` solves only the levels they do read."""
     defaults = spectrum.ChargeBasisConfig
     k_max, n_cut, n_g = _solver_settings(cfg, args, section, "basis", defaults.n_cut)
     basis = _build("basis", spectrum.ChargeBasisConfig, n_cut=n_cut, n_g=n_g,
@@ -250,7 +262,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     channels = cfgmod.channels_from_config(cfg)
     seed, source = _setting(cfg, args, "seed", "synth.seed", None)
     if seed is None:
-        raise ConfigError("synth needs a seed (--seed or synth.seed)")
+        raise ConfigError("synth needs a seed (--seed, HPQKIT_SEED or synth.seed)")
     if seed < 0:
         raise ConfigError(f"{source} must be >= 0, got {seed}")
     labels = cfgmod.parse_labels(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -45,6 +45,7 @@ __all__ = [
     "eigensolve",
     "parse_transition_label",
     "check_levels",
+    "levels_read",
     "transition_frequencies",
     "charge_matrix_element",
     "parity_weights",
@@ -330,13 +331,28 @@ def parse_transition_label(label: str) -> tuple[int, int, int]:
     return i, j, divisor
 
 
-def check_levels(n_levels: int, labels: Sequence[str], me_pairs: Sequence[tuple[int, int]] = ()) -> None:
-    """Raise ``ValueError`` when a label or level pair needs a level beyond ``n_levels``."""
+def _levels_needed(labels: Sequence[str], me_pairs: Sequence[tuple[int, int]]) -> dict[str, int]:
+    """The highest level each label and level pair reads, keyed by how an error names it."""
     needs = {f"label {label!r}": parse_transition_label(label)[1] for label in labels}
     needs.update({f"matrix element n{i}{j}": max(i, j) for i, j in me_pairs})
-    for name, level in needs.items():
+    return needs
+
+
+def check_levels(n_levels: int, labels: Sequence[str], me_pairs: Sequence[tuple[int, int]] = ()) -> None:
+    """Raise ``ValueError`` when a label or level pair needs a level beyond ``n_levels``."""
+    for name, level in _levels_needed(labels, me_pairs).items():
         if level >= n_levels:
             raise ValueError(f"{name} needs level {level}, but n_levels = {n_levels}")
+
+
+def levels_read(n_levels: int, labels: Sequence[str], me_pairs: Sequence[tuple[int, int]] = ()) -> int:
+    """Levels a table of ``labels`` and ``me_pairs`` reads: ``1 +`` the highest one.
+
+    A table that reads no level keeps ``n_levels``, as its energies are
+    then its only output. The fit plans its solves by the same rule.
+    """
+    needs = _levels_needed(labels, me_pairs).values()
+    return 1 + max(needs) if needs else n_levels
 
 
 def transition_frequencies(energies: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
@@ -381,7 +397,8 @@ class TransitionTable:
     """Spectra tabulated on a flux grid.
 
     ``frequencies[label]`` and ``matrix_elements[(i, j)]`` are aligned
-    with ``flux_radians``; failed points carry NaN rows.
+    with ``flux_radians``; failed points carry NaN rows. ``energies``
+    holds the levels the table reads, as :func:`levels_read` counts them.
     """
 
     flux_radians: np.ndarray
@@ -498,11 +515,18 @@ def spectrum_vs_flux(
 
     The arm Fourier amplitudes are flux independent and computed once;
     :func:`solve_flux_grid` re-interferes them and solves at each grid
-    point. Labels and pairs pass :func:`check_levels` before any solve.
-    A failed point logs a warning and leaves a NaN row flagged in
-    ``failed``.
+    point. Labels and pairs pass :func:`check_levels` before any solve,
+    so ``cfg.n_levels`` bounds the levels they may read, and each point
+    solves only the levels they do read (:func:`levels_read`), as the fit
+    does. A degenerate cluster that the last level read splits is ordered
+    among its solved members only: a doublet's lower member is that level,
+    whatever its even weight, so its energy moves by less than
+    :data:`DEGENERACY_TOL` and its vector can be the other state of the
+    pair from a solve of more levels. A failed point logs a warning and
+    leaves a NaN row flagged in ``failed``.
     """
     check_levels(cfg.n_levels, labels, me_pairs)
+    cfg = replace(cfg, n_levels=levels_read(cfg.n_levels, labels, me_pairs))
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
     grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=False)

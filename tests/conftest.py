@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, settings
 from scipy.special import expit
 
 import hpqkit.fitstack as fitstack
+import hpqkit.spectrum as spectrum
 from hpqkit import CircuitParams, NanowireChannels, fourier_v
-from hpqkit.potentials import _power_amplitudes
-from hpqkit.spectrum import ChargeBasisConfig, FluxGrid, solve_flux_grid
+from hpqkit.potentials import K_MAX, _power_amplitudes
+from hpqkit.spectrum import ChargeBasisConfig, FluxGrid, TransitionTable, solve_flux_grid
 
 settings.register_profile(
     "ci",
@@ -82,6 +83,34 @@ def from_real_form(z: np.ndarray) -> np.ndarray:
     vectors[n_cut + 1 :] = even + 1j * odd
     vectors[:n_cut] = (even - 1j * odd)[::-1]
     return vectors
+
+
+def full_level_table(
+    params, channels, flux, cfg, *, k_max=K_MAX, include_bo=True,
+    labels=spectrum.DEFAULT_LABELS, me_pairs=spectrum.DEFAULT_PAIRS,
+) -> TransitionTable:
+    """Reference for ``spectrum.spectrum_vs_flux``: every point solves all ``cfg.n_levels`` levels.
+
+    The frequencies are energy differences over the divisor and the matrix
+    elements ``|<i| n - n_g |j>|``, written out per label and pair. The arms
+    are looked up on ``spectrum``, so a test that patches them patches both
+    routes.
+    """
+    u = spectrum.fourier_u(params, k_max, include_bo=include_bo)
+    v = spectrum.fourier_v(channels, params.gap, k_max)
+    grid = solve_flux_grid(u, v, flux, params.ec, cfg, strict=False)
+    frequencies = {}
+    for label in labels:
+        i, j, divisor = spectrum.parse_transition_label(label)
+        frequencies[label] = (grid.energies[:, j] - grid.energies[:, i]) / divisor
+    n = cfg.charges - cfg.n_g
+    matrix_elements = {
+        (i, j): np.abs(np.sum(grid.vectors[:, :, i].conj() * n * grid.vectors[:, :, j], axis=1))
+        for i, j in me_pairs
+    }
+    return TransitionTable(
+        grid.flux, grid.energies, frequencies, matrix_elements, tuple(labels), tuple(me_pairs), grid.failed
+    )
 
 
 @dataclass(frozen=True)

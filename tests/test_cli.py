@@ -173,6 +173,24 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg]) == 0
         assert (tmp_path / "harmonics.csv").exists()
 
+    def test_empty_out_dir_flag_writes_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
+        assert main(["decompose", "--config", cfg, "--out-dir", ""]) == 0
+        assert (tmp_path / "harmonics.csv").exists() and (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+    def test_out_dir_that_cannot_be_made_names_its_source(self, tmp_path, monkeypatch, capsys, from_env):
+        blocker = write(tmp_path / "blocker", "a file, not a directory\n")
+        out = str(Path(blocker) / "out")
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG)
+        if from_env:
+            monkeypatch.setenv("HPQKIT_OUT_DIR", out)
+        argv = ["decompose", "--config", cfg] + ([] if from_env else ["--out-dir", out])
+        assert main(argv) == 2
+        source = "HPQKIT_OUT_DIR" if from_env else "--out-dir"
+        assert f"error: {source}: cannot create directory {out!r}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["decompose", "classify"])
     def test_empty_config_env_exits_two(self, tmp_path, monkeypatch, command):
         # an empty HPQKIT_CONFIG counts as unset: the parser may report the missing flag itself
@@ -290,7 +308,7 @@ class TestSynth:
     def test_missing_seed_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", SYNTH_CONFIG.replace("seed = 17\n", ""))
         assert main(["synth", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert "seed" in capsys.readouterr().err
+        assert "error: synth needs a seed (--seed, HPQKIT_SEED or synth.seed)" in capsys.readouterr().err
 
     def test_noiseless_ridge_matches_sweep(self, tmp_path):
         text = SYNTH_CONFIG.replace("noise_sigma = 0.02", "noise_sigma = 0.0")

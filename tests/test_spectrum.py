@@ -1,7 +1,9 @@
+import itertools
 import logging
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 import hpqkit.spectrum as spectrum
+from hpqkit.cli import main
 
 from hpqkit import (
     ChargeBasisConfig,
@@ -32,9 +35,9 @@ from hpqkit import (
     spectrum_vs_flux,
     transition_frequencies,
 )
-from hpqkit.spectrum import DEGENERACY_TOL
+from hpqkit.spectrum import DEFAULT_LABELS, DEFAULT_PAIRS, DEGENERACY_TOL
 
-from conftest import from_real_form
+from conftest import from_real_form, full_level_table
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -50,14 +53,16 @@ def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) 
 
 @pytest.fixture
 def drivers(monkeypatch):
-    """Record the LAPACK eigensolver of every solve; call number ``fail_at`` reports ``info = 1``."""
-    record = SimpleNamespace(calls=[], fail_at=None)
+    """Record the LAPACK eigensolver of every solve and the levels it asks for (``iu``); call
+    number ``fail_at`` reports ``info = 1``."""
+    record = SimpleNamespace(calls=[], levels=[], fail_at=None)
 
     def wrap(name: str) -> None:
         driver = getattr(lapack, name)
 
         def call(*args, **kwargs):
             record.calls.append(name)
+            record.levels.append(kwargs["iu"])
             out = driver(*args, **kwargs)
             return (*out[:-1], 1) if len(record.calls) == record.fail_at else out
 
@@ -122,6 +127,24 @@ def flux_grid_cases(draw):
         n_levels=draw(st.integers(1, 6)),
     )
     return u, v, np.array(flux), draw(st.floats(0.1, 1.0)), cfg
+
+
+def even_only_arms() -> tuple[np.ndarray, np.ndarray]:
+    """Arms with only even harmonics: the even and odd charges decouple, and the levels pair into
+    doublets (0, 1), (2, 3) split by less than ``DEGENERACY_TOL``."""
+    u = np.zeros(11)
+    u[2], u[4] = -150.0, 2.0
+    v = np.zeros(11)
+    v[2] = -4.0
+    return u, v
+
+
+@pytest.fixture
+def even_only(monkeypatch):
+    """``spectrum_vs_flux`` and ``full_level_table`` read the arms of :func:`even_only_arms`."""
+    u, v = even_only_arms()
+    monkeypatch.setattr(spectrum, "fourier_u", lambda *args, **kwargs: u)
+    monkeypatch.setattr(spectrum, "fourier_v", lambda *args, **kwargs: v)
 
 
 def transmon_spectrum(ej: float) -> HarmonicSpectrum:
@@ -507,6 +530,99 @@ class TestSpectrumVsFlux:
             )
         assert drivers.calls == []
 
+    #: n_g and flux: only real points (0 and half flux), sine content at n_g = 0, n_g = 0.3, and
+    #: the arms of the ``even_only`` fixture
+    ORACLE_GRIDS = {
+        "real": (0.0, np.array([0.0, math.pi, -math.pi, 2.0 * math.pi])),
+        "sine": (0.0, np.linspace(0.1, 3.0, 9)),
+        "n_g = 0.3": (0.3, np.linspace(0.0, math.pi, 9)),
+        "even-only doublet": (0.0, np.linspace(-math.pi, math.pi, 9)),
+    }
+    #: labels, level pairs and the levels they read
+    READS = {
+        "default": (DEFAULT_LABELS, DEFAULT_PAIRS, 3),
+        "f03/3": (("f01", "f03/3"), ((0, 1),), 4),
+        "pairs only": (("f01",), ((2, 3),), 4),
+    }
+
+    @staticmethod
+    def assert_close(table, want, atol):
+        assert np.array_equal(table.failed, want.failed)
+        assert table.labels == want.labels and table.me_pairs == want.me_pairs
+        read = table.energies.shape[1]
+        assert np.max(np.abs(table.energies - want.energies[:, :read])) <= atol
+        for label in table.labels:
+            assert np.max(np.abs(table.frequencies[label] - want.frequencies[label])) <= atol, label
+        for pair in table.me_pairs:
+            assert np.max(np.abs(table.matrix_elements[pair] - want.matrix_elements[pair])) <= atol, pair
+
+    @pytest.mark.parametrize(
+        "grid, read",
+        # the default read splits the even-only (2, 3) doublet, which the next test pins
+        [case for case in itertools.product(ORACLE_GRIDS, READS) if case != ("even-only doublet", "default")],
+    )
+    def test_matches_the_full_level_route(self, hpq_params, mixed_channels, request, grid, read):
+        if grid == "even-only doublet":
+            request.getfixturevalue("even_only")
+        n_g, flux = self.ORACLE_GRIDS[grid]
+        labels, pairs, levels = self.READS[read]
+        cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=6)
+        table = spectrum_vs_flux(hpq_params, mixed_channels, flux, cfg, labels=labels, me_pairs=pairs)
+        want = full_level_table(hpq_params, mixed_channels, flux, cfg, labels=labels, me_pairs=pairs)
+        assert table.energies.shape == (len(flux), levels)
+        self.assert_close(table, want, 1e-9)
+
+    def test_doublet_split_by_the_last_level_read_is_ordered_among_the_solved_levels(
+        self, hpq_params, mixed_channels, even_only
+    ):
+        # the default labels and pairs read levels 0..2, so level 3 of the (2, 3) doublet goes unsolved
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=6)
+        _, flux = self.ORACLE_GRIDS["even-only doublet"]
+        table = spectrum_vs_flux(hpq_params, mixed_channels, flux, cfg)
+        full = full_level_table(hpq_params, mixed_channels, flux, cfg)
+        assert np.all(np.abs(full.energies[:, 3] - full.energies[:, 2]) < DEGENERACY_TOL)
+        # as in the fit: the table is the full route run at the levels read, where the
+        # doublet's lower member is level 2, however its even weight compares
+        solved = full_level_table(hpq_params, mixed_channels, flux, replace(cfg, n_levels=3))
+        self.assert_close(table, solved, 1e-12)
+        assert np.allclose(table.energies[:, 2], full.energies[:, 2:4].min(axis=1), rtol=0.0, atol=1e-12)
+        # the energies and the whole (0, 1) doublet agree with the full route; level 2's vector does not
+        for label in table.labels:
+            assert np.max(np.abs(table.frequencies[label] - full.frequencies[label])) < DEGENERACY_TOL
+        assert np.max(np.abs(table.matrix_elements[(0, 1)] - full.matrix_elements[(0, 1)])) <= 1e-9
+        assert np.all(np.abs(table.matrix_elements[(1, 2)] - full.matrix_elements[(1, 2)]) > 1.0)
+
+    @pytest.mark.parametrize(
+        "n_levels, labels, pairs, levels",
+        [
+            (4, DEFAULT_LABELS, DEFAULT_PAIRS, 3),
+            (6, DEFAULT_LABELS, DEFAULT_PAIRS, 3),
+            (6, ("f01", "f03/3"), (), 4),
+            (6, ("f01",), ((2, 3),), 4),
+            (6, (), (), 6),
+        ],
+        ids=["default-of-4", "default-of-6", "f03/3", "pair-2-3", "nothing-read"],
+    )
+    def test_solves_one_more_than_the_highest_level_read(
+        self, hpq_params, mixed_channels, drivers, n_levels, labels, pairs, levels
+    ):
+        flux = np.linspace(0.0, math.pi, 5)
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=n_levels)
+        table = spectrum_vs_flux(hpq_params, mixed_channels, flux, cfg, labels=labels, me_pairs=pairs)
+        assert drivers.levels == [levels] * len(flux)
+        assert table.energies.shape == (len(flux), levels)
+
+    @pytest.mark.parametrize("command", ["decompose", "sweep", "synth"])
+    def test_commands_solve_the_three_levels_their_tables_read(self, tmp_path, drivers, command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            "[circuit]\nej1 = 55.03\nej2 = 55.03\necj = 0.675\nec = 0.28\ngap = 40.06\n"
+            "[channels]\ntransmissions = 0.94, 0.58, 0.58\n[flux]\nphi_e = 0.5\n[synth]\nseed = 1\n"
+        )
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+        # decompose solves its one flux, sweep and synth the 41 of the default grid
+        assert drivers.levels == [3] * (1 if command == "decompose" else 41)
+
     def test_csv_export(self, tmp_path, hpq_params, odd_channels):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         grid = 2.0 * math.pi * np.linspace(0.0, 0.5, 3)
@@ -529,10 +645,7 @@ class TestSolveFluxGrid:
 
     def cases(self, hpq_params, mixed_channels):
         u = fourier_u(hpq_params, 10)
-        even_u = np.zeros(11)
-        even_u[2], even_u[4] = -150.0, 2.0
-        even_v = np.zeros(11)
-        even_v[2] = -4.0
+        even_u, even_v = even_only_arms()
         return {
             "mixed": (u, fourier_v(mixed_channels, hpq_params.gap, 10), 0.0),
             "mixed, n_g = 0.3": (u, fourier_v(mixed_channels, hpq_params.gap, 10), 0.3),
