@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .potentials import CircuitParams, FluxBias, NanowireChannels
 from .spectrum import parse_transition_label
@@ -172,16 +172,15 @@ def parse_counts(text: str, *, field: str = "channels") -> list[int]:
 
 def parse_pairs(text: str, *, field: str = "matrix_elements") -> list[tuple[int, int]]:
     """Level pairs as '0-1,1-2'."""
+    cells = [cell.strip() for cell in text.split(",") if cell.strip()]
     pairs = []
-    for cell in text.split(","):
-        cell = cell.strip()
-        if not cell:
-            continue
+    for cell in cells:
         try:
             i_text, j_text = cell.split("-", 1)
             pairs.append((int(i_text), int(j_text)))
         except ValueError as exc:
             raise ConfigError(f"{field}: expected pairs like '0-1,1-2': {text!r}") from exc
+    _reject_repeats(cells, pairs, field)
     return pairs
 
 
@@ -189,12 +188,21 @@ def parse_labels(text: str, *, field: str = "labels") -> tuple[str, ...]:
     labels = tuple(cell.strip() for cell in text.split(",") if cell.strip())
     if not labels:
         raise ConfigError(f"{field}: no transition labels given")
-    for label in labels:
-        try:
-            parse_transition_label(label)
-        except ValueError as exc:
-            raise ConfigError(f"{field}: {exc}") from exc
+    try:
+        transitions = [parse_transition_label(label) for label in labels]
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    _reject_repeats(labels, transitions, field)
     return labels
+
+
+def _reject_repeats(cells: Sequence[str], meanings: Sequence[object], field: str) -> None:
+    """Raise ``ConfigError`` naming ``field`` when two cells mean one thing: it would be written twice."""
+    first: dict[object, str] = {}
+    for cell, meaning in zip(cells, meanings):
+        if meaning in first:
+            raise ConfigError(f"{field}: {cell!r} repeats {first[meaning]!r}")
+        first[meaning] = cell
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +231,25 @@ def read_gate_channels(cfg: RunConfig) -> list[tuple[float, NanowireChannels]]:
 
     The [gates] form maps each gate tag to a transmission list; fit
     result documents instead carry one [gate:<tag>] section per gate
-    with a ``transmissions`` field. Both are accepted.
+    with a ``transmissions`` field. Both are accepted, but each gate
+    voltage only once across them: tags '1.0' and '1.00' are one gate.
     """
-    gates: list[tuple[float, NanowireChannels]] = []
+    entries: list[tuple[str, str, str, str]] = []  # (tag, where, transmissions, field)
     if cfg.has_section("gates"):
-        for key, value in cfg.items("gates"):
-            gate = _gate_tag(key, "section [gates]")
-            gates.append((gate, _parse_channels(value, f"gates.{key}")))
+        entries += [(key, "section [gates]", value, f"gates.{key}") for key, value in cfg.items("gates")]
     for name in cfg.sections():
         if name.startswith("gate:"):
-            gate = _gate_tag(name[5:], f"section [{name}]")
             text = cfg.get_str(name, "transmissions", default="")
-            gates.append((gate, _parse_channels(text, f"{name}.transmissions")))
+            entries.append((name[5:], f"section [{name}]", text, f"{name}.transmissions"))
+    first: dict[float, str] = {}
+    gates: list[tuple[float, NanowireChannels]] = []
+    for tag, where, text, field in entries:
+        gate = _gate_tag(tag, where)
+        spelling = f"gate tag {tag!r} in {where}"
+        if gate in first:
+            raise ConfigError(f"{spelling} repeats the gate of {first[gate]}")
+        first[gate] = spelling
+        gates.append((gate, _parse_channels(text, field)))
     gates.sort(key=lambda item: item[0])
     return gates
 

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit, least_squares
 from scipy.special import expit, logit
 
 from .config import MAX_ENERGY_GHZ, MAX_FLUX_PHI0
@@ -166,6 +165,8 @@ def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
     above = y - offset0 > amp0 / 2.0
     width0 = max(float(np.sum(above)) * float(f[1] - f[0]), 2.0 * float(f[1] - f[0]))
     guess = (float(f[peak]), width0, amp0, offset0)
+
+    from scipy.optimize import OptimizeWarning, curve_fit
 
     try:
         with warnings.catch_warnings():
@@ -631,6 +632,13 @@ def rmse(model_freqs: Sequence[float], data_freqs: Sequence[float]) -> float:
     if len(model) == 0:
         raise ValueError("need at least one point")
     return float(np.sqrt(np.mean((model - data) ** 2)))
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first call so only a fit loads the optimizer."""
+    from scipy.optimize import least_squares
+
+    return least_squares(*args, **kwargs)
 
 
 def _default_starts(counts: tuple[int, ...]) -> list[list[list[float]]]:

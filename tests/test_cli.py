@@ -3,8 +3,12 @@ import configparser
 import contextlib
 import inspect
 import io
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +248,32 @@ class TestSweep:
         assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "f07" in err and "n_levels = 6" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "synth"])
+    @pytest.mark.parametrize(
+        "labels, message", [("f01, f02/2, f01", "'f01' repeats 'f01'"), ("f01, f01/1", "'f01/1' repeats 'f01'")]
+    )
+    def test_repeated_label_exits_two(self, tmp_path, capsys, command, labels, message):
+        base = SWEEP_CONFIG if command == "sweep" else SYNTH_CONFIG
+        cfg = write(tmp_path / "run.ini", re.sub(r"labels = .*", f"labels = {labels}", base))
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: {command}.labels: {message}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "pairs, message", [("0-1, 0-1", "'0-1' repeats '0-1'"), ("0-1, 1-2, 00-1", "'00-1' repeats '0-1'")]
+    )
+    def test_repeated_pair_exits_two(self, tmp_path, capsys, pairs, message):
+        cfg = write(tmp_path / "run.ini", SWEEP_CONFIG + f"matrix_elements = {pairs}\n")
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: sweep.matrix_elements: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "transitions.csv").exists()
+
+    def test_two_photon_label_is_not_a_repeat(self, tmp_path):
+        cfg = write(tmp_path / "run.ini", re.sub(r"labels = .*", "labels = f02, f02/2", SWEEP_CONFIG))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        header = (tmp_path / "transitions.csv").read_text().splitlines()[0]
+        assert header.startswith("flux_phi0,f02,f02/2,")
 
     def test_malformed_seed_env_is_not_read(self, tmp_path, monkeypatch):
         # sweep has no --seed, so it never reads HPQKIT_SEED
@@ -666,6 +696,21 @@ class TestClassify:
         assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"gate tag '{tag}' is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, first, second",
+        [
+            ("1.0 = 0.9, 0.5\n1.00 = 0.2\n", "'1.0' in section [gates]", "'1.00' in section [gates]"),
+            ("1.0 = 0.9, 0.5\n\n[gate:1]\ntransmissions = 0.2\n",
+             "'1.0' in section [gates]", "'1' in section [gate:1]"),
+        ],
+        ids=["gates-keys", "gates-key-and-gate-section"],
+    )
+    def test_gate_given_twice_exits_two(self, tmp_path, capsys, extra, first, second):
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG + extra)
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: gate tag {second} repeats the gate of gate tag {first}" in capsys.readouterr().err
+        assert not (tmp_path / "regimes.csv").exists()
+
     def test_empty_gate_list(self, tmp_path):
         text = CLASSIFY_CONFIG.split("[gates]")[0] + "[gates]\n"
         cfg = write(tmp_path / "run.ini", text)
@@ -697,6 +742,44 @@ class TestClassify:
         lines = (tmp_path / "regimes.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[1].endswith("EvenDominated")
+
+
+OPTIMIZER_PROBE = """
+import json, sys
+import hpqkit
+from hpqkit.cli import main
+
+config, out, dataset = sys.argv[1:]
+report = [["import", None, "scipy.optimize" in sys.modules]]
+for argv in (["decompose"], ["sweep"], ["synth"], ["classify"], ["fit", dataset]):
+    code = main([argv[0], "--config", config, "--out-dir", out, *argv[1:]])
+    report.append([argv[0], code, "scipy.optimize" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_only_fit_loads_the_optimizer(tmp_path, fit_dataset_csv):
+    # a fresh interpreter, since this one has already run fits
+    sections = [doc[doc.index(name):] for doc, name in (
+        (SWEEP_CONFIG, "[sweep]"), (SYNTH_CONFIG, "[synth]"), (CLASSIFY_CONFIG, "[gates]"), (FIT_CONFIG, "[fit]")
+    )]
+    config = write(tmp_path / "run.ini", "\n".join([HPQ_CONFIG, *sections]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if not key.startswith("HPQKIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", OPTIMIZER_PROBE, config, str(tmp_path), fit_dataset_csv[0]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        ["import", None, False],
+        ["decompose", 0, False],
+        ["sweep", 0, False],
+        ["synth", 0, False],
+        ["classify", 0, False],
+        ["fit", 0, True],
+    ]
 
 
 @pytest.mark.parametrize(
