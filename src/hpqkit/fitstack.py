@@ -37,6 +37,7 @@ from .spectrum import (
     parse_transition_label,
     solve_flux_grid,
 )
+from .spectrum import _transition
 from .synth import Trace, lorentzian
 from .tables import fmt, write_csv, write_ini
 
@@ -209,7 +210,7 @@ class TransitionHint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
-        if self.halfwidth <= 0.0:
+        if not self.halfwidth > 0.0:
             raise ValueError("halfwidth must be > 0")
 
 
@@ -314,6 +315,8 @@ class FitConfig:
                 f"fixed_params.ec={self.fixed_params.ec!r} differs from ec={self.ec!r}, "
                 "the charging energy the fit solves with"
             )
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be >= 1, got {self.k_max!r}")
         if self.n_cut < self.k_max + CUTOFF_HEADROOM:
             raise ValueError(f"n_cut={self.n_cut} too small for k_max={self.k_max}")
         if not self.sigma_floor >= 0.0:
@@ -434,9 +437,7 @@ class _GridSolution:
 
     def model(self) -> np.ndarray:
         """Model frequency of each point."""
-        rows = self.plan.rows
-        i, j, divisor = self.plan.levels
-        return (self.grid.energies[rows, j] - self.grid.energies[rows, i]) / divisor
+        return _transition(self.grid.energies, *self.plan.levels, rows=self.plan.rows)
 
 
 def _solve_points(
@@ -582,7 +583,7 @@ def _model_jacobian(
         d_energy = _level_derivatives(solution.grid, plan.phase, du, dv)
         rows = plan.rows
         i, j, divisor = plan.levels
-        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * plan.sigmas)[:, None]
+        block = _transition(d_energy, i, j, (divisor * plan.sigmas)[:, None], rows)
         # flux rows where a point uses a level of a degenerate cluster
         clustered = solution.grid.clustered
         degenerate = np.unique(rows[clustered[rows, i] | clustered[rows, j]])

@@ -15,8 +15,13 @@ In the basis ``|0>``, ``(|n> + |-n>)/sqrt2``, ``i(|n> - |-n>)/sqrt2``
 and it is solved in that real form with LAPACK ``dsyevr``. A real matrix
 (no sine content) goes to ``dsyevr`` as it is, and a complex matrix
 without the symmetry (n_g != 0) to ``zheevr``. :func:`solve_flux_grid`
-gathers each point's matrix, or its real form, straight from the point's
-band row and takes the same routes.
+gathers each point's matrix straight from the point's band row and takes
+the same routes; the real form is sliced from that matrix.
+
+Both solvers rotate the states of a degenerate cluster (levels within
+:data:`DEGENERACY_TOL`), LAPACK's arbitrary mix, into eigenstates of the
+even-charge weight: where even and odd charges decouple, each state then
+has one Cooper-pair parity.
 """
 
 from __future__ import annotations
@@ -115,7 +120,7 @@ def build_hamiltonian(spec: HarmonicSpectrum, ec: float, cfg: ChargeBasisConfig)
     constant term ``c[0]`` is dropped (pure energy offset). The basis must
     leave headroom beyond the coupling range: ``n_cut >= k_max + CUTOFF_HEADROOM``.
     """
-    dense, _ = _slots(cfg.n_cut, spec.k_max)
+    dense = _slots(cfg.n_cut, spec.k_max)
     return np.concatenate((_band_entries(spec.c, spec.s), _diagonal(ec, cfg)))[dense].T
 
 
@@ -140,12 +145,11 @@ def _band_entries(c: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _slots(n_cut: int, k_max: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _slots(n_cut: int, k_max: int) -> np.ndarray:
     """Where the entries of a charge-basis matrix sit in its table ``[band entries, diagonal]``.
 
-    The first array gathers the transposed matrix, so that its ``.T`` is
-    the matrix in Fortran order; the others gather its reflection blocks,
-    as :func:`_reflection_blocks` slices them from a dense matrix.
+    The array gathers the transposed matrix, so that its ``.T`` is the
+    matrix in Fortran order.
     """
     if k_max >= 1 and n_cut < k_max + CUTOFF_HEADROOM:
         raise ValueError(
@@ -156,11 +160,9 @@ def _slots(n_cut: int, k_max: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     slots = np.where(k > 0, k, k_max - k)
     slots[np.abs(k) > k_max] = 0
     np.fill_diagonal(slots, 2 * k_max + 1 + np.arange(dim))
-    corner, *blocks = _reflection_blocks(slots)
-    arrays = [np.ascontiguousarray(slots.T), *map(np.ascontiguousarray, blocks)]
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays[0], (corner, *arrays[1:])
+    dense = np.ascontiguousarray(slots.T)
+    dense.flags.writeable = False
+    return dense
 
 
 def _close_to_next(energies: np.ndarray) -> np.ndarray:
@@ -168,48 +170,39 @@ def _close_to_next(energies: np.ndarray) -> np.ndarray:
     return energies[..., 1:] - energies[..., :-1] < DEGENERACY_TOL
 
 
-def _degeneracy_reorder(
-    energies: np.ndarray, vectors: np.ndarray, n_cut: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Order states inside degenerate clusters by descending even weight."""
-    close = _close_to_next(energies)
-    if not close.any():
-        return energies, vectors
-    order = np.arange(len(energies))
-    start = 0
-    even_mask = np.arange(-n_cut, n_cut + 1) % 2 == 0
-    while start < len(energies):
-        stop = start + 1
-        while stop < len(energies) and close[stop - 1]:
-            stop += 1
-        if stop - start > 1:
-            weights = [
-                float(np.sum(np.abs(vectors[even_mask, i]) ** 2)) for i in order[start:stop]
-            ]
-            order[start:stop] = order[start:stop][np.argsort(weights)[::-1]]
-        start = stop
-    return energies[order], vectors[:, order]
+def _even_charges(vectors: np.ndarray) -> np.ndarray:
+    """The even-charge rows of charge-basis ``vectors``: every other row, from ``n_cut % 2``."""
+    return vectors[(len(vectors) - 1) // 2 % 2 :: 2]
 
 
-def _reflection_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``H[0, 0]``, ``H[0, q]``, ``H[p, q]`` and ``H[p, -q]`` (p, q = 1..n_cut) of a charge-basis matrix."""
-    n_cut = (len(h) - 1) // 2
-    return h[n_cut, n_cut], h[n_cut, n_cut + 1 :], h[n_cut + 1 :, n_cut + 1 :], h[n_cut + 1 :, :n_cut][:, ::-1]
+def _rotate_clusters(vectors: np.ndarray, close: np.ndarray) -> None:
+    """Rotate each degenerate cluster's states, in place, into eigenstates of their even-charge overlap.
+
+    ``close`` is :func:`_close_to_next` of the energies, which stay as
+    they are. The states go in descending order of even weight.
+    """
+    # a cluster runs from a rise of ``close`` to one past its fall
+    for start, stop in np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2):
+        # a fresh contiguous copy, so a grid row and eigensolve's vectors take the same products
+        cluster = np.ascontiguousarray(vectors[:, start : stop + 1])
+        even = _even_charges(cluster)
+        _, rotation = np.linalg.eigh(even.conj().T @ even)
+        vectors[:, start : stop + 1] = cluster @ rotation[:, ::-1]
 
 
-def _real_form(corner, row: np.ndarray, pos: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    """A charge-reflection-symmetric matrix in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
+def _real_form(h: np.ndarray) -> np.ndarray:
+    """A charge-reflection-symmetric matrix ``h`` in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
 
-    It is given by its blocks, as :func:`_reflection_blocks` names them.
     The result is real symmetric, in Fortran order, with the even
     combinations n = 1..n_cut after ``|0>`` and the odd ones after them.
     """
-    n_cut = len(row)
-    dim = 2 * n_cut + 1
+    dim = len(h)
+    n_cut = (dim - 1) // 2
+    row, pos, mirror = h[n_cut, n_cut + 1 :], h[n_cut + 1 :, n_cut + 1 :], h[n_cut + 1 :, :n_cut][:, ::-1]
     row = math.sqrt(2.0) * row
     even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
     r = np.empty((dim, dim), order="F")
-    r[0, 0] = corner.real
+    r[0, 0] = h[n_cut, n_cut].real
     r[0, even] = r[even, 0] = row.real
     r[0, odd] = r[odd, 0] = -row.imag
     r[even, even] = pos.real + mirror.real
@@ -272,12 +265,12 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpairs of a Hermitian charge-basis matrix.
 
     Returns energies ascending and orthonormal eigenvectors as columns.
-    States degenerate within 1e-9 GHz are ordered by descending
-    even-charge weight so labeling stays deterministic.
+    The states of a cluster degenerate within :data:`DEGENERACY_TOL` are
+    rotated into eigenstates of their even-charge weight, in descending
+    order of it; the energies stay as solved.
 
     A complex ``h`` with ``h[::-1, ::-1] == conj(h)`` (any n_g = 0
-    Hamiltonian) is solved in its real form, built from the blocks
-    :func:`_reflection_blocks` slices from ``h``, and its vectors are
+    Hamiltonian) is solved in its :func:`_real_form`, and its vectors are
     mapped back to the charge basis; they match the complex solve up to a
     phase. A real ``h`` is solved as it is, and any other complex ``h``
     with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
@@ -290,10 +283,11 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
     _require_finite(np.isfinite(h).all(), dim)
     if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
-        energies, vectors = _solve_real_form(_reflection_blocks(h), n_levels)
+        energies, vectors = _solve_real_form(h, n_levels)
     else:
         energies, vectors = _evr(h, n_levels)
-    return _degeneracy_reorder(energies, vectors, (dim - 1) // 2)
+    _rotate_clusters(vectors, _close_to_next(energies))
+    return energies, vectors
 
 
 def _require_finite(finite: bool, dim: int) -> None:
@@ -303,13 +297,13 @@ def _require_finite(finite: bool, dim: int) -> None:
 
 
 def _solve_real_form(
-    blocks: Sequence, n_levels: int, out: np.ndarray | None = None
+    h: np.ndarray, n_levels: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs, in the charge basis, of the matrix whose reflection blocks are ``blocks``.
+    """Lowest eigenpairs, in the charge basis, of a charge-reflection-symmetric matrix ``h``.
 
     The vectors are written into ``out`` when it is given.
     """
-    energies, z = _evr(_real_form(*blocks), n_levels, overwrite_a=True)
+    energies, z = _evr(_real_form(h), n_levels, overwrite_a=True)
     return energies, _from_real_form(z, out)
 
 
@@ -358,20 +352,26 @@ def levels_read(n_levels: int, labels: Sequence[str], me_pairs: Sequence[tuple[i
 def transition_frequencies(energies: np.ndarray, labels: Sequence[str]) -> dict[str, np.ndarray]:
     """Transition frequencies (GHz) of ``labels`` over the last axis of ``energies``."""
     check_levels(energies.shape[-1], labels)
-    out: dict[str, np.ndarray] = {}
-    for label in labels:
-        i, j, divisor = parse_transition_label(label)
-        out[label] = (energies[..., j] - energies[..., i]) / divisor
-    return out
+    return {label: _transition(energies, *parse_transition_label(label)) for label in labels}
+
+
+def _transition(values: np.ndarray, i, j, divisor, rows=Ellipsis) -> np.ndarray:
+    """``(E_j - E_i) / divisor`` from ``values[rows, level]``: energies, or their derivatives."""
+    return (values[rows, j] - values[rows, i]) / divisor
 
 
 def charge_matrix_element(vec_i: np.ndarray, vec_j: np.ndarray, n_g: float = 0.0) -> float:
     """``|<i| n - n_g |j>|`` in the charge basis (dimensionless)."""
     if vec_i.shape != vec_j.shape or vec_i.ndim != 1 or len(vec_i) % 2 == 0:
         raise ValueError("eigenvectors must be equal-length odd-dimension 1-d arrays")
-    n_cut = (len(vec_i) - 1) // 2
+    return float(_charge_elements(vec_i, vec_j, n_g))
+
+
+def _charge_elements(bra: np.ndarray, ket: np.ndarray, n_g: float) -> np.ndarray:
+    """``|<i| n - n_g |j>|`` of charge-basis states along the last axis of ``bra`` and ``ket``."""
+    n_cut = (bra.shape[-1] - 1) // 2
     n = np.arange(-n_cut, n_cut + 1) - n_g
-    return abs(complex(np.vdot(vec_i, n * vec_j)))
+    return np.abs(np.einsum("...m,...m->...", bra.conj(), n * ket))
 
 
 def parity_weights(vec: np.ndarray) -> ParityWeights:
@@ -382,9 +382,7 @@ def parity_weights(vec: np.ndarray) -> ParityWeights:
     norm = float(np.sum(np.abs(vec) ** 2))
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"eigenvector not normalized: |psi|^2 = {norm!r}")
-    n_cut = (len(vec) - 1) // 2
-    even_mask = np.arange(-n_cut, n_cut + 1) % 2 == 0
-    even = float(np.sum(np.abs(vec[even_mask]) ** 2))
+    even = float(np.sum(np.abs(_even_charges(vec)) ** 2))
     return ParityWeights(even_weight=even, odd_weight=norm - even)
 
 
@@ -427,7 +425,7 @@ class FluxGrid:
     """Lowest eigenpairs on a flux grid: ``energies[point, level]``, ``vectors[point, :, level]``.
 
     A failed point holds NaN. ``clustered[point, level]`` flags a level
-    in a degenerate cluster, as :func:`eigensolve` finds them.
+    in a degenerate cluster, found and rotated as :func:`eigensolve` does.
     """
 
     flux: np.ndarray
@@ -451,8 +449,8 @@ def solve_flux_grid(
     ``u`` and ``v`` are the arm amplitudes, which
     :func:`~hpqkit.potentials.interfere_arms` interferes at every flux at
     once. Each point's matrix is gathered from its band row through the
-    slots :func:`build_hamiltonian` uses: real without sine content, the
-    real form at n_g = 0 (no complex matrix is made), else complex. Each
+    slots :func:`build_hamiltonian` uses. It is real without sine content
+    and complex otherwise; at n_g = 0 its real form is sliced from it. Each
     point takes one LAPACK call and gives ``eigensolve(build_hamiltonian(
     combine_harmonics(u, v, FluxBias(phi)), ec, cfg))`` bit for bit.
     ``vectors`` is complex when some point has sine content. A failed
@@ -462,13 +460,13 @@ def solve_flux_grid(
     The bookkeeping is per grid: finiteness is checked once over the band
     rows (a non-finite point fails before any LAPACK call), real-form
     vectors are mapped back straight into ``vectors``, and degenerate
-    clusters are reordered only at the points that have one.
+    clusters are found once and rotated only at the points that have one.
     """
     flux_values = np.asarray(flux_values, dtype=float)
     if not np.all(np.isfinite(flux_values)):
         raise ValueError("flux values must be finite")
     c, s = interfere_arms(u, v, (FluxBias(phi) for phi in flux_values))
-    dense, blocks = _slots(cfg.n_cut, c.shape[1] - 1)
+    dense = _slots(cfg.n_cut, c.shape[1] - 1)
     diag = _diagonal(ec, cfg)
     sine = s[:, 1:].any(axis=1)
     # only the diagonal can break the charge-reflection symmetry (at n_g != 0)
@@ -480,20 +478,19 @@ def solve_flux_grid(
     for idx, row in enumerate(rows):
         try:
             _require_finite(finite[idx], cfg.dim)
-            table = np.concatenate((row if sine[idx] else row.real, diag))
+            h = np.concatenate((row if sine[idx] else row.real, diag))[dense].T
             if reflected[idx]:
-                blocks_at = [table[slot] for slot in blocks]
-                energies[idx], _ = _solve_real_form(blocks_at, cfg.n_levels, out=vectors[idx])
+                energies[idx], _ = _solve_real_form(h, cfg.n_levels, out=vectors[idx])
             else:
-                energies[idx], vectors[idx] = _evr(table[dense].T, cfg.n_levels, overwrite_a=True)
+                energies[idx], vectors[idx] = _evr(h, cfg.n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:
                 raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]:g}): {exc}") from exc
             logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
-    for idx in np.flatnonzero(_close_to_next(energies).any(axis=1)):
-        energies[idx], vectors[idx] = _degeneracy_reorder(energies[idx], vectors[idx], cfg.n_cut)
-    # flagged after the reorder, which can widen a gap inside a cluster of three or more
     close = _close_to_next(energies)
+    for idx in np.flatnonzero(close.any(axis=1)):
+        # a point solved as a real matrix is rotated in real arithmetic, as eigensolve rotates it
+        _rotate_clusters(vectors[idx] if sine[idx] else vectors[idx].real, close[idx])
     clustered = np.zeros(energies.shape, dtype=bool)
     clustered[:, 1:] = close
     clustered[:, :-1] |= close
@@ -518,11 +515,11 @@ def spectrum_vs_flux(
     point. Labels and pairs pass :func:`check_levels` before any solve,
     so ``cfg.n_levels`` bounds the levels they may read, and each point
     solves only the levels they do read (:func:`levels_read`), as the fit
-    does. A degenerate cluster that the last level read splits is ordered
-    among its solved members only: a doublet's lower member is that level,
-    whatever its even weight, so its energy moves by less than
-    :data:`DEGENERACY_TOL` and its vector can be the other state of the
-    pair from a solve of more levels. A failed point logs a warning and
+    does. A degenerate cluster that the last level read splits is rotated
+    among its solved members only. For a doublet, that level keeps the
+    vector LAPACK gives it, which can mix the pair's two states, so its
+    matrix elements can differ from a solve of more levels; its energy is
+    the pair's lower one either way. A failed point logs a warning and
     leaves a NaN row flagged in ``failed``.
     """
     check_levels(cfg.n_levels, labels, me_pairs)
@@ -530,14 +527,12 @@ def spectrum_vs_flux(
     u = fourier_u(params, k_max, include_bo=include_bo)
     v = fourier_v(channels, params.gap, k_max)
     grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=False)
-    vectors = grid.vectors
-    n = cfg.charges - cfg.n_g
     return TransitionTable(
         flux_radians=grid.flux,
         energies=grid.energies,
         frequencies=transition_frequencies(grid.energies, labels),
         matrix_elements={
-            (i, j): np.abs(np.einsum("pm,pm->p", vectors[:, :, i].conj(), n * vectors[:, :, j]))
+            (i, j): _charge_elements(grid.vectors[:, :, i], grid.vectors[:, :, j], cfg.n_g)
             for i, j in me_pairs
         },
         labels=tuple(labels),

@@ -75,6 +75,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         # each message starts with the field it rejects; written so that NaN fails
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not self.fwhm > 0.0:
             raise ValueError(f"fwhm must be > 0, got {self.fwhm!r}")
         if not self.noise_sigma >= 0.0:

@@ -181,6 +181,12 @@ class TestExtraction:
         hints = {"f01": TransitionHint(centers=np.array([np.nan]), halfwidth=0.2)}
         assert extract_transitions(traces, hints) == []
 
+    @pytest.mark.parametrize("halfwidth", [0.0, -0.2, math.nan])
+    def test_halfwidth_must_be_positive(self, halfwidth):
+        # a NaN halfwidth would skip every window without a word
+        with pytest.raises(ValueError, match="^halfwidth must be > 0$"):
+            TransitionHint(centers=np.array([5.0]), halfwidth=halfwidth)
+
     def test_window_cut_off_by_grid_edge_skipped(self):
         # a 0.011 GHz line on a grid starting at 0.05 GHz: the fit would
         # land on the line's tail at the grid edge (about 0.054 GHz)
@@ -204,7 +210,7 @@ class TestFitConfig:
         "field, value",
         [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("sigma_floor", -1e-9),
          ("sigma_floor", math.nan), ("max_nfev", 0), ("ec", math.nan), ("ec", -1.0),
-         ("n_g", math.inf)],
+         ("n_g", math.inf), ("k_max", 0)],
     )
     def test_out_of_range_value_rejected(self, field, value):
         # below rmse_factor 1 select_channel_count finds no count within the factor of the best

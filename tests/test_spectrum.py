@@ -329,7 +329,7 @@ class TestSolverForms:
         q = reflection_basis(cfg.n_cut)
         full = q.conj().T @ h @ q
         atol = 8.0 * np.finfo(float).eps * np.max(np.abs(h))
-        assert np.max(np.abs(full.real - spectrum._real_form(*spectrum._reflection_blocks(h)))) <= atol
+        assert np.max(np.abs(full.real - spectrum._real_form(h))) <= atol
         assert np.max(np.abs(full.imag)) <= atol
 
     @given(
@@ -471,6 +471,66 @@ class TestChargeStructure:
                 build_hamiltonian(spec, 0.3, ChargeBasisConfig(n_cut=25, n_g=ng + 1.0)), 4
             )[0]
             assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestEvenOnlyParity:
+    """With even-only arms H does not couple even and odd charges, so each solved state has one
+    parity, including both states of a doublet inside ``DEGENERACY_TOL``."""
+
+    FLUX = np.linspace(-math.pi, math.pi, 9)
+    PAIRS = ((0, 1), (1, 2), (0, 3))
+    #: the merged block energies agree to 3.4e-13 GHz at both level counts
+    ENERGY_TOL = 1e-12
+
+    @staticmethod
+    def block_oracle(phi: float, cfg: ChargeBasisConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The loop-built matrix at ``phi``, and the lowest energies of its even- and odd-charge
+        blocks, each solved with ``scipy.linalg.eigh`` and merged by energy."""
+        u, v = even_only_arms()
+        h = banded_loop_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), 0.28, cfg)
+        even = cfg.charges % 2 == 0
+        blocks = [scipy.linalg.eigh(h[np.ix_(rows, rows)], eigvals_only=True) for rows in (even, ~even)]
+        return h, np.sort(np.concatenate(blocks))[: cfg.n_levels]
+
+    @staticmethod
+    def even_weights(vectors: np.ndarray, cfg: ChargeBasisConfig) -> np.ndarray:
+        return np.sum(np.abs(vectors[cfg.charges % 2 == 0]) ** 2, axis=0)
+
+    def assert_single_parity(self, weights: np.ndarray, elements) -> None:
+        assert np.max(np.minimum(weights, 1.0 - weights)) <= 1e-12
+        for i, j in self.PAIRS:
+            # each pair joins an even and an odd state, so n - n_g cannot connect them
+            assert round(weights[i]) != round(weights[j]), (i, j)
+            assert elements(i, j) <= 1e-12, (i, j)
+
+    @pytest.mark.parametrize("levels", [4, 6])
+    def test_eigensolve_gives_single_parity_states(self, levels):
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=levels)
+        n = cfg.charges.astype(float)
+        for phi in self.FLUX:
+            h, want = self.block_oracle(phi, cfg)
+            energies, vectors = eigensolve(h, levels)
+            assert np.max(np.abs(energies - want)) <= self.ENERGY_TOL, phi
+            self.assert_single_parity(
+                self.even_weights(vectors, cfg), lambda i, j: abs(np.vdot(vectors[:, i], n * vectors[:, j]))
+            )
+
+    @pytest.mark.parametrize("levels", [4, 6])
+    def test_sweep_gives_single_parity_states(self, hpq_params, even_only, levels):
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=levels)
+        # a label on the top level makes the sweep solve all of them
+        table = spectrum_vs_flux(
+            hpq_params, NanowireChannels(()), self.FLUX, cfg, labels=(f"f0{levels - 1}",), me_pairs=self.PAIRS
+        )
+        grid = solve_flux_grid(*even_only_arms(), self.FLUX, hpq_params.ec, cfg)
+        assert table.energies.shape == (len(self.FLUX), levels)
+        for p, phi in enumerate(self.FLUX):
+            _, want = self.block_oracle(phi, cfg)
+            assert np.max(np.abs(table.energies[p] - want)) <= self.ENERGY_TOL, phi
+            assert np.array_equal(grid.energies[p], table.energies[p]), phi
+            self.assert_single_parity(
+                self.even_weights(grid.vectors[p], cfg), lambda i, j: table.matrix_elements[(i, j)][p]
+            )
 
 
 class TestSpectrumVsFlux:
@@ -688,7 +748,7 @@ class TestSolveFluxGrid:
         assert not any(solved["open nanowire"][1])
         grid = solved["even-only doublet"][0]
         for energies, vectors in zip(grid.energies, grid.vectors):
-            # inside DEGENERACY_TOL, so the pair is ordered by even weight
+            # inside DEGENERACY_TOL, so the pair is rotated by even weight, the even state first
             assert energies[1] - energies[0] < 1e-9
             w0, w1 = (parity_weights(vectors[:, m]).even_weight for m in (0, 1))
             assert w0 > 0.5 > w1
@@ -835,6 +895,19 @@ def test_one_spelling_of_the_band_fill_and_the_real_form():
     )
     spectrum_text = (SRC / "spectrum.py").read_text(encoding="utf-8")
     assert [spectrum_text.count(text) for text in spellings] == [1] * len(spellings)
+
+
+def test_one_spelling_of_each_formula_a_solved_grid_yields():
+    """Frequencies, matrix elements and parity weights each read one formula in the package."""
+    rules = {
+        "(E_j - E_i) / divisor": r"\bj\] - \w+\[[^\]]*\bi\]",
+        # a contraction over the charge axis alone, whichever its subscripts
+        "|<i| n - n_g |j>|": r'einsum\("[^"]*m,[^"]*m->|\bvdot\(',
+        # the dimension checks ``len(vec) % 2 == 0:`` are not a selection
+        "even-charge rows": r"% 2 :: 2\]|% 2 == 0(?!:)",
+    }
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
+    assert {name: len(re.findall(rule, text)) for name, rule in rules.items()} == dict.fromkeys(rules, 1)
 
 
 def test_only_potentials_module_wraps_flux_and_interferes_the_arms():

@@ -68,11 +68,12 @@ class TestSynthesizeTrace:
             ({"noise_sigma": math.nan}, "noise_sigma must be >= 0, got nan"),
             ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
             ({"amplitude": -math.inf}, "amplitude must be finite, got -inf"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_nan_or_negative_setting_rejected(self, fields, message):
         with pytest.raises(ValueError, match=message):
-            SynthConfig(seed=1, **fields)
+            SynthConfig(**{"seed": 1, **fields})
 
     def test_nan_linewidth_fails_before_any_eigensolve(self, monkeypatch):
         solves = []
