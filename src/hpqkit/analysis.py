@@ -56,7 +56,6 @@ def gate_sweep_harmonics(
     flux: FluxBias,
     *,
     k_max: int = K_MAX,
-    include_bo: bool = True,
 ) -> list[GateHarmonics]:
     """Harmonic coefficients and parity sums for each gate point.
 
@@ -64,7 +63,7 @@ def gate_sweep_harmonics(
     the first gate point, with NaN where that coefficient vanishes.
     """
     rows: list[GateHarmonics] = []
-    u = fourier_u(params, k_max, include_bo=include_bo)
+    u = fourier_u(params, k_max)
     specs = []
     for gate, channels in gates:
         v = fourier_v(channels, params.gap, k_max)

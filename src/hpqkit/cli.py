@@ -110,6 +110,13 @@ def _setting(cfg: RunConfig, args: argparse.Namespace, dest: str, key: str, defa
     return read(section, name), key
 
 
+def _require_bo(cfg: RunConfig, section: str) -> None:
+    """Accept ``<section>.include_bo`` only as ``true`` or absent: the internal-mode correction is
+    part of the device model, and the bare junction is its ``ecj -> 0`` limit."""
+    if not cfg.get_bool(section, "include_bo", default=True):
+        raise ConfigError(f"{section}.include_bo: must be true; the bare junction is circuit.ecj -> 0")
+
+
 def _build(section: str, make: Callable[..., Any], **fields: Any) -> Any:
     """``make(**fields)``, a ``ValueError`` reported as ``<section>.<message>``: each domain
     config's message starts with the field it rejects."""
@@ -177,17 +184,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     channels = cfgmod.channels_from_config(cfg)
     flux = cfgmod.flux_from_config(cfg)
     k_max, basis = _basis_from(cfg, args, "decompose", spectrum.DEFAULT_LABELS, spectrum.DEFAULT_PAIRS)
-    include_bo = cfg.get_bool("decompose", "include_bo", default=True)
+    _require_bo(cfg, "decompose")
 
-    u = potentials.fourier_u(params, k_max, include_bo=include_bo)
+    u = potentials.fourier_u(params, k_max)
     v = potentials.fourier_v(channels, params.gap, k_max)
     spec = potentials.combine_harmonics(u, v, flux)
     sums = potentials.parity_sums(spec)
-    regime = potentials.find_phi_min(params, channels, flux, include_bo=include_bo)
+    regime = potentials.find_phi_min(params, channels, flux)
 
-    table = spectrum.spectrum_vs_flux(
-        params, channels, np.array([flux.phi_e]), basis, k_max=k_max, include_bo=include_bo
-    )
+    table = spectrum.spectrum_vs_flux(params, channels, np.array([flux.phi_e]), basis, k_max=k_max)
     max_freq = float(np.nanmax([table.frequencies[lab][0] for lab in table.labels]))
     validity = potentials.validate_bo(params, max_transition_freq=max_freq)
 
@@ -233,7 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     params = cfgmod.circuit_from_config(cfg)
     channels = cfgmod.channels_from_config(cfg)
-    include_bo = cfg.get_bool("sweep", "include_bo", default=True)
+    _require_bo(cfg, "sweep")
     labels = cfgmod.parse_labels(
         cfg.get_str("sweep", "labels", default=",".join(spectrum.DEFAULT_LABELS)), field="sweep.labels"
     )
@@ -243,10 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     k_max, basis = _basis_from(cfg, args, "sweep", labels, pairs)
     grid = _flux_grid(cfg, "sweep")
-    table = spectrum.spectrum_vs_flux(
-        params, channels, grid, basis,
-        k_max=k_max, include_bo=include_bo, labels=labels, me_pairs=pairs,
-    )
+    table = spectrum.spectrum_vs_flux(params, channels, grid, basis, k_max=k_max, labels=labels, me_pairs=pairs)
     path = _out(args, "transitions.csv")
     table.to_csv(path)
     n_failed = int(np.sum(table.failed))
@@ -339,13 +341,13 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
     defaults = fitstack.FitConfig
     k_max, n_cut, n_g = _solver_settings(cfg, args, "fit", "fit", defaults.n_cut)
+    _require_bo(cfg, "fit")
     fit_cfg = _build(
         "fit", fitstack.FitConfig,
         ec=ec,
         k_max=k_max,
         n_cut=n_cut,
         n_g=n_g,
-        include_bo=cfg.get_bool("fit", "include_bo", default=defaults.include_bo),
         globals_mode=globals_mode,
         fixed_params=replace(initial, ec=ec) if globals_mode == "fixed" else None,
         sigma_floor=cfg.get_float("fit", "sigma_floor", default=defaults.sigma_floor),
@@ -389,11 +391,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             print(_gate_line(gate, channels, gate_rmse))
 
     result_path = _out(args, "fit_result.ini")
-    chosen_counts = {gate: len(channels) for gate, channels in zip(gates, result.channels)}
-    fitstack.write_fit_result(result, gates, result_path, chosen_counts=chosen_counts)
+    fitstack.write_fit_result(result, gates, result_path)
     harmonics = analysis.gate_sweep_harmonics(
         result.params, sorted(zip(gates, result.channels), key=lambda item: item[0]), HALF_FLUX,
-        k_max=fit_cfg.k_max, include_bo=fit_cfg.include_bo,
+        k_max=fit_cfg.k_max,
     )
     analysis.write_gate_harmonics_csv(harmonics, _out(args, "gate_harmonics.csv"))
     print(f"global rmse = {fmt(result.rmse)} GHz")

@@ -152,7 +152,7 @@ def parse_float_list(text: str, *, field: str = "value") -> list[float]:
 
 
 def parse_counts(text: str, *, field: str = "channels") -> list[int]:
-    """Channel counts as '3', '2,3,4', or the range form '2..5'."""
+    """Channel counts as '3', '2,3,4', or the range form '2..5'; none may be given twice."""
     text = text.strip()
     try:
         if ".." in text:
@@ -162,7 +162,9 @@ def parse_counts(text: str, *, field: str = "channels") -> list[int]:
                 raise ValueError("empty range")
             counts = list(range(lo, hi + 1))
         else:
-            counts = [int(cell) for cell in text.split(",")]
+            cells = [cell.strip() for cell in text.split(",")]
+            counts = [int(cell) for cell in cells]
+            _reject_repeats(cells, counts, field)
     except ValueError as exc:
         raise ConfigError(f"{field}: expected counts like '3', '2,3' or '2..5': {text!r}") from exc
     if min(counts) < 1:

@@ -286,15 +286,15 @@ class FitConfig:
     ``ec`` is always held fixed (it is measured independently). In
     ``globals_mode="free"`` the junction energies (with ej1 = ej2), the
     junction charging energy, and the gap float; in ``"fixed"`` they are
-    pinned to ``fixed_params``, whose ``ec`` must be ``ec``. Each error
-    message starts with the name of the field it rejects.
+    pinned to ``fixed_params``, whose ``ec`` must be ``ec``. The junction
+    arm carries its internal-mode correction (``ecj -> 0`` is the bare
+    junction). Each error message starts with the field it rejects.
     """
 
     ec: float
     k_max: int = K_MAX
     n_cut: int = 25
     n_g: float = 0.0
-    include_bo: bool = True
     globals_mode: str = "free"
     fixed_params: CircuitParams | None = None
     sigma_floor: float = SIGMA_FLOOR
@@ -444,7 +444,7 @@ def _solve_points(
     params: CircuitParams, channels: NanowireChannels, plan: _Plan, cfg: FitConfig
 ) -> _GridSolution:
     """Solve each distinct flux of the plan once: the fit's only route to eigenpairs."""
-    u = plan.u if plan.u is not None else fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
+    u = plan.u if plan.u is not None else fourier_u(params, cfg.k_max)
     if cfg.globals_mode == "fixed":
         plan.u = u
     amplitudes = _power_amplitudes(np.array(channels.transmissions)[:, None], (0.5, -0.5), cfg.k_max)
@@ -572,7 +572,6 @@ def _model_jacobian(
     du = np.zeros((cfg.k_max, layout.n_params))
     if layout.globals_free:
         junction, correction = (term[1:] for term in _junction_terms(params, cfg.k_max))
-        correction = correction if cfg.include_bo else 0.0
         du[:, 0] = junction + correction / 2.0
         du[:, 1] = correction / 2.0
     blocks: list[np.ndarray] = []
@@ -927,10 +926,8 @@ def write_fit_result(
     result: FitResult,
     gates: Sequence[float],
     path: str,
-    *,
-    chosen_counts: Mapping[float, int] | None = None,
 ) -> None:
-    """Persist a fit as a key-value document: globals, per-gate channels, diagnostics."""
+    """Persist a fit as a key-value document: globals, per-gate channels and their count, diagnostics."""
     sections: dict[str, dict[str, object]] = {
         "globals": asdict(result.params),
         "fit": {"rmse_ghz": result.rmse, "converged": bool(result.converged),
@@ -939,11 +936,8 @@ def write_fit_result(
     for gate, channels, gate_rmse, boundary in zip(
         gates, result.channels, result.rmse_per_dataset, result.boundary_active
     ):
-        section: dict[str, object] = {
-            "transmissions": channels, "rmse_ghz": gate_rmse, "boundary_active": any(boundary)
-        }
-        if chosen_counts is not None and gate in chosen_counts:
-            section["channel_count"] = chosen_counts[gate]
+        section = {"transmissions": channels, "rmse_ghz": gate_rmse, "boundary_active": any(boundary),
+                   "channel_count": len(channels)}
         name = f"gate:{fmt(gate)}"
         if name in sections:
             raise ValueError(f"gate tag {fmt(gate)} appears more than once")

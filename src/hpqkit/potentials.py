@@ -186,7 +186,7 @@ class HarmonicSpectrum:
     """Truncated Fourier content of the total potential at one flux bias.
 
     ``u`` holds the double-junction-arm cosine amplitudes (including the
-    internal-mode correction unless it was disabled), ``v`` the
+    internal-mode correction), ``v`` the
     nanowire-arm amplitudes at zero flux, and ``c``/``s`` the combined
     cosine/sine amplitudes at the flux bias; all four have length
     ``k_max + 1``.
@@ -335,25 +335,19 @@ def total_potential(
     params: CircuitParams,
     channels: NanowireChannels,
     flux: FluxBias,
-    *,
-    include_bo: bool = True,
 ) -> np.ndarray | float:
-    """Sum of the two arm potentials (internal-mode correction optional).
+    """Sum of the two arm potentials, the double-junction arm with its internal-mode correction.
 
-    The ``include_bo=False`` switch evaluates the double-junction arm in
-    the vanishing-junction-capacitance limit; it exists so analytic
-    closed forms stay reachable for validation.
+    The bare double junction is the ``ecj -> 0`` limit, where the
+    correction vanishes.
     """
-    out = _junction_arm(phi, params, include_bo) + sns_potential(phi, channels, params.gap, flux)
+    out = _junction_arm(phi, params) + sns_potential(phi, channels, params.gap, flux)
     return out if out.shape else float(out)
 
 
-def _junction_arm(phi: np.ndarray | float, params: CircuitParams, include_bo: bool) -> np.ndarray:
-    """Double-junction arm with its internal-mode correction unless disabled."""
-    out = np.asarray(sissis_potential(phi, params), dtype=float)
-    if include_bo:
-        out = out + bo_correction(phi, params)
-    return out
+def _junction_arm(phi: np.ndarray | float, params: CircuitParams) -> np.ndarray:
+    """Double-junction arm with its internal-mode correction."""
+    return np.asarray(sissis_potential(phi, params), dtype=float) + bo_correction(phi, params)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +409,9 @@ def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> 
     k_max:
         Truncation order, must be >= 1.
     include_bo:
-        Include the internal-mode correction (the default; disable only
-        to compare against closed forms).
+        Include the internal-mode correction (the default). ``False``
+        gives the bare series for closed-form checks; above this kernel
+        the bare junction is the ``ecj -> 0`` limit.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -565,8 +560,6 @@ def find_phi_min(
     params: CircuitParams,
     channels: NanowireChannels,
     flux: FluxBias,
-    *,
-    include_bo: bool = True,
 ) -> RegimeLabel:
     """Locate the total-potential minimum and classify the parity regime.
 
@@ -574,21 +567,20 @@ def find_phi_min(
     search; the result is bit-identical to that gate's entry in any
     batch.
     """
-    return find_phi_mins(params, [channels], flux, include_bo=include_bo)[0]
+    return find_phi_mins(params, [channels], flux)[0]
 
 
 def find_phi_mins(
     params: CircuitParams,
     channel_sets: Sequence[NanowireChannels],
     flux: FluxBias,
-    *,
-    include_bo: bool = True,
 ) -> list[RegimeLabel]:
     """Potential minimum and parity regime of every gate's channel set.
 
     Minima come in +/- pairs; the nonnegative representative in [0, pi]
-    is reported. The landscape is the exact branch sum, not its truncated
-    Fourier series, so shallow features near the junction cusps are kept.
+    is reported. The landscape is the exact branch sum, the junction arm
+    with its internal-mode correction, not its truncated Fourier series,
+    so shallow features near the junction cusps are kept.
     Each gate's grid values (:func:`_grid_rows`) bracket its minimum, and
     one lockstep polish refines every bracket at once, channels padded to
     the widest gate (see :func:`locate_minimum`). A gate's result does
@@ -598,7 +590,7 @@ def find_phi_mins(
     if not channel_sets:
         return []
     best, low = [], []
-    for values in _grid_rows(params, channel_sets, flux, include_bo):
+    for values in _grid_rows(params, channel_sets, flux):
         best.append(np.argmin(values))
         low.append(values[best[-1]])
     # channels padded to the widest gate; a padding channel has zero gap
@@ -611,14 +603,14 @@ def find_phi_mins(
 
     def potential(phi: np.ndarray) -> np.ndarray:
         s2_phi = np.sin((phi - flux.phi_e) / 2.0) ** 2
-        return _junction_arm(phi, params, include_bo) + _nanowire_arm(s2_phi, transmissions, gaps)
+        return _junction_arm(phi, params) + _nanowire_arm(s2_phi, transmissions, gaps)
 
     phi_min = _polish(potential, np.array(best), np.array(low))
     return [RegimeLabel(regime=classify_regime(p), phi_min=p) for p in phi_min.tolist()]
 
 
 def _grid_rows(
-    params: CircuitParams, channel_sets: Sequence[NanowireChannels], flux: FluxBias, include_bo: bool
+    params: CircuitParams, channel_sets: Sequence[NanowireChannels], flux: FluxBias
 ) -> Iterator[np.ndarray]:
     """Each channel set's :func:`total_potential` on the minimum grid, bit for bit, one row at a time.
 
@@ -626,7 +618,7 @@ def _grid_rows(
     a row adds only its nanowire sum. Rows are made one by one because a
     gates x grid array would dominate the memory of a large sweep.
     """
-    junction = _junction_arm(_MINIMUM_GRID, params, include_bo)
+    junction = _junction_arm(_MINIMUM_GRID, params)
     s2 = np.sin((_MINIMUM_GRID - flux.phi_e) / 2.0) ** 2
     for channels in channel_sets:
         yield junction + _nanowire_arm(s2, channels.transmissions, [params.gap] * len(channels))

@@ -504,13 +504,13 @@ def spectrum_vs_flux(
     cfg: ChargeBasisConfig,
     *,
     k_max: int = K_MAX,
-    include_bo: bool = True,
     labels: tuple[str, ...] = DEFAULT_LABELS,
     me_pairs: tuple[tuple[int, int], ...] = DEFAULT_PAIRS,
 ) -> TransitionTable:
     """Tabulate eigenenergies, transitions, and matrix elements over flux.
 
-    The arm Fourier amplitudes are flux independent and computed once;
+    The arm Fourier amplitudes (the junction arm's with its internal-mode
+    correction) are flux independent and computed once;
     :func:`solve_flux_grid` re-interferes them and solves at each grid
     point. Labels and pairs pass :func:`check_levels` before any solve,
     so ``cfg.n_levels`` bounds the levels they may read, and each point
@@ -524,7 +524,7 @@ def spectrum_vs_flux(
     """
     check_levels(cfg.n_levels, labels, me_pairs)
     cfg = replace(cfg, n_levels=levels_read(cfg.n_levels, labels, me_pairs))
-    u = fourier_u(params, k_max, include_bo=include_bo)
+    u = fourier_u(params, k_max)
     v = fourier_v(channels, params.gap, k_max)
     grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=False)
     return TransitionTable(

@@ -139,7 +139,6 @@ def synthesize_map(
     labels: tuple[str, ...] = DEFAULT_LABELS,
     basis: ChargeBasisConfig | None = None,
     k_max: int = K_MAX,
-    include_bo: bool = True,
 ) -> tuple[list[Trace], TransitionTable]:
     """Generate one trace per flux point from the circuit model.
 
@@ -158,7 +157,6 @@ def synthesize_map(
         flux_values,
         basis,
         k_max=k_max,
-        include_bo=include_bo,
         labels=labels,
         me_pairs=pairs,
     )

@@ -86,7 +86,7 @@ def from_real_form(z: np.ndarray) -> np.ndarray:
 
 
 def full_level_table(
-    params, channels, flux, cfg, *, k_max=K_MAX, include_bo=True,
+    params, channels, flux, cfg, *, k_max=K_MAX,
     labels=spectrum.DEFAULT_LABELS, me_pairs=spectrum.DEFAULT_PAIRS,
 ) -> TransitionTable:
     """Reference for ``spectrum.spectrum_vs_flux``: every point solves all ``cfg.n_levels`` levels.
@@ -96,7 +96,7 @@ def full_level_table(
     are looked up on ``spectrum``, so a test that patches them patches both
     routes.
     """
-    u = spectrum.fourier_u(params, k_max, include_bo=include_bo)
+    u = spectrum.fourier_u(params, k_max)
     v = spectrum.fourier_v(channels, params.gap, k_max)
     grid = solve_flux_grid(u, v, flux, params.ec, cfg, strict=False)
     frequencies = {}
@@ -129,7 +129,7 @@ class PerEvaluationGrid:
 
 def _per_evaluation_solve(params, channels, points, cfg) -> PerEvaluationGrid:
     # looked up on fitstack, so a test that patches the fit's junction arm patches both routes
-    u = fitstack.fourier_u(params, cfg.k_max, include_bo=cfg.include_bo)
+    u = fitstack.fourier_u(params, cfg.k_max)
     v = fourier_v(channels, params.gap, cfg.k_max)
     rows: dict[float, int] = {}
     point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
@@ -175,7 +175,7 @@ def per_evaluation_jacobian(theta, cfg, layout, solutions) -> tuple[np.ndarray, 
     if layout.globals_free:
         junction, correction = _power_amplitudes(params.lam, (0.5, 0.25), cfg.k_max)[:, 1:]
         junction = -params.ej_sigma * junction
-        correction = math.sqrt(params.ej_sigma * params.ecj) * correction if cfg.include_bo else 0.0
+        correction = math.sqrt(params.ej_sigma * params.ecj) * correction
         du[:, 0] = junction + correction / 2.0
         du[:, 1] = correction / 2.0
     blocks, fallbacks = [], 0
@@ -220,7 +220,7 @@ def _per_evaluation_central_rows(theta, points, d, cfg, layout) -> np.ndarray:
     return rows / _per_evaluation_sigmas(points, cfg)[:, None]
 
 
-def exact_phi_min(params: CircuitParams, transmissions, phi_e: float, *, include_bo: bool = True) -> float:
+def exact_phi_min(params: CircuitParams, transmissions, phi_e: float) -> float:
     """Independent oracle for the minimum of the total potential on [0, pi].
 
     The exact branch sum and its derivative are written out in 40-digit
@@ -241,13 +241,13 @@ def exact_phi_min(params: CircuitParams, transmissions, phi_e: float, *, include
 
         def u(phi):
             root = junction_root(phi)
-            out = -ej * root + (ej * mpmath.sqrt(ecj / ej * root) if include_bo else 0)
+            out = -ej * root + ej * mpmath.sqrt(ecj / ej * root)
             return out - gap * mpmath.fsum(mpmath.sqrt(1 - t * mpmath.sin((phi - pe) / 2) ** 2) for t in ts)
 
         def du(phi):
             root = junction_root(phi)
             droot = -lam * mpmath.sin(phi) / (4 * root)
-            out = -ej * droot + (mpmath.sqrt(ej * ecj) * droot / (2 * mpmath.sqrt(root)) if include_bo else 0)
+            out = -ej * droot + mpmath.sqrt(ej * ecj) * droot / (2 * mpmath.sqrt(root))
             return out + gap * mpmath.fsum(
                 t * mpmath.sin(phi - pe) / (4 * mpmath.sqrt(1 - t * mpmath.sin((phi - pe) / 2) ** 2)) for t in ts
             )

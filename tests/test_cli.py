@@ -466,8 +466,12 @@ class TestFit:
             ([], None, "0", "fit.channels: channel counts must be >= 1, got '0'"),
             ([], "", "0", "fit.channels: channel counts must be >= 1, got '0'"),
             (["--channels", ""], None, "0", "fit.channels: channel counts must be >= 1, got '0'"),
+            (["--channels", "1,1"], None, "2", "--channels: '1' repeats '1'"),
+            ([], "3,3", "2", "HPQKIT_CHANNELS: '3' repeats '3'"),
+            ([], None, "2,3,3", "fit.channels: '3' repeats '3'"),
         ],
-        ids=["flag", "env", "section-key", "empty-env", "empty-flag"],
+        ids=["flag", "env", "section-key", "empty-env", "empty-flag",
+             "repeat-flag", "repeat-env", "repeat-section-key"],
     )
     def test_bad_channel_counts_name_their_source(self, tmp_path, monkeypatch, capsys, argv, env, key, message):
         if env is not None:
@@ -607,7 +611,7 @@ def test_empty_sections_build_the_library_defaults(tmp_path, monkeypatch):
     sweep_defaults = inspect.signature(spectrum_vs_flux).parameters
     args, kwargs = seen["sweep"]
     assert args[3] == ChargeBasisConfig()
-    for name in ("k_max", "labels", "me_pairs", "include_bo"):
+    for name in ("k_max", "labels", "me_pairs"):
         assert kwargs[name] == sweep_defaults[name].default, name
 
     synth_defaults = inspect.signature(synthesize_map).parameters
@@ -939,3 +943,28 @@ def test_one_cell_dataset_mutation_exits_zero_or_two(mutation_dir, row, column, 
                 rows = (out / "rmse_by_count.csv").read_text().splitlines()[1:]
                 rmses += [float(line.split(",")[2]) for line in rows]
             assert rmses and all(math.isfinite(r) for r in rmses), case
+
+
+@pytest.mark.parametrize("command", ["decompose", "sweep", "fit"])
+def test_include_bo_false_exits_two(tmp_path, capsys, command):
+    """The internal-mode correction is part of the device model: ``include_bo = true`` changes no
+    byte of a command's output, and ``false``, which once dropped the correction, exits 2."""
+    data = write(tmp_path / "data.csv", SMALL_DATASET)
+    argv = [command, data] if command == "fit" else [command]
+    outputs = {}
+    for value in ("true", None, "false"):
+        sections = {name: dict(keys) for name, keys in SMALL_CONFIG.items()}
+        sections[command].pop("include_bo")
+        if value is not None:
+            sections[command]["include_bo"] = value
+        out = tmp_path / f"out-{value}"
+        cfg = write_config(tmp_path / f"run-{value}.ini", sections)
+        code = main(argv + ["--config", cfg, "--out-dir", str(out)])
+        if value == "false":
+            assert code == 2
+            assert f"error: {command}.include_bo: " in capsys.readouterr().err
+        else:
+            assert code == 0
+            outputs[value] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert outputs["true"] == outputs[None]
+    assert outputs["true"]

@@ -350,7 +350,7 @@ class TestAnalyticJacobian:
         u = np.zeros(cfg.k_max + 1)
         u[1::2] = v[1::2]
         u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
-        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max, include_bo: u)
+        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max: u)
         flux = np.array([0.0, 1.0, 2.0, math.pi])
         ds = [make_dataset(TRUE_PARAMS, transmissions, 0.0, cfg, labels=("f01", "f12", "f02"),
                            flux_values=flux)]
@@ -731,7 +731,7 @@ class TestPlannedEvaluation:
         u = np.zeros(cfg.k_max + 1)
         u[1::2] = v[1::2]
         u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
-        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max, include_bo: u)
+        monkeypatch.setattr(fitstack, "fourier_u", lambda params, k_max: u)
 
         def point(flux, label, used=True):
             return TransitionPoint(flux=flux, label=label, freq=1.0 + 0.1 * flux, sigma=2e-4, used=used)
@@ -919,7 +919,7 @@ class TestDatasetFiles:
     def test_fit_result_document(self, tmp_path):
         result = fake_fit((0.8, 0.4), 0.001)
         path = tmp_path / "fit.ini"
-        write_fit_result(result, [-7.0], str(path), chosen_counts={-7.0: 2})
+        write_fit_result(result, [-7.0], str(path))
         text = path.read_text()
         assert "[globals]" in text
         assert "ej1 = 55.03" in text

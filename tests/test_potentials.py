@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,7 +311,8 @@ class TestKernelAgainstOracles:
     )
     def test_fourier_u_matches_independent_projector(self, m, k_max, include_bo):
         p = params_with_lambda(m)
-        sampled = total_potential(ORACLE_PHI, p, NanowireChannels(()), FluxBias(0.0), include_bo=include_bo)
+        # the kernel's two series, sampled from the arm functions it sums
+        sampled = sissis_potential(ORACLE_PHI, p) + (bo_correction(ORACLE_PHI, p) if include_bo else 0.0)
         cos_ref, scale = oracle_cosines(sampled, k_max)
         assert np.allclose(fourier_u(p, k_max, include_bo=include_bo), cos_ref, rtol=0.0, atol=1e-9 * scale)
 
@@ -520,12 +522,11 @@ class TestFindPhiMins:
         assert find_phi_mins(hpq_params, self.SETS[1:4], self.HALF) == labels[1:4]
         assert find_phi_mins(hpq_params, self.SETS[4:], self.HALF) == labels[4:]
 
-    @pytest.mark.parametrize("include_bo", [True, False])
-    def test_grid_rows_equal_total_potential_bit_for_bit(self, hpq_params, include_bo):
-        rows = list(_grid_rows(hpq_params, self.SETS, self.HALF, include_bo))
+    def test_grid_rows_equal_total_potential_bit_for_bit(self, hpq_params):
+        rows = list(_grid_rows(hpq_params, self.SETS, self.HALF))
         assert len(rows) == len(self.SETS)
         for row, channels in zip(rows, self.SETS):
-            expected = total_potential(_MINIMUM_GRID, hpq_params, channels, self.HALF, include_bo=include_bo)
+            expected = total_potential(_MINIMUM_GRID, hpq_params, channels, self.HALF)
             assert np.array_equal(row, expected)
 
     def test_empty_list(self, hpq_params):
@@ -537,11 +538,13 @@ class TestFindPhiMins:
         labels = find_phi_mins(p, sets, FluxBias(0.0))
         assert [label.phi_min for label in labels] == [0.0, 0.0, 0.0]
 
-    @pytest.mark.parametrize("include_bo", [True, False])
-    def test_against_exact_oracle(self, hpq_params, include_bo):
-        labels = find_phi_mins(hpq_params, self.SETS, self.HALF, include_bo=include_bo)
+    # the device, and its bare-junction limit ecj -> 0
+    @pytest.mark.parametrize("ecj", [0.675, 1e-30])
+    def test_against_exact_oracle(self, hpq_params, ecj):
+        params = replace(hpq_params, ecj=ecj)
+        labels = find_phi_mins(params, self.SETS, self.HALF)
         for label, channels in zip(labels, self.SETS):
-            oracle = exact_phi_min(hpq_params, channels, self.HALF.phi_e, include_bo=include_bo)
+            oracle = exact_phi_min(params, channels, self.HALF.phi_e)
             assert abs(label.phi_min - oracle) < 1e-6, channels
 
 
@@ -620,9 +623,10 @@ class TestInvariants:
     def test_matched_arms_make_total_half_periodic(self):
         # channels fitted so the nanowire arm reproduces the junction-arm
         # harmonics; at half flux quantum the total must be pi-periodic
-        p = CircuitParams(ej1=8.0, ej2=2.0, ecj=1e-6, ec=0.2, gap=5.0)  # lam = 0.64
+        # ecj -> 0: the bare junction arm
+        p = CircuitParams(ej1=8.0, ej2=2.0, ecj=1e-30, ec=0.2, gap=5.0)  # lam = 0.64
         k_max = 8
-        u = fourier_u(p, k_max, include_bo=False)
+        u = fourier_u(p, k_max)
 
         def mismatch(x):
             t = 1.0 / (1.0 + np.exp(-x))
@@ -636,8 +640,8 @@ class TestInvariants:
 
         flux = FluxBias.from_phi0(0.5)
         phi = np.linspace(-np.pi, np.pi, 401)
-        left = total_potential(phi, p, fitted, flux, include_bo=False)
-        right = total_potential(phi + np.pi, p, fitted, flux, include_bo=False)
+        left = total_potential(phi, p, fitted, flux)
+        right = total_potential(phi + np.pi, p, fitted, flux)
         scale = np.max(np.abs(left))
         assert np.max(np.abs(left - right)) < 1e-7 * scale
 

@@ -3,6 +3,7 @@ session, and the package's export lists name what exists."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -50,3 +51,26 @@ def test_export_lists_name_only_what_exists():
             unexported += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert missing == []
     assert unexported == []
+
+
+def test_only_the_kernel_takes_include_bo():
+    """The internal-mode correction is part of the device model: of every exported function, class and
+    public method, only the harmonic kernel ``potentials.fourier_u`` keeps ``include_bo``, its
+    validation switch for closed forms."""
+    takers = []
+    for info in pkgutil.iter_modules(hpqkit.__path__):
+        module = importlib.import_module(f"hpqkit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", value) for attr, value in vars(obj).items()
+                            if not attr.startswith("_") and callable(value)]
+            for qualname, member in members:
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):  # a builtin base without a signature
+                    continue
+                if "include_bo" in parameters:
+                    takers.append(f"{info.name}.{qualname}")
+    assert takers == ["potentials.fourier_u"]

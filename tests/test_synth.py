@@ -112,24 +112,22 @@ class TestSynthesizeMap:
     def test_matrix_element_weighting_kills_forbidden_line(self):
         # matched arms at half flux quantum make the potential purely
         # even, so the charge drive cannot connect opposite number-parity
-        # sectors: those lines must carry zero weight
+        # sectors: those lines must carry zero weight; ecj -> 0 is the
+        # bare junction arm, whose series the nanowire channel matches
         from hpqkit import build_hamiltonian, combine_harmonics, eigensolve, fourier_u, fourier_v, parity_weights
         from hpqkit.potentials import FluxBias
 
         ej = 20.0
-        params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-6, ec=0.3, gap=2.0 * ej)
+        params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-30, ec=0.3, gap=2.0 * ej)
         channels = NanowireChannels((1.0,))
         flux = np.array([math.pi])
         freqs = np.linspace(0.2, 30.0, 500)
         cfg = SynthConfig(seed=5, fwhm=0.05, noise_sigma=0.0)
         basis = ChargeBasisConfig(n_cut=25, n_levels=3)
         labels = ("f01", "f02", "f12")
-        traces, table = synthesize_map(
-            params, channels, flux, freqs, cfg, labels=labels,
-            basis=basis, include_bo=False,
-        )
+        traces, table = synthesize_map(params, channels, flux, freqs, cfg, labels=labels, basis=basis)
         spec = combine_harmonics(
-            fourier_u(params, 10, include_bo=False),
+            fourier_u(params, 10),
             fourier_v(channels, params.gap, 10),
             FluxBias(math.pi),
         )

@@ -151,12 +151,8 @@ FIT = FitResult(
 )
 
 
-def _fit_plain(path):
-    write_fit_result(FIT, [-7.0, 0.125], path)
-
-
 def _fit_counts(path):
-    write_fit_result(FIT, [-7.0, 0.125], path, chosen_counts={-7.0: 2, 0.125: 3})
+    write_fit_result(FIT, [-7.0, 0.125], path)
 
 
 SYNTH_CONFIG = """
@@ -288,32 +284,6 @@ GOLDEN = [
         b'-7,0.5,f02/2,4,0.001,0\n'
         b'0.25,-0.25,f12,3.3,0.02,1\n',
         id="dataset",
-    ),
-    pytest.param(
-        _fit_plain,
-        b'[globals]\n'
-        b'ej1 = 55.03\n'
-        b'ej2 = 54.5\n'
-        b'ecj = 0.675\n'
-        b'ec = 0.28\n'
-        b'gap = 40.06\n'
-        b'\n'
-        b'[fit]\n'
-        b'rmse_ghz = 0.00123456789012\n'
-        b'converged = false\n'
-        b'n_evaluations = 61\n'
-        b'message = budget exhausted; best so far\n'
-        b'\n'
-        b'[gate:-7]\n'
-        b'transmissions = 0.8, 0.4\n'
-        b'rmse_ghz = 0.001\n'
-        b'boundary_active = false\n'
-        b'\n'
-        b'[gate:0.125]\n'
-        b'transmissions = 0.95, 0.333333333333, 0\n'
-        b'rmse_ghz = 0.00142857142857\n'
-        b'boundary_active = true\n',
-        id="fit-result",
     ),
     pytest.param(
         _fit_counts,
