@@ -173,7 +173,7 @@ def parse_counts(text: str, *, field: str = "channels") -> list[int]:
 
 
 def parse_pairs(text: str, *, field: str = "matrix_elements") -> list[tuple[int, int]]:
-    """Level pairs as '0-1,1-2'."""
+    """Level pairs as '0-1,1-2'; levels count from 0."""
     cells = [cell.strip() for cell in text.split(",") if cell.strip()]
     pairs = []
     for cell in cells:
@@ -182,6 +182,8 @@ def parse_pairs(text: str, *, field: str = "matrix_elements") -> list[tuple[int,
             pairs.append((int(i_text), int(j_text)))
         except ValueError as exc:
             raise ConfigError(f"{field}: expected pairs like '0-1,1-2': {text!r}") from exc
+        if min(pairs[-1]) < 0:
+            raise ConfigError(f"{field}: levels must be >= 0, got {cell!r}")
     _reject_repeats(cells, pairs, field)
     return pairs
 

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .config import MAX_ENERGY_GHZ, MAX_FLUX_PHI0
 from .potentials import K_MAX, CircuitParams, NanowireChannels, fourier_u
@@ -37,7 +36,7 @@ from .spectrum import (
     parse_transition_label,
     solve_flux_grid,
 )
-from .spectrum import _transition
+from .spectrum import _average_clusters, _transition
 from .synth import Trace, lorentzian
 from .tables import fmt, write_csv, write_ini
 
@@ -360,6 +359,8 @@ class ThetaLayout:
                 raise ValueError("free globals need initial CircuitParams")
             ej = 0.5 * (params.ej1 + params.ej2)
             parts += [math.log(ej), math.log(params.ecj), math.log(params.gap)]
+        from scipy.special import expit, logit
+
         t_floor = expit(-LOGIT_BOUND)
         for count, ts in zip(self.channel_counts, transmissions):
             if len(ts) != count:
@@ -379,6 +380,8 @@ class ThetaLayout:
         else:
             assert cfg.fixed_params is not None
             params = cfg.fixed_params
+        from scipy.special import expit
+
         channels = tuple(
             NanowireChannels(tuple(float(t) for t in expit(x[self.t_slice(d)])))
             for d in range(len(self.channel_counts))
@@ -508,18 +511,18 @@ def model_residuals(
 # column is -gap/2 (1 - T) (A(T, 1/2) - A(T, -1/2)). With free globals
 # (lam = 1, E_Jsigma = 2 ej) the junction term -E_Jsigma A(1, 1/2) is
 # linear in ej and the correction sqrt(E_Jsigma E_CJ) A(1, 1/4) goes as
-# sqrt(ej ecj), and dv/dlog(gap) = v. Hellmann-Feynman needs a
-# nondegenerate level, so a flux point with a used level in a degenerate
-# cluster (FluxGrid.clustered) takes central differences for its rows instead.
-
-#: relative step of the degenerate-point central difference (scipy's 3-point default)
-_CENTRAL_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+# sqrt(ej ecj), and dv/dlog(gap) = v. Inside a degenerate cluster the
+# solve's basis is arbitrary, so each level of the cluster takes the
+# cluster's mean, the trace of dH/dtheta over it (spectrum._average_clusters);
+# the grid solves parity doublets whole, so no cluster read is cut short.
 
 
 def _v_derivatives(
     theta: np.ndarray, gap: float, amplitudes: np.ndarray, layout: ThetaLayout, d: int
 ) -> np.ndarray:
     """d v_k / d theta for k = 1..k_max of dataset ``d``'s nanowire arm, from its solve's amplitudes."""
+    from scipy.special import expit
+
     logits = theta[layout.t_slice(d)]
     # the solve's rows follow NanowireChannels' descending order; tied
     # transmissions have equal rows, so each logit's rank finds its row
@@ -534,39 +537,20 @@ def _v_derivatives(
 
 
 def _level_derivatives(grid: FluxGrid, phase: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Hellmann-Feynman dE/d theta of every solved level, shape ``(fluxes, levels, params)``."""
+    """Hellmann-Feynman dE/d theta of every solved level, shape ``(fluxes, levels, params)``.
+
+    Each degenerate cluster's levels take the cluster's mean.
+    """
     vectors = grid.vectors
     conj = vectors.conj()
     g = np.stack([np.einsum("rml,rml->rl", conj[:, :-k], vectors[:, k:]) for k in range(1, len(du) + 1)], -1)
-    return g.real @ du + (phase * g).real @ dv
-
-
-def _central_rows(
-    theta: np.ndarray, plan: _Plan, d: int, cfg: FitConfig, layout: ThetaLayout
-) -> np.ndarray:
-    """Central-difference Jacobian rows of the points of ``plan``, a part of dataset ``d``."""
-    columns = [*range(layout.n_globals), *range(layout.n_params)[layout.t_slice(d)]]
-    rows = np.zeros((len(plan.points), layout.n_params))
-    for c in columns:
-        h = _CENTRAL_STEP * max(1.0, abs(theta[c]))
-        model = []
-        for step in (h, -h):
-            x = theta.copy()
-            x[c] += step
-            params, channel_sets = layout.unpack(x, cfg)
-            model.append(_solve_points(params, channel_sets[d], plan, cfg).model())
-        rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
-    return rows / plan.sigmas[:, None]
+    return _average_clusters(g.real @ du + (phase * g).real @ dv, grid.energies)
 
 
 def _model_jacobian(
     theta: np.ndarray, cfg: FitConfig, layout: ThetaLayout, solutions: Sequence[_GridSolution]
-) -> tuple[np.ndarray, int]:
-    """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there.
-
-    Returns the Jacobian and the number of flux points that fell back to
-    central differences.
-    """
+) -> np.ndarray:
+    """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there."""
     params, _ = layout.unpack(theta, cfg)
     # d u_k / d theta for k = 1..k_max; nonzero only in the free-globals columns
     du = np.zeros((cfg.k_max, layout.n_params))
@@ -575,24 +559,13 @@ def _model_jacobian(
         du[:, 0] = junction + correction / 2.0
         du[:, 1] = correction / 2.0
     blocks: list[np.ndarray] = []
-    fallbacks = 0
     for d, solution in enumerate(solutions):
         plan = solution.plan
         dv = _v_derivatives(theta, params.gap, solution.amplitudes, layout, d)
         d_energy = _level_derivatives(solution.grid, plan.phase, du, dv)
-        rows = plan.rows
         i, j, divisor = plan.levels
-        block = _transition(d_energy, i, j, (divisor * plan.sigmas)[:, None], rows)
-        # flux rows where a point uses a level of a degenerate cluster
-        clustered = solution.grid.clustered
-        degenerate = np.unique(rows[clustered[rows, i] | clustered[rows, j]])
-        if len(degenerate):
-            fallbacks += len(degenerate)
-            mask = np.isin(rows, degenerate)
-            part = _plan(plan.gate, [p for p, m in zip(plan.points, mask) if m], cfg)
-            block[mask] = _central_rows(theta, part, d, cfg, layout)
-        blocks.append(block)
-    return np.vstack(blocks), fallbacks
+        blocks.append(_transition(d_energy, i, j, (divisor * plan.sigmas)[:, None], plan.rows))
+    return np.vstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -603,9 +576,7 @@ class FitResult:
     ``sqrt(mean((f_model - f_data)^2))`` over all used points; the
     residual vector kept here is the sigma-weighted one the optimizer
     actually minimized. ``n_jacobian_evaluations`` sums the Jacobian
-    evaluations of every start, and ``jacobian_fallbacks`` counts the
-    flux points whose Jacobian rows took central differences because a
-    used level was degenerate. No parameter uncertainty is estimated.
+    evaluations of every start. No parameter uncertainty is estimated.
     """
 
     params: CircuitParams
@@ -620,7 +591,6 @@ class FitResult:
     boundary_active: tuple[tuple[bool, ...], ...]
     start_costs: tuple[float, ...]
     n_jacobian_evaluations: int = 0
-    jacobian_fallbacks: int = 0
 
 
 def rmse(model_freqs: Sequence[float], data_freqs: Sequence[float]) -> float:
@@ -688,7 +658,6 @@ def fit_global(
     # keeps the x and grids the latest Jacobian used: trf takes one at
     # every accepted step, so they are the grids at the x a start returns
     latest: dict[str, object] = {"x": None}
-    fallbacks = 0
 
     def objective(x: np.ndarray) -> np.ndarray:
         grids: list[_GridSolution] = []
@@ -697,13 +666,10 @@ def fit_global(
         return r
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        nonlocal fallbacks
         if not np.array_equal(x, latest["x"]):
             objective(x)
         latest["read"] = (latest["x"], latest["grids"])
-        jac, n_fallbacks = _model_jacobian(x, cfg, layout, latest["grids"])
-        fallbacks += n_fallbacks
-        return jac
+        return _model_jacobian(x, cfg, layout, latest["grids"])
 
     best = None
     start_costs: list[float] = []
@@ -755,7 +721,6 @@ def fit_global(
         boundary_active=boundary,
         start_costs=tuple(start_costs),
         n_jacobian_evaluations=total_jacobians,
-        jacobian_fallbacks=fallbacks,
     )
 
 
@@ -826,7 +791,6 @@ def _fit_count(
         cold if cold.cost < warm.cost else warm,
         n_evaluations=warm.n_evaluations + cold.n_evaluations,
         n_jacobian_evaluations=warm.n_jacobian_evaluations + cold.n_jacobian_evaluations,
-        jacobian_fallbacks=warm.jacobian_fallbacks + cold.jacobian_fallbacks,
         start_costs=warm.start_costs + cold.start_costs,
     )
 
@@ -851,7 +815,6 @@ def _merge_single_gate_fits(
         boundary_active=tuple(r.boundary_active[0] for r in results),
         start_costs=(),
         n_jacobian_evaluations=sum(r.n_jacobian_evaluations for r in results),
-        jacobian_fallbacks=sum(r.jacobian_fallbacks for r in results),
     )
 
 
@@ -869,6 +832,14 @@ def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> Non
         for dataset in datasets
         for p in dataset.points
     ))
+
+
+def _finite_cell(column: str, text: str) -> float:
+    """The number in a dataset cell, or a ``ValueError`` naming its ``column``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {value!r}")
+    return value
 
 
 def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
@@ -892,30 +863,24 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
             if len(cells) != 6:
                 raise DatasetFormatError(f"{path}:{line_no}: expected 6 fields, got {len(cells)}")
             try:
-                gate = float(cells[0])
-                if not math.isfinite(gate):
-                    raise ValueError(f"gate_v must be finite, got {gate!r}")
-                flux_phi0 = float(cells[1])
-                label = cells[2]
-                used = int(cells[5])
-                if used not in (0, 1):
-                    raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
-                point = TransitionPoint(
-                    flux=2.0 * math.pi * flux_phi0,
-                    label=label,
-                    freq=float(cells[3]),
-                    sigma=float(cells[4]),
-                    used=bool(used),
+                gate, flux_phi0, freq, sigma = (
+                    _finite_cell(_DATASET_COLUMNS[idx], cells[idx]) for idx in (0, 1, 3, 4)
                 )
                 if abs(flux_phi0) > MAX_FLUX_PHI0:
                     raise ValueError(
                         f"flux_phi0 must be in [-{MAX_FLUX_PHI0:g}, {MAX_FLUX_PHI0:g}], got {flux_phi0!r}"
                     )
-                for column, value in (("freq_ghz", point.freq), ("sigma_ghz", point.sigma)):
+                for column, value in (("freq_ghz", freq), ("sigma_ghz", sigma)):
                     if not 0.0 < value <= MAX_ENERGY_GHZ:
                         raise ValueError(
                             f"{column} must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
                         )
+                used = int(cells[5])
+                if used not in (0, 1):
+                    raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
+                point = TransitionPoint(
+                    flux=2.0 * math.pi * flux_phi0, label=cells[2], freq=freq, sigma=sigma, used=bool(used)
+                )
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
             grouped.setdefault(gate, []).append(point)

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import binom, hyp2f1
 
 from .tables import write_csv
 
@@ -380,6 +379,9 @@ def _power_amplitudes(m: np.ndarray | float, nu: np.ndarray | float, k_max: int)
     ``m`` and ``nu`` broadcast against each other; the result has their
     broadcast shape plus a trailing axis of length ``k_max + 1``.
     """
+    # imported here, so that a command that never makes an arm does not load scipy.special
+    from scipy.special import binom, hyp2f1
+
     m = np.asarray(m, dtype=float)[..., None]
     nu = np.asarray(nu, dtype=float)[..., None]
     k = np.arange(k_max + 1)

@@ -21,7 +21,8 @@ the same routes; the real form is sliced from that matrix.
 Both solvers rotate the states of a degenerate cluster (levels within
 :data:`DEGENERACY_TOL`), LAPACK's arbitrary mix, into eigenstates of the
 even-charge weight: where even and odd charges decouple, each state then
-has one Cooper-pair parity.
+has one Cooper-pair parity. There :func:`solve_flux_grid` solves one
+level more, so that no doublet is split by the top level asked for.
 """
 
 from __future__ import annotations
@@ -175,19 +176,39 @@ def _even_charges(vectors: np.ndarray) -> np.ndarray:
     return vectors[(len(vectors) - 1) // 2 % 2 :: 2]
 
 
+def _clusters(close: np.ndarray) -> np.ndarray:
+    """``(start, stop)`` of each degenerate cluster (levels start..stop) of one row of :func:`_close_to_next`."""
+    # a cluster runs from a rise of ``close`` to one past its fall
+    return np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2)
+
+
 def _rotate_clusters(vectors: np.ndarray, close: np.ndarray) -> None:
     """Rotate each degenerate cluster's states, in place, into eigenstates of their even-charge overlap.
 
     ``close`` is :func:`_close_to_next` of the energies, which stay as
     they are. The states go in descending order of even weight.
     """
-    # a cluster runs from a rise of ``close`` to one past its fall
-    for start, stop in np.flatnonzero(np.diff(close, prepend=False, append=False)).reshape(-1, 2):
+    for start, stop in _clusters(close):
         # a fresh contiguous copy, so a grid row and eigensolve's vectors take the same products
         cluster = np.ascontiguousarray(vectors[:, start : stop + 1])
         even = _even_charges(cluster)
         _, rotation = np.linalg.eigh(even.conj().T @ even)
         vectors[:, start : stop + 1] = cluster @ rotation[:, ::-1]
+
+
+def _average_clusters(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """``values[point, level, ...]`` with each degenerate cluster's levels set, in place, to their mean.
+
+    The clusters of ``energies[point]`` are those :func:`_rotate_clusters`
+    rotates. For Hellmann-Feynman derivatives the mean is the trace of
+    dH/dtheta over the cluster, which no choice of basis inside it
+    changes; for sorted levels it is the limit of a central difference.
+    """
+    close = _close_to_next(energies)
+    for point in np.flatnonzero(close.any(axis=1)):
+        for start, stop in _clusters(close[point]):
+            values[point, start : stop + 1] = values[point, start : stop + 1].mean(axis=0)
+    return values
 
 
 def _real_form(h: np.ndarray) -> np.ndarray:
@@ -424,15 +445,14 @@ class TransitionTable:
 class FluxGrid:
     """Lowest eigenpairs on a flux grid: ``energies[point, level]``, ``vectors[point, :, level]``.
 
-    A failed point holds NaN. ``clustered[point, level]`` flags a level
-    in a degenerate cluster, found and rotated as :func:`eigensolve` does.
+    It holds the levels :func:`solve_flux_grid` solved, and a failed point
+    holds NaN.
     """
 
     flux: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     failed: np.ndarray
-    clustered: np.ndarray
 
 
 def solve_flux_grid(
@@ -452,10 +472,17 @@ def solve_flux_grid(
     slots :func:`build_hamiltonian` uses. It is real without sine content
     and complex otherwise; at n_g = 0 its real form is sliced from it. Each
     point takes one LAPACK call and gives ``eigensolve(build_hamiltonian(
-    combine_harmonics(u, v, FluxBias(phi)), ec, cfg))`` bit for bit.
+    combine_harmonics(u, v, FluxBias(phi)), ec, cfg), levels)`` bit for
+    bit, at the levels the grid solves.
     ``vectors`` is complex when some point has sine content. A failed
     solve raises a :class:`SolverError` naming its point when ``strict``;
     otherwise it logs a warning and flags the point.
+
+    Where every odd-k harmonic of a point vanishes, the even and odd
+    charges decouple and the levels pair into doublets. A grid with such a
+    point solves ``min(cfg.n_levels + 1, dim)`` levels at every point, so
+    the top level asked for never loses its doublet partner and each
+    doublet is rotated whole.
 
     The bookkeeping is per grid: finiteness is checked once over the band
     rows (a non-finite point fails before any LAPACK call), real-form
@@ -471,18 +498,20 @@ def solve_flux_grid(
     sine = s[:, 1:].any(axis=1)
     # only the diagonal can break the charge-reflection symmetry (at n_g != 0)
     reflected = sine & np.array_equal(diag, diag[::-1])
+    decoupled = not (c[:, 1::2].any(axis=1) | s[:, 1::2].any(axis=1)).all()
+    n_levels = min(cfg.n_levels + 1, cfg.dim) if decoupled else cfg.n_levels
     rows = _band_entries(c, s)
     finite = np.isfinite(rows).all(axis=1) & np.isfinite(diag).all()
-    energies = np.full((len(rows), cfg.n_levels), np.nan)
-    vectors = np.full((len(rows), cfg.dim, cfg.n_levels), np.nan, rows.dtype)
+    energies = np.full((len(rows), n_levels), np.nan)
+    vectors = np.full((len(rows), cfg.dim, n_levels), np.nan, rows.dtype)
     for idx, row in enumerate(rows):
         try:
             _require_finite(finite[idx], cfg.dim)
             h = np.concatenate((row if sine[idx] else row.real, diag))[dense].T
             if reflected[idx]:
-                energies[idx], _ = _solve_real_form(h, cfg.n_levels, out=vectors[idx])
+                energies[idx], _ = _solve_real_form(h, n_levels, out=vectors[idx])
             else:
-                energies[idx], vectors[idx] = _evr(h, cfg.n_levels, overwrite_a=True)
+                energies[idx], vectors[idx] = _evr(h, n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:
                 raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]:g}): {exc}") from exc
@@ -491,10 +520,7 @@ def solve_flux_grid(
     for idx in np.flatnonzero(close.any(axis=1)):
         # a point solved as a real matrix is rotated in real arithmetic, as eigensolve rotates it
         _rotate_clusters(vectors[idx] if sine[idx] else vectors[idx].real, close[idx])
-    clustered = np.zeros(energies.shape, dtype=bool)
-    clustered[:, 1:] = close
-    clustered[:, :-1] |= close
-    return FluxGrid(flux_values, energies, vectors, np.isnan(energies[:, 0]), clustered)
+    return FluxGrid(flux_values, energies, vectors, np.isnan(energies[:, 0]))
 
 
 def spectrum_vs_flux(
@@ -515,12 +541,9 @@ def spectrum_vs_flux(
     point. Labels and pairs pass :func:`check_levels` before any solve,
     so ``cfg.n_levels`` bounds the levels they may read, and each point
     solves only the levels they do read (:func:`levels_read`), as the fit
-    does. A degenerate cluster that the last level read splits is rotated
-    among its solved members only. For a doublet, that level keeps the
-    vector LAPACK gives it, which can mix the pair's two states, so its
-    matrix elements can differ from a solve of more levels; its energy is
-    the pair's lower one either way. A failed point logs a warning and
-    leaves a NaN row flagged in ``failed``.
+    does; where parity doublets form, the grid solves one more and the
+    table keeps the levels read. A failed point logs a warning and leaves
+    a NaN row flagged in ``failed``.
     """
     check_levels(cfg.n_levels, labels, me_pairs)
     cfg = replace(cfg, n_levels=levels_read(cfg.n_levels, labels, me_pairs))
@@ -529,7 +552,7 @@ def spectrum_vs_flux(
     grid = solve_flux_grid(u, v, flux_values, params.ec, cfg, strict=False)
     return TransitionTable(
         flux_radians=grid.flux,
-        energies=grid.energies,
+        energies=grid.energies[:, : cfg.n_levels],
         frequencies=transition_frequencies(grid.energies, labels),
         matrix_elements={
             (i, j): _charge_elements(grid.vectors[:, :, i], grid.vectors[:, :, j], cfg.n_g)

@@ -162,12 +162,12 @@ def per_evaluation_residuals(theta, datasets, cfg, layout, *, grids=None) -> np.
     return np.concatenate(chunks)
 
 
-def per_evaluation_jacobian(theta, cfg, layout, solutions) -> tuple[np.ndarray, int]:
+def per_evaluation_jacobian(theta, cfg, layout, solutions) -> np.ndarray:
     """Reference for ``fitstack._model_jacobian`` on grids of :func:`per_evaluation_residuals`.
 
     The arms' derivatives come from their own amplitude calls, the phase
-    table and each conjugate are made per call, and a point with a used
-    level in a degenerate cluster takes central differences.
+    table and each conjugate are made per call, and the levels of a
+    degenerate cluster take their mean, summed level by level.
     """
     params, _ = layout.unpack(theta, cfg)
     k = np.arange(1, cfg.k_max + 1)
@@ -178,7 +178,7 @@ def per_evaluation_jacobian(theta, cfg, layout, solutions) -> tuple[np.ndarray, 
         correction = math.sqrt(params.ej_sigma * params.ecj) * correction
         du[:, 0] = junction + correction / 2.0
         du[:, 1] = correction / 2.0
-    blocks, fallbacks = [], 0
+    blocks = []
     for d, solution in enumerate(solutions):
         t_slice = layout.t_slice(d)
         dv = np.zeros((cfg.k_max, layout.n_params))
@@ -190,34 +190,32 @@ def per_evaluation_jacobian(theta, cfg, layout, solutions) -> tuple[np.ndarray, 
         vectors = solution.grid.vectors
         g = np.stack([np.einsum("rml,rml->rl", vectors[:, :-kk].conj(), vectors[:, kk:]) for kk in k], axis=-1)
         phase = np.exp(1j * np.outer(solution.grid.flux, k))[:, np.newaxis, :]
-        d_energy = g.real @ du + (phase * g).real @ dv
+        d_energy = cluster_means(g.real @ du + (phase * g).real @ dv, solution.grid.energies)
         rows, (i, j, divisor) = solution.rows, solution.levels
         sigmas = _per_evaluation_sigmas(solution.points, cfg)
-        block = (d_energy[rows, j] - d_energy[rows, i]) / (divisor * sigmas)[:, None]
-        clustered = solution.grid.clustered
-        degenerate = np.unique(rows[clustered[rows, i] | clustered[rows, j]])
-        if len(degenerate):
-            fallbacks += len(degenerate)
-            mask = np.isin(rows, degenerate)
-            points = [p for p, m in zip(solution.points, mask) if m]
-            block[mask] = _per_evaluation_central_rows(theta, points, d, cfg, layout)
-        blocks.append(block)
-    return np.vstack(blocks), fallbacks
+        blocks.append((d_energy[rows, j] - d_energy[rows, i]) / (divisor * sigmas)[:, None])
+    return np.vstack(blocks)
 
 
-def _per_evaluation_central_rows(theta, points, d, cfg, layout) -> np.ndarray:
-    columns = [*range(layout.n_globals), *range(layout.n_params)[layout.t_slice(d)]]
-    rows = np.zeros((len(points), layout.n_params))
-    for c in columns:
-        h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, abs(theta[c]))
-        model = []
-        for step in (h, -h):
-            x = theta.copy()
-            x[c] += step
-            params, channel_sets = layout.unpack(x, cfg)
-            model.append(_per_evaluation_solve(params, channel_sets[d], points, cfg).model())
-        rows[:, c] = (model[0] - model[1]) / ((theta[c] + h) - (theta[c] - h))
-    return rows / _per_evaluation_sigmas(points, cfg)[:, None]
+def clusters(energies: np.ndarray) -> list[list[int]]:
+    """The levels of one point's ``energies``, grouped into runs joined by ``spectrum._close_to_next``."""
+    groups = [[0]]
+    for level, joined in enumerate(spectrum._close_to_next(energies), start=1):
+        if joined:
+            groups[-1].append(level)
+        else:
+            groups.append([level])
+    return groups
+
+
+def cluster_means(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """A copy of ``values[point, level, ...]`` whose degenerate clusters hold their mean, summed level by level."""
+    out = values.copy()
+    for point, row in enumerate(energies):
+        for group in clusters(row):
+            if len(group) > 1:
+                out[point, group] = sum(values[point, group[1:]], values[point, group[0]]) / len(group)
+    return out
 
 
 def exact_phi_min(params: CircuitParams, transmissions, phi_e: float) -> float:

@@ -102,6 +102,12 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "flux.phi_e" in err
 
+    def test_circuit_without_ej1_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", HPQ_CONFIG.replace("ej1 = 55.03\n", ""))
+        assert main(["decompose", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: missing field circuit.ej1 in {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "harmonics.csv").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["decompose", "--config", str(tmp_path / "nope.ini"),
                      "--out-dir", str(tmp_path)]) == 2
@@ -267,6 +273,13 @@ class TestSweep:
         cfg = write(tmp_path / "run.ini", SWEEP_CONFIG + f"matrix_elements = {pairs}\n")
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert f"error: sweep.matrix_elements: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "transitions.csv").exists()
+
+    def test_negative_level_in_pair_exits_two(self, tmp_path, capsys):
+        # '0--1' splits into levels 0 and -1, which would read the last level solved
+        cfg = write(tmp_path / "run.ini", SWEEP_CONFIG + "matrix_elements = 0-1, 0--1\n")
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "error: sweep.matrix_elements: levels must be >= 0, got '0--1'" in capsys.readouterr().err
         assert not (tmp_path / "transitions.csv").exists()
 
     def test_two_photon_label_is_not_a_repeat(self, tmp_path):
@@ -469,9 +482,10 @@ class TestFit:
             (["--channels", "1,1"], None, "2", "--channels: '1' repeats '1'"),
             ([], "3,3", "2", "HPQKIT_CHANNELS: '3' repeats '3'"),
             ([], None, "2,3,3", "fit.channels: '3' repeats '3'"),
+            (["--channels", "3..2"], None, "2", "--channels: expected counts like '3', '2,3' or '2..5': '3..2'"),
         ],
         ids=["flag", "env", "section-key", "empty-env", "empty-flag",
-             "repeat-flag", "repeat-env", "repeat-section-key"],
+             "repeat-flag", "repeat-env", "repeat-section-key", "empty-range"],
     )
     def test_bad_channel_counts_name_their_source(self, tmp_path, monkeypatch, capsys, argv, env, key, message):
         if env is not None:
@@ -480,6 +494,21 @@ class TestFit:
         data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
         assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "globals_mode, argv, message",
+        [
+            ("both", [], "fit.globals must be 'free' or 'fixed', got 'both'"),
+            ("free", ["--channels", "2..3"], "channel-count selection requires fit.globals = fixed"),
+        ],
+        ids=["unknown-mode", "selection-with-free-globals"],
+    )
+    def test_bad_globals_mode_exits_two(self, tmp_path, capsys, globals_mode, argv, message):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG.replace("globals = fixed", f"globals = {globals_mode}"))
+        data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path), *argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "rmse_by_count.csv").exists() and not (tmp_path / "fit_result.ini").exists()
 
     @pytest.mark.parametrize("extra", [[], ["--channels", "2..3"]], ids=["single-count", "selection"])
     def test_header_only_dataset_exits_two_before_writing(self, tmp_path, capsys, extra):
@@ -715,6 +744,12 @@ class TestClassify:
         assert f"error: gate tag {second} repeats the gate of gate tag {first}" in capsys.readouterr().err
         assert not (tmp_path / "regimes.csv").exists()
 
+    def test_config_without_circuit_or_globals_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", CLASSIFY_CONFIG[CLASSIFY_CONFIG.index("[flux]"):])
+        assert main(["classify", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: {cfg}: needs a [circuit] or [globals] section" in capsys.readouterr().err
+        assert not (tmp_path / "regimes.csv").exists()
+
     def test_empty_gate_list(self, tmp_path):
         text = CLASSIFY_CONFIG.split("[gates]")[0] + "[gates]\n"
         cfg = write(tmp_path / "run.ini", text)
@@ -753,17 +788,24 @@ import json, sys
 import hpqkit
 from hpqkit.cli import main
 
-config, out, dataset = sys.argv[1:]
-report = [["import", None, "scipy.optimize" in sys.modules]]
-for argv in (["decompose"], ["sweep"], ["synth"], ["classify"], ["fit", dataset]):
+config, out, dataset, commands = sys.argv[1:]
+
+def loaded():
+    return ["scipy.optimize" in sys.modules, "scipy.special" in sys.modules]
+
+report = [["import", None, *loaded()]]
+for argv in ([command] for command in commands.split(",")):
+    if argv == ["fit"]:
+        argv.append(dataset)
     code = main([argv[0], "--config", config, "--out-dir", out, *argv[1:]])
-    report.append([argv[0], code, "scipy.optimize" in sys.modules])
+    report.append([argv[0], code, *loaded()])
 print(json.dumps(report))
 """
 
 
-def test_only_fit_loads_the_optimizer(tmp_path, fit_dataset_csv):
-    # a fresh interpreter, since this one has already run fits
+def run_probe(tmp_path, fit_dataset_csv, commands):
+    """Run ``commands`` in order in a fresh interpreter; each row says whether
+    ``scipy.optimize`` and ``scipy.special`` are loaded after it."""
     sections = [doc[doc.index(name):] for doc, name in (
         (SWEEP_CONFIG, "[sweep]"), (SYNTH_CONFIG, "[synth]"), (CLASSIFY_CONFIG, "[gates]"), (FIT_CONFIG, "[fit]")
     )]
@@ -772,17 +814,30 @@ def test_only_fit_loads_the_optimizer(tmp_path, fit_dataset_csv):
     env = {key: value for key, value in os.environ.items() if not key.startswith("HPQKIT_")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", OPTIMIZER_PROBE, config, str(tmp_path), fit_dataset_csv[0]],
+        [sys.executable, "-c", OPTIMIZER_PROBE, config, str(tmp_path), fit_dataset_csv[0], ",".join(commands)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [
-        ["import", None, False],
-        ["decompose", 0, False],
-        ["sweep", 0, False],
-        ["synth", 0, False],
-        ["classify", 0, False],
-        ["fit", 0, True],
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_classify_loads_no_special_functions(tmp_path, fit_dataset_csv):
+    # classify locates potential minima and never makes a Fourier arm, so it needs no special function
+    assert run_probe(tmp_path, fit_dataset_csv, ["classify"]) == [
+        ["import", None, False, False],
+        ["classify", 0, False, False],
+    ]
+
+
+def test_only_fit_loads_the_optimizer(tmp_path, fit_dataset_csv):
+    # a fresh interpreter, since this one has already run fits; decompose makes the first arm
+    assert run_probe(tmp_path, fit_dataset_csv, ["decompose", "sweep", "synth", "classify", "fit"]) == [
+        ["import", None, False, False],
+        ["decompose", 0, False, True],
+        ["sweep", 0, False, True],
+        ["synth", 0, False, True],
+        ["classify", 0, False, True],
+        ["fit", 0, True, True],
     ]
 
 

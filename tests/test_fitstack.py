@@ -9,7 +9,7 @@ from scipy.optimize._numdiff import approx_derivative
 from scipy.special import expit
 
 import hpqkit.fitstack as fitstack
-from conftest import per_evaluation_jacobian, per_evaluation_residuals
+from conftest import clusters, per_evaluation_jacobian, per_evaluation_residuals
 from hpqkit import (
     CircuitParams,
     FitConfig,
@@ -308,12 +308,12 @@ class TestAnalyticJacobian:
     def jacobians(theta, datasets, cfg, layout, **difference):
         grids = []
         model_residuals(theta, datasets, cfg, layout, grids=grids)
-        analytic, fallbacks = fitstack._model_jacobian(theta, cfg, layout, grids)
+        analytic = fitstack._model_jacobian(theta, cfg, layout, grids)
         central = approx_derivative(
             lambda x: model_residuals(x, datasets, cfg, layout), theta, method="3-point",
             **difference,
         )
-        return analytic, central, fallbacks
+        return analytic, central
 
     @pytest.mark.parametrize("cfg", [SMALL_CFG_FIXED, SMALL_CFG_FREE], ids=["fixed", "free"])
     def test_matches_central_differences(self, cfg):
@@ -326,8 +326,7 @@ class TestAnalyticJacobian:
         # the second gate has one channel at each logit bound
         edge = expit(fitstack.LOGIT_BOUND)
         theta = layout.pack(self.START, [(0.75, 0.5, 0.35), (edge, 0.45, 1.0 - edge)])
-        analytic, central, fallbacks = self.jacobians(theta, ds, cfg, layout)
-        assert fallbacks == 0
+        analytic, central = self.jacobians(theta, ds, cfg, layout)
         assert np.all(analytic[: len(ds[0].used_points), layout.t_slice(1)] == 0.0)
         scale = np.max(np.abs(central), axis=0)
         inner = scale > 1e-3 * scale.max()
@@ -336,17 +335,17 @@ class TestAnalyticJacobian:
         # drown them in eigenvalue rounding, so they get a wider step
         bounds = [layout.t_slice(1).start, layout.t_slice(1).stop - 1]
         assert not inner[bounds].any()
-        _, wide, _ = self.jacobians(theta, ds, cfg, layout, abs_step=1e-2)
+        _, wide = self.jacobians(theta, ds, cfg, layout, abs_step=1e-2)
         for c in bounds:
             atol = 1e-2 * np.max(np.abs(wide[:, c]))
             assert np.allclose(analytic[:, c], wide[:, c], rtol=0.0, atol=atol)
 
-    def test_even_only_doublet_falls_back_to_central_differences(self, monkeypatch):
+    def test_even_only_doublet_takes_the_cluster_mean(self, monkeypatch):
         cfg = dataclasses.replace(SMALL_CFG_FIXED, k_max=10, n_cut=25)
         transmissions = (0.8, 0.4)
         v = fourier_v(NanowireChannels(transmissions), TRUE_PARAMS.gap, cfg.k_max)
         # a junction arm that cancels the nanowire's odd harmonics at half flux
-        # and leaves a deep pi-periodic well there: a doublet split ~1e-12 GHz
+        # and leaves a deep pi-periodic well there: doublets split below 1e-9 GHz
         u = np.zeros(cfg.k_max + 1)
         u[1::2] = v[1::2]
         u[2], u[4] = -150.0 - v[2], 2.0 - v[4]
@@ -356,9 +355,32 @@ class TestAnalyticJacobian:
                            flux_values=flux)]
         layout = ThetaLayout(globals_free=False, channel_counts=(2,))
         theta = layout.pack(None, [transmissions])
-        analytic, central, fallbacks = self.jacobians(theta, ds, cfg, layout)
-        assert fallbacks == 1
-        assert np.allclose(analytic, central, rtol=0.0, atol=1e-6 * np.max(np.abs(central)))
+        grids = []
+        model_residuals(theta, ds, cfg, layout, grids=grids)
+        # the labels read levels 0..2; half flux decouples the parities, so level 3 is solved too
+        energies = grids[0].grid.energies
+        assert energies.shape == (len(flux), 4)
+        assert [len(group) for group in clusters(energies[-1])] == [2, 2]
+        analytic = fitstack._model_jacobian(theta, cfg, layout, grids)
+        # sorted levels kink at a doublet, which leaves 3-point differences an O(h) error;
+        # the Richardson combination 2 D(h/2) - D(h) cancels it
+        fun = lambda x: model_residuals(x, ds, cfg, layout)
+        step = np.finfo(float).eps ** (1.0 / 3.0)
+        coarse, fine = (approx_derivative(fun, theta, method="3-point", rel_step=h) for h in (step, step / 2.0))
+        richardson = 2.0 * fine - coarse
+        scale = np.max(np.abs(richardson), axis=0)
+        assert np.allclose(analytic, richardson, rtol=0.0, atol=1e-6 * scale)
+        solves = []
+        original = fitstack.solve_flux_grid
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        result = fit_global(ds, [2], cfg, initial_transmissions=[(0.7, 0.5)])
+        assert result.n_jacobian_evaluations > 0
+        assert len(solves) == result.n_evaluations
 
     def test_fit_reuses_the_residual_eigenpairs(self, monkeypatch):
         cfg = SMALL_CFG_FIXED
@@ -373,7 +395,6 @@ class TestAnalyticJacobian:
         monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
         result = fit_global(ds, [2], cfg, initial_transmissions=[(0.6, 0.5)])
         assert result.n_jacobian_evaluations >= 2
-        assert result.jacobian_fallbacks == 0
         # one solve per residual evaluation; the Jacobians and the final RMSE reuse them
         assert len(solves) == result.n_evaluations
 
@@ -619,7 +640,6 @@ class TestChannelCountSelection:
         fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
         n_solves = len(solves)
         monkeypatch.undo()
-        assert all(fit.jacobian_fallbacks == 0 for fit in fits.values())
         assert n_solves == sum(fit.n_evaluations for fit in fits.values())
         # count 3 buys real fit quality, so it runs the warm start and then the default starts
         warm = fit_global(
@@ -752,10 +772,10 @@ class TestPlannedEvaluation:
         got = model_residuals(theta, datasets, cfg, layout, grids=grids)
         want = per_evaluation_residuals(theta, datasets, cfg, layout, grids=reference)
         assert got.tobytes() == want.tobytes()
-        jacobian, fallbacks = fitstack._model_jacobian(theta, cfg, layout, grids)
-        want_jacobian, want_fallbacks = per_evaluation_jacobian(theta, cfg, layout, reference)
-        assert fallbacks == want_fallbacks == 1
-        assert jacobian.tobytes() == want_jacobian.tobytes()
+        # half flux holds two doublets, so the Jacobian takes cluster means there
+        assert [len(group) for group in clusters(grids[0].grid.energies[3])] == [2, 2]
+        jacobian = fitstack._model_jacobian(theta, cfg, layout, grids)
+        assert jacobian.tobytes() == per_evaluation_jacobian(theta, cfg, layout, reference).tobytes()
 
     @pytest.mark.parametrize("name", SELECTION_CASES)
     def test_selection_matches_the_per_evaluation_route(self, name, per_evaluation_route):
@@ -785,7 +805,7 @@ class TestPlannedEvaluation:
         ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FIXED, flux_values=FLUX_GRID[::2])
         kernel_calls.clear()
         result = fit_global([ds], [2], SMALL_CFG_FIXED)
-        assert result.n_jacobian_evaluations > 0 and result.jacobian_fallbacks == 0
+        assert result.n_jacobian_evaluations > 0
         assert kernel_calls["fourier_u"] == 1
         assert kernel_calls["_power_amplitudes"] == kernel_calls["model_residuals"] == result.n_evaluations
         assert kernel_calls["in_jacobian"] == 0
@@ -803,7 +823,7 @@ class TestPlannedEvaluation:
         start = {"initial_params": TestAnalyticJacobian.START, "initial_transmissions": [(0.7, 0.5)] * 2}
         kernel_calls.clear()
         result = fit_global(ds, [2, 2], dataclasses.replace(SMALL_CFG_FREE, max_nfev=6), **start)
-        assert result.n_jacobian_evaluations > 0 and result.jacobian_fallbacks == 0
+        assert result.n_jacobian_evaluations > 0
         assert kernel_calls["model_residuals"] == result.n_evaluations
         assert kernel_calls["fourier_u"] == kernel_calls["_power_amplitudes"] == 2 * result.n_evaluations
         assert kernel_calls["in_jacobian"] == 0
@@ -849,7 +869,6 @@ class TestMergeSingleGateFits:
         assert merged.rmse_per_dataset == (fits[0].rmse, fits[1].rmse)
         assert merged.n_evaluations == fits[0].n_evaluations + fits[1].n_evaluations
         assert merged.n_jacobian_evaluations == sum(f.n_jacobian_evaluations for f in fits) > 0
-        assert merged.jacobian_fallbacks == sum(f.jacobian_fallbacks for f in fits)
         for flags in [(True, True), (True, False), (False, True)]:
             parts = [dataclasses.replace(fit, converged=flag) for fit, flag in zip(fits, flags)]
             assert fitstack._merge_single_gate_fits(parts, gates).converged is all(flags)
@@ -907,7 +926,15 @@ class TestDatasetFiles:
             "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n"
             "0.0,0.0,f01,5.0,0.01,1\n" + ",".join(cells.values()) + "\n"
         )
-        with pytest.raises(DatasetFormatError, match=r"broken\.csv:3: .* must be finite"):
+        with pytest.raises(DatasetFormatError, match=rf"broken\.csv:3: {column} must be finite, got {value}$"):
+            read_dataset_csv(str(path))
+
+    def test_flux_beyond_its_range_is_named_by_its_column(self, tmp_path):
+        # 1e308 is finite, though 2 pi times it is not
+        path = tmp_path / "broken.csv"
+        path.write_text("gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n0.0,1e308,f01,5.0,0.01,1\n")
+        message = r"broken\.csv:2: flux_phi0 must be in \[-1000, 1000\], got 1e\+308$"
+        with pytest.raises(DatasetFormatError, match=message):
             read_dataset_csv(str(path))
 
     def test_bad_header_rejected(self, tmp_path):

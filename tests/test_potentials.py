@@ -97,6 +97,11 @@ class TestFluxBias:
         wrapped = FluxBias(phi).phi_e
         assert -math.pi <= wrapped < math.pi
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf])
+    def test_non_finite_flux_rejected(self, phi):
+        with pytest.raises(ValueError, match=f"^phi_e must be finite, got {phi}$"):
+            FluxBias(phi)
+
     def test_half_flux_quantum(self):
         flux = FluxBias.from_phi0(0.5)
         assert abs(abs(flux.phi_e) - math.pi) < 1e-15

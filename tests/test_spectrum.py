@@ -3,7 +3,6 @@ import logging
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,7 +36,7 @@ from hpqkit import (
 )
 from hpqkit.spectrum import DEFAULT_LABELS, DEFAULT_PAIRS, DEGENERACY_TOL
 
-from conftest import from_real_form, full_level_table
+from conftest import cluster_means, from_real_form, full_level_table
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -523,13 +522,15 @@ class TestEvenOnlyParity:
             hpq_params, NanowireChannels(()), self.FLUX, cfg, labels=(f"f0{levels - 1}",), me_pairs=self.PAIRS
         )
         grid = solve_flux_grid(*even_only_arms(), self.FLUX, hpq_params.ec, cfg)
+        # the parities decouple, so the grid solves one level more than the table keeps
         assert table.energies.shape == (len(self.FLUX), levels)
+        assert grid.energies.shape == (len(self.FLUX), levels + 1)
         for p, phi in enumerate(self.FLUX):
             _, want = self.block_oracle(phi, cfg)
             assert np.max(np.abs(table.energies[p] - want)) <= self.ENERGY_TOL, phi
-            assert np.array_equal(grid.energies[p], table.energies[p]), phi
+            assert np.array_equal(grid.energies[p, :levels], table.energies[p]), phi
             self.assert_single_parity(
-                self.even_weights(grid.vectors[p], cfg), lambda i, j: table.matrix_elements[(i, j)][p]
+                self.even_weights(grid.vectors[p, :, :levels], cfg), lambda i, j: table.matrix_elements[(i, j)][p]
             )
 
 
@@ -616,11 +617,7 @@ class TestSpectrumVsFlux:
         for pair in table.me_pairs:
             assert np.max(np.abs(table.matrix_elements[pair] - want.matrix_elements[pair])) <= atol, pair
 
-    @pytest.mark.parametrize(
-        "grid, read",
-        # the default read splits the even-only (2, 3) doublet, which the next test pins
-        [case for case in itertools.product(ORACLE_GRIDS, READS) if case != ("even-only doublet", "default")],
-    )
+    @pytest.mark.parametrize("grid, read", itertools.product(ORACLE_GRIDS, READS))
     def test_matches_the_full_level_route(self, hpq_params, mixed_channels, request, grid, read):
         if grid == "even-only doublet":
             request.getfixturevalue("even_only")
@@ -632,25 +629,18 @@ class TestSpectrumVsFlux:
         assert table.energies.shape == (len(flux), levels)
         self.assert_close(table, want, 1e-9)
 
-    def test_doublet_split_by_the_last_level_read_is_ordered_among_the_solved_levels(
-        self, hpq_params, mixed_channels, even_only
-    ):
-        # the default labels and pairs read levels 0..2, so level 3 of the (2, 3) doublet goes unsolved
+    def test_doublet_at_the_last_level_read_is_solved_whole(self, hpq_params, mixed_channels, even_only, drivers):
+        # the default labels and pairs read levels 0..2, and level 3 is level 2's doublet partner
         cfg = ChargeBasisConfig(n_cut=25, n_levels=6)
         _, flux = self.ORACLE_GRIDS["even-only doublet"]
         table = spectrum_vs_flux(hpq_params, mixed_channels, flux, cfg)
+        assert drivers.levels == [4] * len(flux)
         full = full_level_table(hpq_params, mixed_channels, flux, cfg)
         assert np.all(np.abs(full.energies[:, 3] - full.energies[:, 2]) < DEGENERACY_TOL)
-        # as in the fit: the table is the full route run at the levels read, where the
-        # doublet's lower member is level 2, however its even weight compares
-        solved = full_level_table(hpq_params, mixed_channels, flux, replace(cfg, n_levels=3))
-        self.assert_close(table, solved, 1e-12)
-        assert np.allclose(table.energies[:, 2], full.energies[:, 2:4].min(axis=1), rtol=0.0, atol=1e-12)
-        # the energies and the whole (0, 1) doublet agree with the full route; level 2's vector does not
-        for label in table.labels:
-            assert np.max(np.abs(table.frequencies[label] - full.frequencies[label])) < DEGENERACY_TOL
-        assert np.max(np.abs(table.matrix_elements[(0, 1)] - full.matrix_elements[(0, 1)])) <= 1e-9
-        assert np.all(np.abs(table.matrix_elements[(1, 2)] - full.matrix_elements[(1, 2)]) > 1.0)
+        # both members are solved and rotated, so level 2 is the even state, which n cannot join to level 1
+        assert table.energies.shape == (len(flux), 3)
+        assert np.max(table.matrix_elements[(1, 2)]) <= 1e-12
+        self.assert_close(table, full, 1e-9)
 
     @pytest.mark.parametrize(
         "n_levels, labels, pairs, levels",
@@ -717,16 +707,18 @@ class TestSolveFluxGrid:
         for name, (u, v, n_g) in self.cases(hpq_params, mixed_channels).items():
             cfg = ChargeBasisConfig(n_cut=25, n_g=n_g, n_levels=4)
             grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+            # the even-only arms decouple the parities, so that grid solves one level more
+            levels = cfg.n_levels + (name == "even-only doublet")
             assert np.array_equal(grid.flux, self.GRID), name
-            assert grid.energies.shape == (len(self.GRID), cfg.n_levels), name
-            assert grid.vectors.shape == (len(self.GRID), cfg.dim, cfg.n_levels), name
+            assert grid.energies.shape == (len(self.GRID), levels), name
+            assert grid.vectors.shape == (len(self.GRID), cfg.dim, levels), name
             assert not grid.failed.any(), name
             for p, phi in enumerate(self.GRID):
                 spec = combine_harmonics(u, v, FluxBias(phi))
                 h = build_hamiltonian(spec, 0.28, cfg)
                 loop = banded_loop_hamiltonian(spec, 0.28, cfg)
                 assert h.dtype == loop.dtype and h.tobytes() == loop.tobytes(), (name, phi)
-                want_e, want_v = eigensolve(h, cfg.n_levels)
+                want_e, want_v = eigensolve(h, levels)
                 assert np.array_equal(grid.energies[p], want_e), (name, phi)
                 assert np.array_equal(grid.vectors[p], want_v), (name, phi)
 
@@ -753,21 +745,18 @@ class TestSolveFluxGrid:
             w0, w1 = (parity_weights(vectors[:, m]).even_weight for m in (0, 1))
             assert w0 > 0.5 > w1
 
-    def test_clustered_flags_levels_next_to_a_degenerate_neighbour(self, hpq_params, mixed_channels):
+    def test_average_clusters_sets_each_cluster_to_its_mean(self, hpq_params, mixed_channels):
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        rng = np.random.default_rng(3)
         for name, (u, v, _) in self.cases(hpq_params, mixed_channels).items():
-            grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
-            energies = grid.energies
-
-            def close(p, n):
-                return n + 1 < cfg.n_levels and energies[p, n + 1] - energies[p, n] < DEGENERACY_TOL
-
-            want = [
-                [close(p, n) or (n > 0 and close(p, n - 1)) for n in range(cfg.n_levels)]
-                for p in range(len(self.GRID))
-            ]
-            assert grid.clustered.tolist() == want, name
-            assert grid.clustered[:, :2].all() == (name == "even-only doublet"), name
+            energies = solve_flux_grid(u, v, self.GRID, 0.28, cfg).energies
+            values = rng.normal(size=(*energies.shape, 3))
+            want = cluster_means(values, energies)
+            assert np.array_equal(spectrum._average_clusters(values.copy(), energies), want), name
+            # only the even-only arms pair levels, both doublets (0, 1) and (2, 3) at every point
+            assert np.array_equal(want, values) == (name != "even-only doublet"), name
+            if name == "even-only doublet":
+                assert np.array_equal(want[:, 0], want[:, 1]) and np.array_equal(want[:, 2], want[:, 3])
 
     def test_wraps_flux_like_flux_bias(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
@@ -784,23 +773,16 @@ class TestSolveFluxGrid:
     def test_bit_identical_to_the_public_route(self, case):
         u, v, flux, ec, cfg = case
         grid = solve_flux_grid(u, v, flux, ec, cfg)
-        want = [
-            eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg), cfg.n_levels)
-            for phi in flux
-        ]
+        spectra = [combine_harmonics(u, v, FluxBias(phi)) for phi in flux]
+        # a point without odd harmonics pairs the levels into parity doublets: one level more
+        decoupled = any(not (spec.c[1::2].any() or spec.s[1::2].any()) for spec in spectra)
+        levels = min(cfg.n_levels + decoupled, cfg.dim)
+        want = [eigensolve(build_hamiltonian(spec, ec, cfg), levels) for spec in spectra]
+        assert grid.energies.shape == (len(flux), levels)
         assert grid.vectors.dtype == np.result_type(*(vectors for _, vectors in want))
         for p, (want_e, want_v) in enumerate(want):
             assert grid.energies[p].tobytes() == want_e.tobytes(), flux[p]
             assert grid.vectors[p].tobytes() == want_v.astype(grid.vectors.dtype).tobytes(), flux[p]
-        gaps = [np.diff(want_e) for want_e, _ in want]
-
-        def close(p, n):
-            return n + 1 < cfg.n_levels and gaps[p][n] < DEGENERACY_TOL
-
-        assert grid.clustered.tolist() == [
-            [close(p, n) or (n > 0 and close(p, n - 1)) for n in range(cfg.n_levels)]
-            for p in range(len(flux))
-        ]
         assert not grid.failed.any()
 
     def test_peak_memory_is_the_grid_plus_a_few_matrices(self, hpq_params, mixed_channels):
@@ -816,9 +798,7 @@ class TestSolveFluxGrid:
         finally:
             tracemalloc.stop()
         assert grid.vectors.dtype == complex and not grid.failed.any()
-        grid_bytes = sum(
-            arr.nbytes for arr in (grid.flux, grid.energies, grid.vectors, grid.failed, grid.clustered)
-        )
+        grid_bytes = sum(arr.nbytes for arr in (grid.flux, grid.energies, grid.vectors, grid.failed))
         # the matrix in hand, eigensolve's copies of it, and the per-point harmonics
         assert peak < grid_bytes + 8 * matrix_bytes
 
@@ -851,7 +831,15 @@ class TestSolveFluxGrid:
             solve_flux_grid(u, v, flux, hpq_params.ec, cfg)
         grid = solve_flux_grid(u, v, flux, hpq_params.ec, cfg, strict=False)
         assert np.isnan(grid.energies).all() and np.isnan(grid.vectors).all()
-        assert grid.failed.all() and not grid.clustered.any()
+        assert grid.failed.all()
+        assert drivers.calls == []
+
+    def test_non_finite_flux_raises_before_any_solve(self, hpq_params, mixed_channels, drivers):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        for strict in (True, False):
+            with pytest.raises(ValueError, match="^flux values must be finite$"):
+                solve_flux_grid(u, v, [0.0, math.nan], hpq_params.ec, cfg, strict=strict)
         assert drivers.calls == []
 
     def test_strict_failure_names_flux_index(self, hpq_params, mixed_channels, fail_solve):
@@ -863,7 +851,7 @@ class TestSolveFluxGrid:
 
 
 def test_only_spectrum_module_names_the_degeneracy_tolerance():
-    """The degeneracy rule lives in ``spectrum``; others read ``FluxGrid.clustered``."""
+    """The degeneracy rule lives in ``spectrum``; the fit averages clusters through its helper."""
     offenders = [
         path.name
         for path in sorted(SRC.glob("*.py"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.optimize import curve_fit
 
 import hpqkit.spectrum as spectrum
@@ -145,6 +146,32 @@ class TestSynthesizeMap:
                 assert element > 1e-3, label
         assert seen_allowed
         assert np.max(traces[0].signal) > 1e-5
+
+    def test_failed_point_has_a_trace_without_lines(self, device, monkeypatch):
+        params, channels = device
+        flux = 2.0 * math.pi * np.linspace(0.0, 0.5, 4)
+        freqs = np.linspace(0.2, 14.0, 501)
+        cfg = SynthConfig(seed=3, fwhm=0.05, noise_sigma=0.0, weight_by_matrix_element=False)
+        # at n_g = 0 every point is solved by dsyevr; its second call reports a failure
+        calls = []
+        dsyevr = lapack.dsyevr
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            out = dsyevr(*args, **kwargs)
+            return (*out[:-1], 1) if len(calls) == 2 else out
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        basis = ChargeBasisConfig(n_cut=25, n_levels=3)
+        traces, table = synthesize_map(params, channels, flux, freqs, cfg, labels=("f01", "f12"), basis=basis)
+        assert len(calls) == len(flux)
+        assert table.failed.tolist() == [False, True, False, False]
+        assert np.isnan(table.frequencies["f01"][1])
+        assert [trace.phi_e for trace in traces] == flux.tolist()
+        # the failed point's NaN lines are skipped, so its trace is flat; the others carry both lines
+        assert not traces[1].signal.any()
+        for p in (0, 2, 3):
+            assert traces[p].signal.max() > 0.5 * cfg.amplitude, p
 
     def test_map_determinism_and_substreams(self, device):
         params, channels = device
