@@ -126,13 +126,14 @@ def write_gate_harmonics_csv(rows: Sequence[GateHarmonics], path: str) -> None:
         + [f"c{k}_norm" for k in range(1, k_max + 1)]
     )
     harmonics = slice(1, k_max + 1)
-    write_csv(path, header, (
-        (row.gate, *row.c[harmonics], *row.s[harmonics], row.c_even, row.c_odd, row.ratio,
-         *row.c_normalized[harmonics])
+    table = np.array([
+        [row.gate, *row.c[harmonics], *row.s[harmonics], row.c_even, row.c_odd, row.ratio,
+         *row.c_normalized[harmonics]]
         for row in rows
-    ))
+    ])
+    write_csv(path, header, [table.T])
 
 
 def write_regimes_csv(rows: Sequence[RegimeRow], path: str) -> None:
-    write_csv(path, ("gate", "phi_min_rad", "regime"),
-              ((row.gate, row.phi_min, row.regime.value) for row in rows))
+    columns = ([row.gate for row in rows], [row.phi_min for row in rows], [row.regime.value for row in rows])
+    write_csv(path, ("gate", "phi_min_rad", "regime"), [columns])

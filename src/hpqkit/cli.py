@@ -368,7 +368,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if len(counts) > 1:
         if fit_cfg.globals_mode != "fixed":
             raise ConfigError("channel-count selection requires fit.globals = fixed")
-        rmse_rows: list[tuple[float, int, float, int]] = []
+        rmse_blocks: list[tuple[list, ...]] = []
         chosen_fits: list[fitstack.FitResult] = []
         for dataset in datasets:
             # each gate is reported once it is fitted, so a long sweep shows its progress
@@ -376,10 +376,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fit = selection.fits_by_count[selection.chosen]
             chosen_fits.append(fit)
             print(_gate_line(dataset.gate, fit.channels[0], fit.rmse, selection.chosen))
-            rmse_rows += [(dataset.gate, count, rmse, int(count == selection.chosen))
-                          for count, rmse in sorted(selection.rmse_by_count.items())]
+            counts = sorted(selection.rmse_by_count)
+            rmse_blocks.append(([dataset.gate] * len(counts), counts,
+                                [selection.rmse_by_count[count] for count in counts],
+                                [int(count == selection.chosen) for count in counts]))
         rmse_path = _out(args, "rmse_by_count.csv")
-        write_csv(rmse_path, ("gate_v", "channels", "rmse_ghz", "chosen"), rmse_rows)
+        write_csv(rmse_path, ("gate_v", "channels", "rmse_ghz", "chosen"), rmse_blocks)
         print(f"wrote {rmse_path}")
         result = fitstack._merge_single_gate_fits(chosen_fits, datasets)
     else:

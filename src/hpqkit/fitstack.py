@@ -828,9 +828,15 @@ _DATASET_COLUMNS = ("gate_v", "flux_phi0", "label", "freq_ghz", "sigma_ghz", "us
 def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> None:
     """CSV with columns gate_v, flux_phi0, label, freq_ghz, sigma_ghz, used."""
     write_csv(path, _DATASET_COLUMNS, (
-        (dataset.gate, p.flux / (2.0 * math.pi), p.label, p.freq, p.sigma, 1 if p.used else 0)
+        (
+            [dataset.gate] * len(dataset.points),
+            [p.flux / (2.0 * math.pi) for p in dataset.points],
+            [p.label for p in dataset.points],
+            [p.freq for p in dataset.points],
+            [p.sigma for p in dataset.points],
+            [1 if p.used else 0 for p in dataset.points],
+        )
         for dataset in datasets
-        for p in dataset.points
     ))
 
 

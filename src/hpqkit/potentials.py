@@ -661,5 +661,5 @@ def validate_bo(params: CircuitParams, *, max_transition_freq: float) -> BOValid
 
 def write_harmonics_csv(spec: HarmonicSpectrum, path: str) -> None:
     """Write the harmonic table as CSV with columns k, u_k, v_k, c_k, s_k (GHz)."""
-    rows = zip(range(spec.k_max + 1), spec.u, spec.v, spec.c, spec.s)
-    write_csv(path, ("k", "u_k", "v_k", "c_k", "s_k"), rows)
+    columns = (range(spec.k_max + 1), spec.u, spec.v, spec.c, spec.s)
+    write_csv(path, ("k", "u_k", "v_k", "c_k", "s_k"), [columns])

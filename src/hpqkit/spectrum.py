@@ -14,15 +14,16 @@ In the basis ``|0>``, ``(|n> + |-n>)/sqrt2``, ``i(|n> - |-n>)/sqrt2``
 (n = 1..n_cut) such a matrix is real symmetric with the same dimension,
 and it is solved in that real form with LAPACK ``dsyevr``. A real matrix
 (no sine content) goes to ``dsyevr`` as it is, and a complex matrix
-without the symmetry (n_g != 0) to ``zheevr``. :func:`solve_flux_grid`
-gathers each point's matrix straight from the point's band row and takes
-the same routes; the real form is sliced from that matrix.
+without the symmetry (n_g != 0) to ``zheevr``. The real form is one
+gather: each cell is the sum of two entries of a table of the matrix's
+cells. :func:`solve_flux_grid` takes the same routes, and gathers each
+point's matrix, or its real form, straight from the point's band row.
 
 Both solvers rotate the states of a degenerate cluster (levels within
 :data:`DEGENERACY_TOL`), LAPACK's arbitrary mix, into eigenstates of the
 even-charge weight: where even and odd charges decouple, each state then
-has one Cooper-pair parity. There :func:`solve_flux_grid` solves one
-level more, so that no doublet is split by the top level asked for.
+has one Cooper-pair parity. There both solve one level more, so that no
+doublet is split by the top level asked for.
 """
 
 from __future__ import annotations
@@ -211,26 +212,116 @@ def _average_clusters(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
     return values
 
 
+#: real-form points whose tables :func:`solve_flux_grid` builds at once
+REAL_FORM_CHUNK = 16
+
+
+def _real_form_tables(rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """One table per row of ``rows``, from which a charge-reflection-symmetric matrix's real form is gathered.
+
+    A row of complex cells ``x`` gives ``[x, sqrt2 * x]`` as (real,
+    imaginary) pairs, then ``diagonal``; then all of that negated; then one
+    ``-0.0``. Every real-form cell is the sum of two table entries: the
+    ``-0.0`` is the addend that leaves any entry as it is, signed zeros
+    included, and ``x - y`` is spelled ``x + (-y)``, which IEEE arithmetic
+    rounds the same. The rows are a matrix's cells (with an empty
+    ``diagonal``), or band rows of :func:`_band_entries` with the charging
+    energies.
+    """
+    pairs = np.concatenate((rows, math.sqrt(2.0) * rows), axis=-1).view(float)
+    half = pairs.shape[-1] + len(diagonal)
+    tables = np.empty(pairs.shape[:-1] + (2 * half + 1,))
+    tables[..., : pairs.shape[-1]] = pairs
+    tables[..., pairs.shape[-1] : half] = diagonal
+    np.negative(tables[..., :half], out=tables[..., half:-1])
+    tables[..., -1] = -0.0
+    return tables
+
+
+def _real_form_index(n_cut: int, half: int, entry) -> np.ndarray:
+    """Where the two addends of each real-form cell sit in a table of :func:`_real_form_tables`.
+
+    ``entry(cells, part)`` is the table position of part 0, 1, 2 or 3
+    (``Re h``, ``Im h``, ``Re sqrt2 h``, ``Im sqrt2 h``) of the dense cells
+    ``i * dim + j`` of ``h``; ``half`` is where the negated entries start.
+    In the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2`` with
+    ``pos = h[n, m]``, ``mirror = h[n, -m]`` and ``row = sqrt2 * h[0, m]``
+    (charges n, m = 1..n_cut), the real form is:
+
+    - ``r[0, 0] = Re h[0, 0]``;
+    - ``r[0, even] = Re row`` and ``r[0, odd] = -Im row``, and their transposes;
+    - ``r[even, even] = Re pos + Re mirror`` and ``r[odd, odd] = Re pos - Re mirror``;
+    - ``r[even, odd] = Im mirror - Im pos``, and its transpose.
+
+    The array is ``[first addends, second addends]`` of the transposed
+    matrix, so that the sum's ``.T`` is the real form in Fortran order.
+    """
+    dim = 2 * n_cut + 1
+    charges = n_cut + np.arange(1, n_cut + 1)
+    pos = charges[:, None] * dim + charges
+    mirror = charges[:, None] * dim + (2 * n_cut - charges)
+    row = n_cut * dim + charges
+    index = np.full((2, dim, dim), 2 * half, dtype=np.intp)
+    first, second = index[0].T, index[1].T
+    even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
+    first[0, 0] = entry(n_cut * dim + n_cut, 0)
+    first[0, even] = first[even, 0] = entry(row, 2)
+    first[0, odd] = first[odd, 0] = half + entry(row, 3)
+    first[even, even] = first[odd, odd] = entry(pos, 0)
+    second[even, even] = entry(mirror, 0)
+    second[odd, odd] = half + entry(mirror, 0)
+    first[even, odd] = entry(mirror, 1)
+    second[even, odd] = half + entry(pos, 1)
+    first[odd, even] = first[even, odd].T
+    second[odd, even] = second[even, odd].T
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=16)
+def _real_form_map(n_cut: int) -> np.ndarray:
+    """:func:`_real_form_index` for the table of a dense matrix: ``_real_form_tables(h.ravel(), [])``."""
+    cells = (2 * n_cut + 1) ** 2
+    # (real, imaginary) pairs of the cells, then of sqrt2 times them
+    return _real_form_index(n_cut, 4 * cells, lambda cell, part: 2 * cell + part % 2 + 2 * cells * (part // 2))
+
+
+@lru_cache(maxsize=16)
+def _grid_real_form_map(n_cut: int, k_max: int) -> np.ndarray:
+    """:func:`_real_form_index` for the table of a band row and the charging energies.
+
+    The dense-cell map composed with :func:`_slots`: a cell's entry is its
+    band entry, and a diagonal cell's real part is its charging energy and
+    its imaginary part that of the band row's leading zero, ``+0.0`` as
+    the complex diagonal's is.
+    """
+    band = 2 * k_max + 1
+    slots = _slots(n_cut, k_max).T.ravel()
+
+    def entry(cells: np.ndarray, part: int) -> np.ndarray:
+        slot = slots[cells]
+        if part >= 2:  # the sqrt2-scaled row never reaches the diagonal
+            return 2 * band + 2 * slot + part - 2
+        return np.where(slot < band, 2 * slot + part, 1 if part else 3 * band + slot)
+
+    return _real_form_index(n_cut, 4 * band + 2 * n_cut + 1, entry)
+
+
+def _gather_real_form(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The real form, in Fortran order, from one table of :func:`_real_form_tables` and its map."""
+    addends = table[index]
+    return np.add(addends[0], addends[1], out=addends[0]).T
+
+
 def _real_form(h: np.ndarray) -> np.ndarray:
     """A charge-reflection-symmetric matrix ``h`` in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
 
     The result is real symmetric, in Fortran order, with the even
-    combinations n = 1..n_cut after ``|0>`` and the odd ones after them.
+    combinations n = 1..n_cut after ``|0>`` and the odd ones after them;
+    :func:`_real_form_index` spells out each cell.
     """
-    dim = len(h)
-    n_cut = (dim - 1) // 2
-    row, pos, mirror = h[n_cut, n_cut + 1 :], h[n_cut + 1 :, n_cut + 1 :], h[n_cut + 1 :, :n_cut][:, ::-1]
-    row = math.sqrt(2.0) * row
-    even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
-    r = np.empty((dim, dim), order="F")
-    r[0, 0] = h[n_cut, n_cut].real
-    r[0, even] = r[even, 0] = row.real
-    r[0, odd] = r[odd, 0] = -row.imag
-    r[even, even] = pos.real + mirror.real
-    r[odd, odd] = pos.real - mirror.real
-    r[even, odd] = mirror.imag - pos.imag
-    r[odd, even] = r[even, odd].T
-    return r
+    table = _real_form_tables(h.ravel(), np.empty(0))
+    return _gather_real_form(table, _real_form_map((len(h) - 1) // 2))
 
 
 def _from_real_form(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -288,7 +379,10 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     Returns energies ascending and orthonormal eigenvectors as columns.
     The states of a cluster degenerate within :data:`DEGENERACY_TOL` are
     rotated into eigenstates of their even-charge weight, in descending
-    order of it; the energies stay as solved.
+    order of it; the energies stay as solved. Where no entry couples
+    charges an odd number apart, ``min(n_levels + 1, dim)`` levels are
+    solved and rotated and ``n_levels`` returned, so that a parity doublet
+    at the top level is rotated whole, as :func:`solve_flux_grid` does.
 
     A complex ``h`` with ``h[::-1, ::-1] == conj(h)`` (any n_g = 0
     Hamiltonian) is solved in its :func:`_real_form`, and its vectors are
@@ -303,12 +397,16 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= n_levels <= dim:
         raise ValueError(f"n_levels must be in [1, {dim}], got {n_levels}")
     _require_finite(np.isfinite(h).all(), dim)
+    # without a coupling between charges an odd number apart, the levels pair into parity
+    # doublets: the top level's partner is solved too, so that the pair is rotated whole
+    decoupled = not (h[::2, 1::2].any() or h[1::2, ::2].any())
+    solved = min(n_levels + 1, dim) if decoupled else n_levels
     if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
-        energies, vectors = _solve_real_form(h, n_levels)
+        energies, vectors = _solve_real_form(_real_form(h), solved)
     else:
-        energies, vectors = _evr(h, n_levels)
+        energies, vectors = _evr(h, solved)
     _rotate_clusters(vectors, _close_to_next(energies))
-    return energies, vectors
+    return energies[:n_levels], vectors[:, :n_levels]
 
 
 def _require_finite(finite: bool, dim: int) -> None:
@@ -318,13 +416,13 @@ def _require_finite(finite: bool, dim: int) -> None:
 
 
 def _solve_real_form(
-    h: np.ndarray, n_levels: int, out: np.ndarray | None = None
+    r: np.ndarray, n_levels: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs, in the charge basis, of a charge-reflection-symmetric matrix ``h``.
+    """Lowest eigenpairs, in the charge basis, of a charge-reflection-symmetric matrix of real form ``r``.
 
-    The vectors are written into ``out`` when it is given.
+    ``r`` is overwritten, and the vectors are written into ``out`` when it is given.
     """
-    energies, z = _evr(_real_form(h), n_levels, overwrite_a=True)
+    energies, z = _evr(r, n_levels, overwrite_a=True)
     return energies, _from_real_form(z, out)
 
 
@@ -438,7 +536,7 @@ class TransitionTable:
         columns = [self.flux_phi0]
         columns += [self.frequencies[lab] for lab in self.labels]
         columns += [self.matrix_elements[p] for p in self.me_pairs]
-        write_csv(path, header, zip(*columns))
+        write_csv(path, header, [columns])
 
 
 @dataclass(frozen=True)
@@ -469,11 +567,15 @@ def solve_flux_grid(
     ``u`` and ``v`` are the arm amplitudes, which
     :func:`~hpqkit.potentials.interfere_arms` interferes at every flux at
     once. Each point's matrix is gathered from its band row through the
-    slots :func:`build_hamiltonian` uses. It is real without sine content
-    and complex otherwise; at n_g = 0 its real form is sliced from it. Each
-    point takes one LAPACK call and gives ``eigensolve(build_hamiltonian(
-    combine_harmonics(u, v, FluxBias(phi)), ec, cfg), levels)`` bit for
-    bit, at the levels the grid solves.
+    slots :func:`build_hamiltonian` uses, real without sine content and
+    complex otherwise. At n_g = 0 a point with sine content is solved in
+    its real form instead, gathered in one step from a table of its band
+    row; the tables are built :data:`REAL_FORM_CHUNK` points at a time.
+    Each point takes one LAPACK call and gives ``eigensolve(
+    build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg),
+    levels)`` bit for bit in the levels eigensolve returns, where
+    ``levels`` are those the grid solves, or one fewer at a point whose
+    levels pair into doublets.
     ``vectors`` is complex when some point has sine content. A failed
     solve raises a :class:`SolverError` naming its point when ``strict``;
     otherwise it logs a warning and flags the point.
@@ -502,15 +604,24 @@ def solve_flux_grid(
     n_levels = min(cfg.n_levels + 1, cfg.dim) if decoupled else cfg.n_levels
     rows = _band_entries(c, s)
     finite = np.isfinite(rows).all(axis=1) & np.isfinite(diag).all()
+    # the points solved in the real form, and each one's place among them
+    real = reflected & finite
+    points, place = np.flatnonzero(real), np.cumsum(real) - 1
+    real_form = _grid_real_form_map(cfg.n_cut, c.shape[1] - 1)
     energies = np.full((len(rows), n_levels), np.nan)
     vectors = np.full((len(rows), cfg.dim, n_levels), np.nan, rows.dtype)
     for idx, row in enumerate(rows):
         try:
             _require_finite(finite[idx], cfg.dim)
-            h = np.concatenate((row if sine[idx] else row.real, diag))[dense].T
-            if reflected[idx]:
-                energies[idx], _ = _solve_real_form(h, n_levels, out=vectors[idx])
+            if real[idx]:
+                at = place[idx] % REAL_FORM_CHUNK
+                if at == 0:
+                    chunk = points[place[idx] : place[idx] + REAL_FORM_CHUNK]
+                    tables = _real_form_tables(rows[chunk], diag)
+                r = _gather_real_form(tables[at], real_form)
+                energies[idx], _ = _solve_real_form(r, n_levels, out=vectors[idx])
             else:
+                h = np.concatenate((row if sine[idx] else row.real, diag))[dense].T
                 energies[idx], vectors[idx] = _evr(h, n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:

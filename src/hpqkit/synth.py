@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -185,7 +184,7 @@ def synthesize_map(
 
 
 def write_map_csv(traces: Sequence[Trace], path: str) -> None:
-    """Long-format CSV: one row per (flux, drive frequency) cell.
+    """Long-format CSV: one row per (flux, drive frequency) cell, one block of columns per trace.
 
     A trace's flux cell and each distinct frequency-grid array are
     formatted once (the traces of one map share one grid), so only the
@@ -193,10 +192,10 @@ def write_map_csv(traces: Sequence[Trace], path: str) -> None:
     """
     grids: dict[int, list[str]] = {}
 
-    def rows(trace: Trace):
+    def block(trace: Trace) -> tuple[list[str], list[str], list[float]]:
         freqs = grids.get(id(trace.freqs))
         if freqs is None:
             freqs = grids[id(trace.freqs)] = [fmt(f) for f in trace.freqs.tolist()]
-        return zip(repeat(fmt(trace.phi_e / (2.0 * math.pi))), freqs, trace.signal.tolist())
+        return [fmt(trace.phi_e / (2.0 * math.pi))] * len(freqs), freqs, trace.signal.tolist()
 
-    write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), chain.from_iterable(map(rows, traces)))
+    write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), map(block, traces))

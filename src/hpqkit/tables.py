@@ -6,13 +6,9 @@ runs write byte-identical files.
 from __future__ import annotations
 
 import numbers
-from itertools import chain, islice
 from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = ["fmt", "write_csv", "write_ini", "write_lines"]
-
-#: rows :func:`write_csv` formats with one ``%`` operation
-CSV_BLOCK_ROWS = 1024
 
 
 def fmt(value: float) -> str:
@@ -30,27 +26,33 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
-    """Write a header line, then one comma-separated line per row tuple, streamed.
+def write_csv(path: str, header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> None:
+    """Write a header line, then the rows of each block of columns, streamed block by block.
 
-    The first row fixes the cell formats for all rows: ``str`` cells are
-    written as given, any other cell as a 12-digit number. After it, rows
-    are formatted :data:`CSV_BLOCK_ROWS` at a time by one ``%`` operation
-    on their flattened cells; a row whose width differs from the first
-    row's raises ``TypeError``, as formatting it alone would.
+    A block holds one column per header name, all of one length; its rows
+    are cell ``i`` of every column. The first row written fixes the cell
+    formats for all blocks: ``str`` cells are written as given, any other
+    cell as a 12-digit number. A block is written by one ``%`` operation on
+    its cells, interleaved row by row into one list by strided assignment,
+    so that no row is built on its own. Columns of
+    unequal length raise ``TypeError``, and so does the ``%`` operation for
+    a block with another number of columns.
     """
-    rows = iter(rows)
-    first = next(rows, None)
+    template = None
     with _open(path) as fh:
         fh.write(",".join(header) + "\n")
-        if first is None:
-            return
-        template = ",".join("%s" if isinstance(c, str) else "%.12g" for c in first) + "\n"
-        fh.write(template % first)
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            if set(map(len, block)) != {len(first)}:
-                raise TypeError(f"every row needs {len(first)} cells, as the first row has")
-            fh.write((template * len(block)) % tuple(chain.from_iterable(block)))
+        for block in blocks:
+            n_rows = len(block[0])
+            if any(len(column) != n_rows for column in block):
+                raise TypeError(f"columns of one block need one length, got {[len(c) for c in block]}")
+            if n_rows == 0:
+                continue
+            if template is None:
+                template = ",".join("%s" if isinstance(c[0], str) else "%.12g" for c in block) + "\n"
+            cells = [None] * (n_rows * len(block))
+            for j, column in enumerate(block):
+                cells[j :: len(block)] = column
+            fh.write((template * n_rows) % tuple(cells))
 
 
 def _ini_value(value: Any) -> str:

@@ -68,6 +68,29 @@ def project_cosine_sine(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.
     return cos_out, sin_out
 
 
+def real_form(h: np.ndarray) -> np.ndarray:
+    """Slice-based oracle for ``spectrum._real_form`` and the grid's gathered real form.
+
+    A charge-reflection-symmetric ``h`` in the basis ``|0>``,
+    ``(|n>+|-n>)/sqrt2``, ``i(|n>-|-n>)/sqrt2`` (n = 1..n_cut), built block
+    by block from slices of ``h``, in Fortran order.
+    """
+    dim = len(h)
+    n_cut = (dim - 1) // 2
+    row, pos, mirror = h[n_cut, n_cut + 1 :], h[n_cut + 1 :, n_cut + 1 :], h[n_cut + 1 :, :n_cut][:, ::-1]
+    row = math.sqrt(2.0) * row
+    even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
+    r = np.empty((dim, dim), order="F")
+    r[0, 0] = h[n_cut, n_cut].real
+    r[0, even] = r[even, 0] = row.real
+    r[0, odd] = r[odd, 0] = -row.imag
+    r[even, even] = pos.real + mirror.real
+    r[odd, odd] = pos.real - mirror.real
+    r[even, odd] = mirror.imag - pos.imag
+    r[odd, even] = r[even, odd].T
+    return r
+
+
 def from_real_form(z: np.ndarray) -> np.ndarray:
     """Allocating oracle for the in-place ``spectrum._from_real_form``.
 

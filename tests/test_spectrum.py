@@ -36,7 +36,7 @@ from hpqkit import (
 )
 from hpqkit.spectrum import DEFAULT_LABELS, DEFAULT_PAIRS, DEGENERACY_TOL
 
-from conftest import cluster_means, from_real_form, full_level_table
+from conftest import cluster_means, from_real_form, full_level_table, real_form
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -351,6 +351,32 @@ class TestSolverForms:
         assert np.isnan(grid[[0, 2]]).all()
         assert spectrum._from_real_form(z).tobytes() == want.tobytes()
 
+    @given(
+        k_max=st.integers(1, 10),
+        headroom=st.integers(0, 10),
+        ec=st.floats(0.1, 1.0),
+        data=st.data(),
+    )
+    def test_gathered_real_form_matches_the_slice_oracle(self, k_max, headroom, ec, data):
+        amplitudes = st.lists(
+            st.floats(-60.0, 60.0) | st.sampled_from([0.0, -0.0]), min_size=k_max, max_size=k_max
+        )
+        c = np.array([0.0, *data.draw(amplitudes)])
+        # some sine content, so that the matrix is complex
+        s = np.array([0.0, *data.draw(amplitudes)])
+        s[data.draw(st.integers(1, k_max))] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.1, 60.0))
+        cfg = ChargeBasisConfig(n_cut=k_max + 5 + headroom, n_levels=1)
+        want = real_form(build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg))
+        # from the dense matrix, as eigensolve gathers it
+        dense = spectrum._real_form(build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg))
+        # from the band row and the charging energies, as the grid gathers it
+        tables = spectrum._real_form_tables(spectrum._band_entries(c, s)[None], spectrum._diagonal(ec, cfg))
+        grid = spectrum._gather_real_form(tables[0], spectrum._grid_real_form_map(cfg.n_cut, k_max))
+        for got in (dense, grid):
+            assert got.flags.f_contiguous
+            assert got.tobytes(order="F") == want.tobytes(order="F")
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_each_matrix_takes_its_driver(self, drivers, route):
         h = self.matrix(route)
@@ -513,6 +539,18 @@ class TestEvenOnlyParity:
             self.assert_single_parity(
                 self.even_weights(vectors, cfg), lambda i, j: abs(np.vdot(vectors[:, i], n * vectors[:, j]))
             )
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
+    def test_eigensolve_keeps_the_top_doublet_whole(self, phi):
+        # levels 2 and 3 are a doublet; asked for 3 levels, eigensolve solves and rotates both
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=3)
+        h, _ = self.block_oracle(phi, cfg)
+        energies, vectors = eigensolve(h, 3)
+        n = cfg.charges.astype(float)
+        assert abs(np.vdot(vectors[:, 1], n * vectors[:, 2])) <= 1e-12
+        grid = solve_flux_grid(*even_only_arms(), [phi], 0.28, cfg)
+        assert energies.tobytes() == grid.energies[0, :3].tobytes()
+        assert vectors.tobytes() == grid.vectors[0, :, :3].astype(vectors.dtype).tobytes()
 
     @pytest.mark.parametrize("levels", [4, 6])
     def test_sweep_gives_single_parity_states(self, hpq_params, even_only, levels):
@@ -718,9 +756,10 @@ class TestSolveFluxGrid:
                 h = build_hamiltonian(spec, 0.28, cfg)
                 loop = banded_loop_hamiltonian(spec, 0.28, cfg)
                 assert h.dtype == loop.dtype and h.tobytes() == loop.tobytes(), (name, phi)
-                want_e, want_v = eigensolve(h, levels)
-                assert np.array_equal(grid.energies[p], want_e), (name, phi)
-                assert np.array_equal(grid.vectors[p], want_v), (name, phi)
+                # eigensolve also solves a doublet partner beyond the levels it returns, as the grid does
+                want_e, want_v = eigensolve(h, cfg.n_levels)
+                assert np.array_equal(grid.energies[p, : cfg.n_levels], want_e), (name, phi)
+                assert np.array_equal(grid.vectors[p, :, : cfg.n_levels], want_v), (name, phi)
 
     def test_cases_cover_real_complex_and_degenerate_points(
         self, hpq_params, mixed_channels, drivers
@@ -774,16 +813,39 @@ class TestSolveFluxGrid:
         u, v, flux, ec, cfg = case
         grid = solve_flux_grid(u, v, flux, ec, cfg)
         spectra = [combine_harmonics(u, v, FluxBias(phi)) for phi in flux]
-        # a point without odd harmonics pairs the levels into parity doublets: one level more
-        decoupled = any(not (spec.c[1::2].any() or spec.s[1::2].any()) for spec in spectra)
-        levels = min(cfg.n_levels + decoupled, cfg.dim)
-        want = [eigensolve(build_hamiltonian(spec, ec, cfg), levels) for spec in spectra]
+        # a point without odd harmonics pairs the levels into parity doublets: the grid solves one
+        # level more at every point, and eigensolve one more than it returns at such a point
+        odd = [spec.c[1::2].any() or spec.s[1::2].any() for spec in spectra]
+        levels = min(cfg.n_levels + (not all(odd)), cfg.dim)
+        want = [
+            eigensolve(build_hamiltonian(spec, ec, cfg), levels if has_odd else cfg.n_levels)
+            for spec, has_odd in zip(spectra, odd)
+        ]
         assert grid.energies.shape == (len(flux), levels)
         assert grid.vectors.dtype == np.result_type(*(vectors for _, vectors in want))
         for p, (want_e, want_v) in enumerate(want):
-            assert grid.energies[p].tobytes() == want_e.tobytes(), flux[p]
-            assert grid.vectors[p].tobytes() == want_v.astype(grid.vectors.dtype).tobytes(), flux[p]
+            read = len(want_e)
+            assert grid.energies[p, :read].tobytes() == want_e.tobytes(), flux[p]
+            assert grid.vectors[p, :, :read].tobytes() == want_v.astype(grid.vectors.dtype).tobytes(), flux[p]
         assert not grid.failed.any()
+
+    def test_real_form_points_across_table_chunks(self, hpq_params, mixed_channels):
+        u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
+        cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
+        chunk = spectrum.REAL_FORM_CHUNK
+        # chunks that open on a point solved directly (0 or half flux, no sine content), runs of
+        # real-form points longer and shorter than a chunk, and a grid that ends mid-chunk
+        runs = [(0.0, chunk - 1), (math.pi, chunk + 2), (0.0, 1), (math.pi, 2 * chunk - 3), (0.0, 5)]
+        # every other point distinct, so that a table of the wrong point shows
+        between = iter(np.linspace(0.1, 3.0, sum(n for _, n in runs)))
+        flux = np.array([phi for landmark, n in runs for phi in (landmark, *itertools.islice(between, n))])
+        sine = [combine_harmonics(u, v, FluxBias(phi)).s[1:].any() for phi in flux]
+        assert sum(sine) > 3 * chunk and not all(sine)
+        grid = solve_flux_grid(u, v, flux, 0.28, cfg)
+        for p, phi in enumerate(flux):
+            want_e, want_v = eigensolve(build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), 0.28, cfg), 4)
+            assert grid.energies[p].tobytes() == want_e.tobytes(), p
+            assert grid.vectors[p].tobytes() == want_v.astype(complex).tobytes(), p
 
     def test_peak_memory_is_the_grid_plus_a_few_matrices(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
@@ -872,14 +934,14 @@ def test_only_spectrum_module_spells_the_cutoff_headroom():
 
 
 def test_one_spelling_of_the_band_fill_and_the_real_form():
-    """The band row is filled and the real form is built once; every route reads them."""
+    """The band row is filled, and the real form's tables and map are built, once; every route reads them."""
     spellings = (
         "band + 0.0",
         "np.conj(band) + 0.0",
-        "math.sqrt(2.0) * row",
-        "pos.real + mirror.real",
-        "pos.real - mirror.real",
-        "mirror.imag - pos.imag",
+        "math.sqrt(2.0) * rows",
+        "first[even, even] = first[odd, odd] = entry(pos, 0)",
+        "second[odd, odd] = half + entry(mirror, 0)",
+        "second[even, odd] = half + entry(pos, 1)",
     )
     spectrum_text = (SRC / "spectrum.py").read_text(encoding="utf-8")
     assert [spectrum_text.count(text) for text in spellings] == [1] * len(spellings)

@@ -3,7 +3,7 @@
 Each case writes one file from small fixed inputs and compares the whole
 file with a bytes literal, so a change of number format, column order,
 section layout or line ending shows here. A property compares the
-block-formatting CSV writer with a row-at-a-time reference. The structure
+column-block CSV writer with a row-at-a-time reference. The structure
 test keeps the file policy and the number format in ``hpqkit.tables`` alone.
 """
 
@@ -33,7 +33,7 @@ from hpqkit import (
 )
 from hpqkit.analysis import GateHarmonics, RegimeRow, write_gate_harmonics_csv, write_regimes_csv
 from hpqkit.cli import main
-from hpqkit.tables import CSV_BLOCK_ROWS, fmt, write_csv
+from hpqkit.tables import fmt, write_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 
@@ -100,10 +100,9 @@ def _regimes(path):
 def _signed_zero_columns(path, *extra):
     """Numpy cells, -0.0 among them; ``extra`` cells repeat on every row, as constant columns do."""
     header = ["gate", "v1", "v2", "v_even", "v_odd", "t_sum"] + ["u_even", "u_odd"][: len(extra)]
-    v = (np.array([1.5, -0.25]), np.array([2.0, -0.0]))
+    v1, v2 = np.array([1.5, 2.0]), np.array([-0.25, -0.0])
     write_csv(path, header, [
-        (-1.0, *v[0], v[0][1], v[0][0], 1.75, *extra),
-        (2.0, *v[1], v[1][1], v[1][0], 2.0 / 3.0, *extra),
+        ([-1.0, 2.0], v1, v2, v2, v1, [1.75, 2.0 / 3.0], *([cell] * 2 for cell in extra)),
     ])
 
 
@@ -112,15 +111,14 @@ def _joined_cells(path):
     dominant = (((0, 0.75), (-2, 0.2), (2, 1.0 / 30.0)), (), ((1, 1.0),))
     cells = [";".join(f"{n}:{fmt(p)}" for n, p in pairs) for pairs in dominant]
     write_csv(path, ("state", "energy_ghz", "even_weight", "odd_weight", "dominant"), [
-        (0, -12.345678901234, 0.9999999999999, 1e-13, cells[0]),
-        (1, 5.0, -0.0, 1.0, cells[1]),
-        (2, 9.5, 0.5, 0.5, cells[2]),
+        ([0, 1, 2], [-12.345678901234, 5.0, 9.5], [0.9999999999999, -0.0, 0.5], [1e-13, 1.0, 0.5], cells),
     ])
 
 
 def _csv_cells(path):
+    # a one-row block, then a two-row one
     write_csv(path, ("x", "y", "series"),
-              [(0.0, 1.5, "c_even"), (-0.0, NAN, "c_odd"), (1e-7, -math.inf, "ratio")])
+              [([0.0], [1.5], ["c_even"]), (np.array([-0.0, 1e-7]), [NAN, -math.inf], ["c_odd", "ratio"])])
 
 
 def _dataset(path):
@@ -410,36 +408,52 @@ STR_CELLS = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
 
 @st.composite
 def csv_tables(draw):
-    """A header, and rows whose columns each hold one cell type, at counts around the block size."""
+    """A header, and rows whose columns each hold one cell type, cut into blocks of columns.
+
+    Blocks hold 0, 1 or more rows. A column of numbers is a list or a
+    numpy array of them.
+    """
     kinds = draw(st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=5))
     pools = [
         draw(st.lists(STR_CELLS if kind is str else NUMBER_CELLS[kind], min_size=1, max_size=8))
         for kind in kinds
     ]
-    n_rows = draw(st.sampled_from([0, 1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                   2 * CSV_BLOCK_ROWS + 1]))
+    sizes = draw(st.lists(st.sampled_from([0, 1, 1, 2, 7, 300]), max_size=5))
     rnd = draw(st.randoms(use_true_random=False))
-    rows = [tuple(rnd.choice(pool) for pool in pools) for _ in range(n_rows)]
-    return [f"col{i}" for i in range(len(kinds))], rows
+    rows = [tuple(rnd.choice(pool) for pool in pools) for _ in range(sum(sizes))]
+    as_array = [kind is not str and draw(st.booleans()) for kind in kinds]
+    blocks, start = [], 0
+    for size in sizes:
+        columns = list(zip(*rows[start : start + size])) or [()] * len(kinds)
+        blocks.append([np.array(col, dtype=kind) if arr else list(col) for col, arr, kind in zip(columns, as_array, kinds)])
+        start += size
+    return [f"col{i}" for i in range(len(kinds))], rows, blocks
 
 
 @given(table=csv_tables())
 def test_write_csv_matches_row_at_a_time_formatting(tmp_path_factory, table):
-    header, rows = table
+    header, rows, blocks = table
     path = tmp_path_factory.mktemp("csv") / "out.csv"
-    write_csv(str(path), header, iter(rows))
+    write_csv(str(path), header, iter(blocks))
     assert path.read_bytes() == csv_row_at_a_time(header, rows)
 
 
 @pytest.mark.parametrize("ragged", [
-    [(1.0, 2.0, 3.0), (4.0, 5.0)],
-    # cell counts that a flattened block would absorb with every cell shifted
-    [(1.0, 2.0, 3.0), (4.0, 5.0), (6.0, 7.0, 8.0, 9.0)],
-    [(1.0, 2.0, 3.0)] * (CSV_BLOCK_ROWS + 5) + [(1.0, 2.0, 3.0, 4.0)],
-], ids=["short", "short-then-long", "long-in-second-block"])
+    [([1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0, 8.0])],
+    [([1.0, 2.0, 3.0], [4.0, 5.0], [6.0, 7.0, 8.0, 9.0])],
+    [([1.0, 2.0, 3.0],) * 3] * 3 + [([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [1.0, 2.0, 3.0])],
+    # a one-cell column, which an array assignment would broadcast
+    [([1.0, 2.0, 3.0], [4.0], [6.0, 7.0, 8.0])],
+], ids=["short", "short-then-long", "long-in-second-block", "one-cell"])
 def test_write_csv_rejects_a_row_of_another_width(tmp_path, ragged):
-    with pytest.raises(TypeError, match="3 cells"):
+    # a column shorter or longer than the block's first leaves a row with another number of cells
+    with pytest.raises(TypeError, match="columns of one block need one length"):
         write_csv(str(tmp_path / "out.csv"), ("a", "b", "c"), ragged)
+
+
+def test_write_csv_rejects_a_block_of_another_width(tmp_path):
+    with pytest.raises(TypeError):
+        write_csv(str(tmp_path / "out.csv"), ("a", "b"), [([1.0], [2.0]), ([1.0], [2.0], [3.0])])
 
 
 def test_only_tables_module_writes_files():
