@@ -376,10 +376,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             fit = selection.fits_by_count[selection.chosen]
             chosen_fits.append(fit)
             print(_gate_line(dataset.gate, fit.channels[0], fit.rmse, selection.chosen))
-            counts = sorted(selection.rmse_by_count)
-            rmse_blocks.append(([dataset.gate] * len(counts), counts,
-                                [selection.rmse_by_count[count] for count in counts],
-                                [int(count == selection.chosen) for count in counts]))
+            fitted = sorted(selection.rmse_by_count)
+            rmse_blocks.append(([dataset.gate] * len(fitted), fitted,
+                                [selection.rmse_by_count[count] for count in fitted],
+                                [int(count == selection.chosen) for count in fitted]))
         rmse_path = _out(args, "rmse_by_count.csv")
         write_csv(rmse_path, ("gate_v", "channels", "rmse_ghz", "chosen"), rmse_blocks)
         print(f"wrote {rmse_path}")

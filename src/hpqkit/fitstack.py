@@ -33,6 +33,7 @@ from .spectrum import (
     ChargeBasisConfig,
     FluxGrid,
     SolverError,
+    levels_read,
     parse_transition_label,
     solve_flux_grid,
 )
@@ -420,7 +421,8 @@ def _plan(gate: float, points: Sequence[TransitionPoint], cfg: FitConfig) -> _Pl
     point_rows = np.array([rows.setdefault(p.flux, len(rows)) for p in points])
     levels = np.array([p.levels for p in points]).T
     flux = np.array(list(rows), dtype=float)
-    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=int(levels[1].max()) + 1)
+    # every point has a label, so the fallback level count (1) is never taken
+    basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=levels_read(1, [p.label for p in points]))
     phase = np.exp(1j * np.outer(flux, np.arange(1, cfg.k_max + 1)))[:, np.newaxis, :]
     data, sigmas = np.array([(p.freq, max(p.sigma, cfg.sigma_floor)) for p in points]).T
     return _Plan(gate, tuple(points), flux, point_rows, levels, data, sigmas, basis, phase)

@@ -17,7 +17,8 @@ and it is solved in that real form with LAPACK ``dsyevr``. A real matrix
 without the symmetry (n_g != 0) to ``zheevr``. The real form is one
 gather: each cell is the sum of two entries of a table of the matrix's
 cells. :func:`solve_flux_grid` takes the same routes, and gathers each
-point's matrix, or its real form, straight from the point's band row.
+point's matrix, or its real form, straight from the point's cells: its
+band entries followed by its charging energies.
 
 Both solvers rotate the states of a degenerate cluster (levels within
 :data:`DEGENERACY_TOL`), LAPACK's arbitrary mix, into eigenstates of the
@@ -213,36 +214,37 @@ def _average_clusters(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
 
 
 #: real-form points whose tables :func:`solve_flux_grid` builds at once
-REAL_FORM_CHUNK = 16
+REAL_FORM_CHUNK = 8
 
 
-def _real_form_tables(rows: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """One table per row of ``rows``, from which a charge-reflection-symmetric matrix's real form is gathered.
+def _real_form_tables(cells: np.ndarray) -> np.ndarray:
+    """One table per row of complex ``cells``, from which a charge-reflection-symmetric matrix's real form is gathered.
 
-    A row of complex cells ``x`` gives ``[x, sqrt2 * x]`` as (real,
-    imaginary) pairs, then ``diagonal``; then all of that negated; then one
-    ``-0.0``. Every real-form cell is the sum of two table entries: the
-    ``-0.0`` is the addend that leaves any entry as it is, signed zeros
-    included, and ``x - y`` is spelled ``x + (-y)``, which IEEE arithmetic
-    rounds the same. The rows are a matrix's cells (with an empty
-    ``diagonal``), or band rows of :func:`_band_entries` with the charging
-    energies.
+    A row ``x`` gives ``[x, sqrt2 * x]`` as (real, imaginary) pairs; then
+    all of that negated; then one ``-0.0``. Every real-form cell is the sum
+    of two table entries: the ``-0.0`` is the addend that leaves any entry
+    as it is, signed zeros included, and ``x - y`` is spelled ``x + (-y)``,
+    which IEEE arithmetic rounds the same. A row is a matrix's cells,
+    ``h.ravel()``, or a grid point's band entries of :func:`_band_entries`
+    followed by its charging energies.
     """
-    pairs = np.concatenate((rows, math.sqrt(2.0) * rows), axis=-1).view(float)
-    half = pairs.shape[-1] + len(diagonal)
+    pairs = np.concatenate((cells, math.sqrt(2.0) * cells), axis=-1).view(float)
+    half = pairs.shape[-1]
     tables = np.empty(pairs.shape[:-1] + (2 * half + 1,))
-    tables[..., : pairs.shape[-1]] = pairs
-    tables[..., pairs.shape[-1] : half] = diagonal
-    np.negative(tables[..., :half], out=tables[..., half:-1])
+    tables[..., :half] = pairs
+    np.negative(pairs, out=tables[..., half:-1])
     tables[..., -1] = -0.0
     return tables
 
 
-def _real_form_index(n_cut: int, half: int, entry) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _real_form_map(n_cut: int, k_max: int | None = None) -> np.ndarray:
     """Where the two addends of each real-form cell sit in a table of :func:`_real_form_tables`.
 
-    ``entry(cells, part)`` is the table position of part 0, 1, 2 or 3
-    (``Re h``, ``Im h``, ``Re sqrt2 h``, ``Im sqrt2 h``) of the dense cells
+    The table's cells are a dense matrix's, or with ``k_max`` a band row
+    and the charging energies, which :func:`_slots` places in the matrix.
+    ``entry[part, cell]`` is the table position of part 0, 1, 2 or 3
+    (``Re h``, ``Im h``, ``Re sqrt2 h``, ``Im sqrt2 h``) of the dense cell
     ``i * dim + j`` of ``h``; ``half`` is where the negated entries start.
     In the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2`` with
     ``pos = h[n, m]``, ``mirror = h[n, -m]`` and ``row = sqrt2 * h[0, m]``
@@ -257,6 +259,14 @@ def _real_form_index(n_cut: int, half: int, entry) -> np.ndarray:
     matrix, so that the sum's ``.T`` is the real form in Fortran order.
     """
     dim = 2 * n_cut + 1
+    if k_max is None:
+        slots, width = np.arange(dim * dim), dim * dim
+    else:
+        slots, width = _slots(n_cut, k_max).T.ravel(), 2 * k_max + 1 + dim
+    half = 4 * width
+    part = np.arange(4)[:, None]
+    # (real, imaginary) pairs of the cells, then of sqrt2 times them
+    entry = 2 * slots + part % 2 + 2 * width * (part // 2)
     charges = n_cut + np.arange(1, n_cut + 1)
     pos = charges[:, None] * dim + charges
     mirror = charges[:, None] * dim + (2 * n_cut - charges)
@@ -264,47 +274,18 @@ def _real_form_index(n_cut: int, half: int, entry) -> np.ndarray:
     index = np.full((2, dim, dim), 2 * half, dtype=np.intp)
     first, second = index[0].T, index[1].T
     even, odd = slice(1, n_cut + 1), slice(n_cut + 1, dim)
-    first[0, 0] = entry(n_cut * dim + n_cut, 0)
-    first[0, even] = first[even, 0] = entry(row, 2)
-    first[0, odd] = first[odd, 0] = half + entry(row, 3)
-    first[even, even] = first[odd, odd] = entry(pos, 0)
-    second[even, even] = entry(mirror, 0)
-    second[odd, odd] = half + entry(mirror, 0)
-    first[even, odd] = entry(mirror, 1)
-    second[even, odd] = half + entry(pos, 1)
+    first[0, 0] = entry[0, n_cut * dim + n_cut]
+    first[0, even] = first[even, 0] = entry[2, row]
+    first[0, odd] = first[odd, 0] = half + entry[3, row]
+    first[even, even] = first[odd, odd] = entry[0, pos]
+    second[even, even] = entry[0, mirror]
+    second[odd, odd] = half + entry[0, mirror]
+    first[even, odd] = entry[1, mirror]
+    second[even, odd] = half + entry[1, pos]
     first[odd, even] = first[even, odd].T
     second[odd, even] = second[even, odd].T
     index.flags.writeable = False
     return index
-
-
-@lru_cache(maxsize=16)
-def _real_form_map(n_cut: int) -> np.ndarray:
-    """:func:`_real_form_index` for the table of a dense matrix: ``_real_form_tables(h.ravel(), [])``."""
-    cells = (2 * n_cut + 1) ** 2
-    # (real, imaginary) pairs of the cells, then of sqrt2 times them
-    return _real_form_index(n_cut, 4 * cells, lambda cell, part: 2 * cell + part % 2 + 2 * cells * (part // 2))
-
-
-@lru_cache(maxsize=16)
-def _grid_real_form_map(n_cut: int, k_max: int) -> np.ndarray:
-    """:func:`_real_form_index` for the table of a band row and the charging energies.
-
-    The dense-cell map composed with :func:`_slots`: a cell's entry is its
-    band entry, and a diagonal cell's real part is its charging energy and
-    its imaginary part that of the band row's leading zero, ``+0.0`` as
-    the complex diagonal's is.
-    """
-    band = 2 * k_max + 1
-    slots = _slots(n_cut, k_max).T.ravel()
-
-    def entry(cells: np.ndarray, part: int) -> np.ndarray:
-        slot = slots[cells]
-        if part >= 2:  # the sqrt2-scaled row never reaches the diagonal
-            return 2 * band + 2 * slot + part - 2
-        return np.where(slot < band, 2 * slot + part, 1 if part else 3 * band + slot)
-
-    return _real_form_index(n_cut, 4 * band + 2 * n_cut + 1, entry)
 
 
 def _gather_real_form(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -318,10 +299,9 @@ def _real_form(h: np.ndarray) -> np.ndarray:
 
     The result is real symmetric, in Fortran order, with the even
     combinations n = 1..n_cut after ``|0>`` and the odd ones after them;
-    :func:`_real_form_index` spells out each cell.
+    :func:`_real_form_map` spells out each cell.
     """
-    table = _real_form_tables(h.ravel(), np.empty(0))
-    return _gather_real_form(table, _real_form_map((len(h) - 1) // 2))
+    return _gather_real_form(_real_form_tables(h.ravel()), _real_form_map((len(h) - 1) // 2))
 
 
 def _from_real_form(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -384,11 +364,11 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     solved and rotated and ``n_levels`` returned, so that a parity doublet
     at the top level is rotated whole, as :func:`solve_flux_grid` does.
 
-    A complex ``h`` with ``h[::-1, ::-1] == conj(h)`` (any n_g = 0
-    Hamiltonian) is solved in its :func:`_real_form`, and its vectors are
-    mapped back to the charge basis; they match the complex solve up to a
-    phase. A real ``h`` is solved as it is, and any other complex ``h``
-    with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
+    A complex ``h`` of odd dimension with ``h[::-1, ::-1] == conj(h)``
+    (any n_g = 0 Hamiltonian) is solved in its :func:`_real_form`, and its
+    vectors are mapped back to the charge basis; they match the complex
+    solve up to a phase. A real ``h`` is solved as it is, and any other
+    complex ``h`` with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
     bit. A non-finite entry or a LAPACK failure raises :class:`SolverError`.
     """
     dim = h.shape[0]
@@ -401,7 +381,7 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     # doublets: the top level's partner is solved too, so that the pair is rotated whole
     decoupled = not (h[::2, 1::2].any() or h[1::2, ::2].any())
     solved = min(n_levels + 1, dim) if decoupled else n_levels
-    if np.iscomplexobj(h) and np.array_equal(h, h[::-1, ::-1].conj()):
+    if np.iscomplexobj(h) and dim % 2 and np.array_equal(h, h[::-1, ::-1].conj()):
         energies, vectors = _solve_real_form(_real_form(h), solved)
     else:
         energies, vectors = _evr(h, solved)
@@ -569,8 +549,10 @@ def solve_flux_grid(
     once. Each point's matrix is gathered from its band row through the
     slots :func:`build_hamiltonian` uses, real without sine content and
     complex otherwise. At n_g = 0 a point with sine content is solved in
-    its real form instead, gathered in one step from a table of its band
-    row; the tables are built :data:`REAL_FORM_CHUNK` points at a time.
+    its real form instead, gathered in one step through
+    :func:`_real_form_map` from a table of the same cells, its band row
+    followed by the charging energies; the tables are built
+    :data:`REAL_FORM_CHUNK` points at a time.
     Each point takes one LAPACK call and gives ``eigensolve(
     build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg),
     levels)`` bit for bit in the levels eigensolve returns, where
@@ -607,7 +589,9 @@ def solve_flux_grid(
     # the points solved in the real form, and each one's place among them
     real = reflected & finite
     points, place = np.flatnonzero(real), np.cumsum(real) - 1
-    real_form = _grid_real_form_map(cfg.n_cut, c.shape[1] - 1)
+    real_form = _real_form_map(cfg.n_cut, c.shape[1] - 1)
+    # a real-form point's cells: its band row, then the charging energies
+    charging = diag[None].repeat(REAL_FORM_CHUNK, axis=0)
     energies = np.full((len(rows), n_levels), np.nan)
     vectors = np.full((len(rows), cfg.dim, n_levels), np.nan, rows.dtype)
     for idx, row in enumerate(rows):
@@ -617,7 +601,7 @@ def solve_flux_grid(
                 at = place[idx] % REAL_FORM_CHUNK
                 if at == 0:
                     chunk = points[place[idx] : place[idx] + REAL_FORM_CHUNK]
-                    tables = _real_form_tables(rows[chunk], diag)
+                    tables = _real_form_tables(np.concatenate((rows[chunk], charging[: len(chunk)]), axis=1))
                 r = _gather_real_form(tables[at], real_form)
                 energies[idx], _ = _solve_real_form(r, n_levels, out=vectors[idx])
             else:

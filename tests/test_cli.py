@@ -594,6 +594,24 @@ class TestFit:
         assert re.fullmatch(r"gate -0\.5: chose [23] channels, T = \[.*\], rmse = \S+ GHz\n", printed_before[1])
         assert "warning: at least one fit hit its iteration budget" in capsys.readouterr().err
 
+    def test_a_count_that_fails_at_one_gate_is_still_tried_at_the_next(self, tmp_path, fit_dataset_csv, monkeypatch):
+        csv_path, _ = fit_dataset_csv
+        later = write(tmp_path / "later.csv",
+                      re.sub(r"^-0\.5,", "3,", Path(csv_path).read_text(), flags=re.M))
+        fit_global = hpqkit.fitstack.fit_global
+
+        def failing_three_at_the_first_gate(datasets, counts, *args, **kwargs):
+            if list(counts) == [3] and datasets[0].gate == -0.5:
+                raise ValueError("count 3 fails at this gate")
+            return fit_global(datasets, counts, *args, **kwargs)
+
+        monkeypatch.setattr(hpqkit.fitstack, "fit_global", failing_three_at_the_first_gate)
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG + "max_nfev = 2\n")
+        argv = ["fit", csv_path, later, "--config", cfg, "--out-dir", str(tmp_path), "--channels", "2..3"]
+        assert main(argv) == 0
+        rows = (tmp_path / "rmse_by_count.csv").read_text().strip().splitlines()[1:]
+        assert [tuple(row.split(",")[:2]) for row in rows] == [("-0.5", "2"), ("3", "2"), ("3", "3")]
+
     @pytest.mark.parametrize(
         "column, row",
         [

@@ -370,8 +370,9 @@ class TestSolverForms:
         # from the dense matrix, as eigensolve gathers it
         dense = spectrum._real_form(build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg))
         # from the band row and the charging energies, as the grid gathers it
-        tables = spectrum._real_form_tables(spectrum._band_entries(c, s)[None], spectrum._diagonal(ec, cfg))
-        grid = spectrum._gather_real_form(tables[0], spectrum._grid_real_form_map(cfg.n_cut, k_max))
+        cells = np.concatenate((spectrum._band_entries(c, s), spectrum._diagonal(ec, cfg)))
+        tables = spectrum._real_form_tables(cells[None])
+        grid = spectrum._gather_real_form(tables[0], spectrum._real_form_map(cfg.n_cut, k_max))
         for got in (dense, grid):
             assert got.flags.f_contiguous
             assert got.tobytes(order="F") == want.tobytes(order="F")
@@ -383,6 +384,23 @@ class TestSolverForms:
         assert np.iscomplexobj(h) == self.ROUTES[route][1]
         eigensolve(h, 4)
         assert drivers.calls == self.ROUTES[route][2]
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_even_dimension_reflection_symmetric_input_matches_scipy_bit_for_bit(self, drivers, dim):
+        # ``h[::-1, ::-1] == conj(h)``, but the basis of the real form needs odd dimension
+        if dim == 2:
+            h = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+        else:
+            rng = np.random.default_rng(3)
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            a = a + a.conj().T
+            h = (a + a[::-1, ::-1].conj()) / 2.0
+        assert np.array_equal(h, h[::-1, ::-1].conj()) and h[0, 1].imag != 0.0
+        energies, vectors = eigensolve(h, dim)
+        want_e, want_v = scipy.linalg.eigh(h, subset_by_index=(0, dim - 1))
+        assert drivers.calls == ["zheevr"]
+        assert energies.tobytes() == want_e.tobytes()
+        assert vectors.dtype == want_v.dtype and vectors.tobytes() == want_v.tobytes()
 
     def test_real_and_off_symmetry_inputs_match_scipy_bit_for_bit(self):
         for route in ("real", "complex, n_g = 0.3", "complex, n_g = 0.5"):
@@ -934,17 +952,25 @@ def test_only_spectrum_module_spells_the_cutoff_headroom():
 
 
 def test_one_spelling_of_the_band_fill_and_the_real_form():
-    """The band row is filled, and the real form's tables and map are built, once; every route reads them."""
+    """The band row is filled, and the real form's tables and map are built, once; every route reads them.
+
+    Every table is of one kind of row, a matrix's cells, so one map with one entry formula serves the
+    dense matrix and the grid's band row with its charging energies alike.
+    """
     spellings = (
         "band + 0.0",
         "np.conj(band) + 0.0",
-        "math.sqrt(2.0) * rows",
-        "first[even, even] = first[odd, odd] = entry(pos, 0)",
-        "second[odd, odd] = half + entry(mirror, 0)",
-        "second[even, odd] = half + entry(pos, 1)",
+        "math.sqrt(2.0) * cells",
+        "entry = 2 * slots + part % 2 + 2 * width * (part // 2)",
+        "first[even, even] = first[odd, odd] = entry[0, pos]",
+        "second[odd, odd] = half + entry[0, mirror]",
+        "second[even, odd] = half + entry[1, pos]",
     )
     spectrum_text = (SRC / "spectrum.py").read_text(encoding="utf-8")
     assert [spectrum_text.count(text) for text in spellings] == [1] * len(spellings)
+    assert re.findall(r"def (\w*real_form_(?:map|index)\w*)\(([^)]*)\)", spectrum_text) == [
+        ("_real_form_map", "n_cut: int, k_max: int | None = None")
+    ]
 
 
 def test_one_spelling_of_each_formula_a_solved_grid_yields():

@@ -1,8 +1,9 @@
 """The suite's own settings: a warning fails its test, a failing property does not end the
-session, and the package's export lists name what exists."""
+session, and the package's export lists and the benchmark's traced names name what exists."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import hpqkit
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_failing_property_is_reported_and_later_tests_still_run(tmp_path):
@@ -74,3 +76,23 @@ def test_only_the_kernel_takes_include_bo():
                 if "include_bo" in parameters:
                     takers.append(f"{info.name}.{qualname}")
     assert takers == ["potentials.fourier_u"]
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    """The benchmark's tracer replaces named package callables and raises on a missing one; a rename in
+    the package must fail here, since no test under ``tests/`` runs a traced pass."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in spans.WRAPPED.values()
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    missing += [
+        f"{module}.{cls}.{attr}"
+        for module, cls, attr in spans.WRAPPED_METHODS.values()
+        if not callable(vars(getattr(importlib.import_module(module), cls, object)).get(attr))
+    ]
+    assert spans.WRAPPED and spans.WRAPPED_METHODS
+    assert missing == []
