@@ -130,12 +130,15 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    """Parse a UTF-8 config document; values are read literally (``%`` is no escape)."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     return RunConfig(parser, path)

@@ -9,17 +9,18 @@ is chosen as the smallest model whose RMSE is comparable to the best.
 
 Transmissions are optimized through a logit transform (and the shared
 energies through a log transform), so every iterate respects the
-physical boxes without active-set logic. The Jacobian is analytic: the
-Hellmann-Feynman theorem gives it from the eigenvectors the residual
-evaluation already solved for. Everything here is deterministic for a
-given configuration and start.
+physical boxes. The Jacobian is analytic: the Hellmann-Feynman theorem
+gives it from the eigenvectors the residual evaluation already solved
+for. Both the line fits and the model fit run through one bounded
+Levenberg-Marquardt solver, :func:`least_squares`, so no fit loads
+``scipy.optimize``. Everything here is deterministic for a given
+configuration and start.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -144,14 +145,32 @@ def _lorentz_model(f: np.ndarray, f0: float, fwhm: float, amplitude: float, offs
     return lorentzian(f, f0, fwhm, amplitude) + offset
 
 
+def _lorentz_jacobian(f: np.ndarray, f0: float, fwhm: float, amplitude: float, offset: float) -> np.ndarray:
+    """Columns d/d(f0, fwhm, amplitude, offset) of :func:`_lorentz_model`."""
+    half = fwhm / 2.0
+    detuning = f - f0
+    q = 1.0 / (detuning**2 + half**2)
+    shape = half**2 * q
+    return np.column_stack([
+        2.0 * amplitude * shape * detuning * q,
+        amplitude * half * detuning**2 * q**2,
+        shape,
+        np.ones_like(f),
+    ])
+
+
 def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
     """Least-squares Lorentzian-plus-offset fit inside a frequency window.
 
     The start is the window's highest sample over its median, with the
-    width of the samples above half that height. Standard errors come
-    from the residual-scaled covariance. Raises
-    :class:`FitRejection` when the fit does not converge, the center
-    lands outside the window, or the amplitude is consistent with zero.
+    width of the samples above half that height. :func:`least_squares`
+    fits with the analytic Jacobian, at most 5000 evaluations and
+    tolerances of 1e-12. Standard errors come from the residual-scaled
+    covariance ``inv(J^T J) * 2 cost / (m - 4)``; a singular ``J^T J``
+    leaves them undefined. Raises :class:`FitRejection` when the fit does
+    not converge, the covariance is undefined and the fit is not exact,
+    the center lands outside the window, or the amplitude is consistent
+    with zero.
     """
     lo, hi = window
     mask = (trace.freqs >= lo) & (trace.freqs <= hi)
@@ -165,28 +184,34 @@ def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
     amp0 = float(y[peak] - offset0)
     above = y - offset0 > amp0 / 2.0
     width0 = max(float(np.sum(above)) * float(f[1] - f[0]), 2.0 * float(f[1] - f[0]))
-    guess = (float(f[peak]), width0, amp0, offset0)
-
-    from scipy.optimize import OptimizeWarning, curve_fit
+    guess = np.array([float(f[peak]), width0, amp0, offset0])
 
     try:
-        with warnings.catch_warnings():
-            # exact fits legitimately leave the covariance undefined
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(
-                _lorentz_model, f, y, p0=guess, maxfev=5000, xtol=1e-12, ftol=1e-12, gtol=1e-12
-            )
-    except (RuntimeError, ValueError) as exc:
+        solution = least_squares(
+            lambda p: _lorentz_model(f, *p) - y,
+            guess,
+            jac=lambda p: _lorentz_jacobian(f, *p),
+            max_nfev=5000,
+            ftol=1e-12,
+            xtol=1e-12,
+            gtol=1e-12,
+        )
+    except ValueError as exc:
         raise FitRejection(f"no convergence: {exc}") from exc
-    f0, fwhm, amplitude, _ = (float(v) for v in popt)
+    if solution.status == 0:
+        raise FitRejection(f"no convergence: {solution.message}")
+    f0, fwhm, amplitude, _ = (float(v) for v in solution.x)
     fwhm = abs(fwhm)
+    try:
+        pcov = np.linalg.inv(solution.jac.T @ solution.jac) * (2.0 * solution.cost / (len(f) - 4))
+    except np.linalg.LinAlgError:
+        pcov = np.full((4, 4), np.inf)
     sigmas = np.sqrt(np.abs(np.diag(pcov)))
     if not np.all(np.isfinite(sigmas)):
         # an exact (zero-residual) fit leaves the covariance undefined;
         # anything else non-finite is a genuinely ill-conditioned fit
-        ssr = float(np.sum((y - _lorentz_model(f, *popt)) ** 2))
         scale = float(np.sum((y - np.mean(y)) ** 2)) + 1e-30
-        if ssr <= 1e-18 * scale:
+        if 2.0 * solution.cost <= 1e-18 * scale:
             sigmas = np.zeros(4)
         else:
             raise FitRejection("ill-conditioned fit (singular covariance)")
@@ -577,8 +602,12 @@ class FitResult:
     ``rmse`` follows the unweighted definition
     ``sqrt(mean((f_model - f_data)^2))`` over all used points; the
     residual vector kept here is the sigma-weighted one the optimizer
-    actually minimized. ``n_jacobian_evaluations`` sums the Jacobian
-    evaluations of every start. No parameter uncertainty is estimated.
+    actually minimized. ``converged`` is :func:`least_squares`' status
+    above 0 for the kept start and ``message`` its termination reason,
+    prefixed when the budget ran out. ``n_evaluations`` sums the residual
+    evaluations (one grid solve each) and ``n_jacobian_evaluations`` the
+    Jacobian evaluations of every start. No parameter uncertainty is
+    estimated.
     """
 
     params: CircuitParams
@@ -606,11 +635,120 @@ def rmse(model_freqs: Sequence[float], data_freqs: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((model - data) ** 2)))
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first call so only a fit loads the optimizer."""
-    from scipy.optimize import least_squares
+#: damping of the first step, relative to each column's squared norm
+DAMPING_START = 1e-3
 
-    return least_squares(*args, **kwargs)
+#: factor of the damping at a first refused step; it doubles at each further refusal
+DAMPING_GROWTH = 10.0
+
+#: why :func:`least_squares` stopped, by status (the wording of scipy's trf)
+TERMINATION = {
+    0: "The maximum number of function evaluations is exceeded.",
+    1: "`gtol` termination condition is satisfied.",
+    2: "`ftol` termination condition is satisfied.",
+    3: "`xtol` termination condition is satisfied.",
+    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
+}
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where :func:`least_squares` stopped: ``cost`` is ``|fun|^2 / 2`` and ``jac`` the Jacobian at ``x``."""
+
+    x: np.ndarray
+    cost: float
+    fun: np.ndarray
+    jac: np.ndarray
+    status: int
+    nfev: int
+    njev: int
+
+    @property
+    def message(self) -> str:
+        return TERMINATION[self.status]
+
+
+def least_squares(
+    fun,
+    x0: np.ndarray,
+    jac,
+    bounds: tuple = (-np.inf, np.inf),
+    max_nfev: int | None = None,
+    ftol: float = 1e-8,
+    xtol: float = 1e-8,
+    gtol: float = 1e-8,
+) -> LeastSquaresResult:
+    """Minimize ``|fun(x)|^2 / 2`` in a box by damped Gauss-Newton (Levenberg-Marquardt) steps.
+
+    Each step solves ``(Js^T Js + lam I) p = -Js^T f`` in variables scaled
+    by the columns' running maximum norm ``D`` (trf's ``x_scale="jac"``),
+    ``Js = J / D`` and ``dx = p / D``, and clips ``x + dx`` to the box. A
+    variable on a bound that the gradient pushes it past keeps its value,
+    and the step is solved in the others. A step that lowers the cost is
+    accepted and ``lam`` shrinks by Nielsen's rule
+    ``max(1/3, 1 - (2 rho - 1)^3)``, ``rho`` being the actual over the
+    predicted reduction; a step that does not, or whose residuals are not
+    finite, is refused and ``lam`` grows by :data:`DAMPING_GROWTH`, then
+    twice that, and so on. ``jac`` is called only at accepted points,
+    which are always the point ``fun`` saw last. Termination follows trf:
+    ``gtol`` bounds each gradient entry times its distance to the bound
+    it points at (status 1), ``ftol`` the relative reduction of a step
+    with ``rho > 0.25`` (2), ``xtol`` the step against ``|x|`` (3, or 4
+    with ``ftol``); when ``max_nfev`` evaluations (default
+    ``100 * x.size``) are spent the status is 0.
+    """
+    lower, upper = (np.broadcast_to(np.asarray(bound, dtype=float), np.shape(x0)) for bound in bounds)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    budget = 100 * x.size if max_nfev is None else max_nfev
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the initial point")
+    J = jac(x)
+    nfev = njev = 1
+    cost = 0.5 * float(f @ f)
+    scale = np.linalg.norm(J, axis=0)
+    scale[scale == 0.0] = 1.0
+    damping, growth = DAMPING_START, DAMPING_GROWTH
+    status = None
+    while True:
+        g = J.T @ f
+        pull = np.where(g < 0.0, upper, lower)
+        if np.max(np.abs(g * np.where(np.isfinite(pull), x - pull, 1.0)), initial=0.0) < gtol:
+            status = 1
+        if status is not None or nfev >= budget:
+            break
+        # a variable on a bound that its gradient pushes against sits the step out
+        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        Js = J[:, free] / scale[free]
+        normal, slope = Js.T @ Js, Js.T @ f
+        reduction = -1.0
+        while reduction <= 0.0 and nfev < budget:
+            p = np.zeros_like(x)
+            p[free] = np.linalg.solve(normal + damping * np.eye(len(slope)), -slope) / scale[free]
+            x_new = np.clip(x + p, lower, upper)
+            step = x_new - x
+            f_new = fun(x_new)
+            nfev += 1
+            # non-finite residuals refuse the step as a higher cost would
+            cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf
+            reduction = cost - cost_new
+            predicted = -float(g @ step) - 0.5 * float(np.sum((J @ step) ** 2))
+            ratio = reduction / predicted if predicted > 0.0 else 0.0
+            if reduction > 0.0:
+                damping, growth = damping * max(1.0 / 3.0, 1.0 - (2.0 * ratio - 1.0) ** 3), DAMPING_GROWTH
+            else:
+                damping, growth = damping * growth, growth * 2.0
+            small_f = reduction < ftol * cost and ratio > 0.25
+            small_x = float(np.linalg.norm(step)) < xtol * (xtol + float(np.linalg.norm(x)))
+            if small_f or small_x:
+                status = 4 if small_f and small_x else 2 if small_f else 3
+                break
+        if reduction > 0.0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            scale = np.maximum(scale, np.linalg.norm(J, axis=0))
+    return LeastSquaresResult(x=x, cost=cost, fun=f, jac=J, status=status or 0, nfev=nfev, njev=njev)
 
 
 def _default_starts(counts: tuple[int, ...]) -> list[list[list[float]]]:
@@ -628,7 +766,8 @@ def fit_global(
 ) -> FitResult:
     """Joint least-squares fit of shared device constants and per-gate channels.
 
-    Runs a trust-region reflective solve in transformed coordinates; when
+    Runs :func:`least_squares` in transformed coordinates, with the
+    analytic Jacobian and ``cfg.max_nfev`` evaluations per start; when
     no transmission start is supplied, a fixed documented grid of starts
     (flat levels plus a staircase) is tried and the lowest-cost solution
     wins, ties resolved by start order. The result is flagged
@@ -655,10 +794,10 @@ def fit_global(
     lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -LOGIT_BOUND)])
     upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), LOGIT_BOUND)])
 
-    # x and grids of the latest evaluation; trf asks for the Jacobian
-    # only at an accepted step, i.e. at the x it evaluated last. "read"
-    # keeps the x and grids the latest Jacobian used: trf takes one at
-    # every accepted step, so they are the grids at the x a start returns
+    # x and grids of the latest evaluation; least_squares asks for the
+    # Jacobian only at an accepted step, i.e. at the x it evaluated last.
+    # "read" keeps the x and grids the latest Jacobian used: it takes one
+    # at every accepted step, so they are the grids at the x a start returns
     latest: dict[str, object] = {"x": None}
 
     def objective(x: np.ndarray) -> np.ndarray:
@@ -679,15 +818,7 @@ def fit_global(
     total_jacobians = 0
     for transmissions in start_sets:
         x0 = layout.pack(base_params, transmissions)
-        result = least_squares(
-            objective,
-            x0,
-            jac=jacobian,
-            method="trf",
-            bounds=(lower, upper),
-            max_nfev=cfg.max_nfev,
-            x_scale="jac",
-        )
+        result = least_squares(objective, x0, jac=jacobian, bounds=(lower, upper), max_nfev=cfg.max_nfev)
         total_evals += result.nfev
         total_jacobians += result.njev
         start_costs.append(float(result.cost))
@@ -858,40 +989,44 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
     or 1; a bad row raises :class:`DatasetFormatError` naming its path and line.
     """
     grouped: dict[float, list[TransitionPoint]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        expected = ",".join(_DATASET_COLUMNS)
-        if header != expected:
-            raise DatasetFormatError(f"{path}:1: header must be '{expected}', got '{header}'")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != 6:
-                raise DatasetFormatError(f"{path}:{line_no}: expected 6 fields, got {len(cells)}")
-            try:
-                gate, flux_phi0, freq, sigma = (
-                    _finite_cell(_DATASET_COLUMNS[idx], cells[idx]) for idx in (0, 1, 3, 4)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    header = lines[0].strip()
+    expected = ",".join(_DATASET_COLUMNS)
+    if header != expected:
+        raise DatasetFormatError(f"{path}:1: header must be '{expected}', got '{header}'")
+    for line_no, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != 6:
+            raise DatasetFormatError(f"{path}:{line_no}: expected 6 fields, got {len(cells)}")
+        try:
+            gate, flux_phi0, freq, sigma = (
+                _finite_cell(_DATASET_COLUMNS[idx], cells[idx]) for idx in (0, 1, 3, 4)
+            )
+            if abs(flux_phi0) > MAX_FLUX_PHI0:
+                raise ValueError(
+                    f"flux_phi0 must be in [-{MAX_FLUX_PHI0:g}, {MAX_FLUX_PHI0:g}], got {flux_phi0!r}"
                 )
-                if abs(flux_phi0) > MAX_FLUX_PHI0:
+            for column, value in (("freq_ghz", freq), ("sigma_ghz", sigma)):
+                if not 0.0 < value <= MAX_ENERGY_GHZ:
                     raise ValueError(
-                        f"flux_phi0 must be in [-{MAX_FLUX_PHI0:g}, {MAX_FLUX_PHI0:g}], got {flux_phi0!r}"
+                        f"{column} must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
                     )
-                for column, value in (("freq_ghz", freq), ("sigma_ghz", sigma)):
-                    if not 0.0 < value <= MAX_ENERGY_GHZ:
-                        raise ValueError(
-                            f"{column} must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
-                        )
-                used = int(cells[5])
-                if used not in (0, 1):
-                    raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
-                point = TransitionPoint(
-                    flux=2.0 * math.pi * flux_phi0, label=cells[2], freq=freq, sigma=sigma, used=bool(used)
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
-            grouped.setdefault(gate, []).append(point)
+            used = int(cells[5])
+            if used not in (0, 1):
+                raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
+            point = TransitionPoint(
+                flux=2.0 * math.pi * flux_phi0, label=cells[2], freq=freq, sigma=sigma, used=bool(used)
+            )
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
+        grouped.setdefault(gate, []).append(point)
     return [SpectroscopyDataset(gate=gate, points=tuple(pts)) for gate, pts in grouped.items()]
 
 

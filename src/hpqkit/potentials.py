@@ -128,8 +128,12 @@ class CircuitParams:
 
     @property
     def lam(self) -> float:
-        """Effective transmission 4*ej1*ej2/(ej1+ej2)^2 of the double junction."""
-        return 4.0 * self.ej1 * self.ej2 / (self.ej1 + self.ej2) ** 2
+        """Effective transmission 4*ej1*ej2/(ej1+ej2)^2 of the double junction, at most 1.
+
+        With ej1 == ej2 the quotient can round to 1 + 2**-52 (at ej = 55.0259...),
+        which would make ``sqrt(1 - lam)`` NaN, so it is capped at 1.
+        """
+        return min(1.0, 4.0 * self.ej1 * self.ej2 / (self.ej1 + self.ej2) ** 2)
 
 
 @dataclass(frozen=True)

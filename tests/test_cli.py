@@ -847,16 +847,51 @@ def test_classify_loads_no_special_functions(tmp_path, fit_dataset_csv):
     ]
 
 
-def test_only_fit_loads_the_optimizer(tmp_path, fit_dataset_csv):
-    # a fresh interpreter, since this one has already run fits; decompose makes the first arm
+def test_no_command_loads_the_optimizer(tmp_path, fit_dataset_csv):
+    # a fresh interpreter, since this one has imported scipy.optimize for its oracles; decompose
+    # makes the first arm, and fit solves with fitstack's own least-squares step
     assert run_probe(tmp_path, fit_dataset_csv, ["decompose", "sweep", "synth", "classify", "fit"]) == [
         ["import", None, False, False],
         ["decompose", 0, False, True],
         ["sweep", 0, False, True],
         ["synth", 0, False, True],
         ["classify", 0, False, True],
-        ["fit", 0, True, True],
+        ["fit", 0, False, True],
     ]
+
+
+def test_no_source_file_imports_the_optimizer():
+    imports = []
+    for path in sorted(Path(hpqkit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imports += [(path.name, node.module), *((path.name, f"{node.module}.{a.name}") for a in node.names)]
+            elif isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+    assert ("fitstack.py", "numpy") in imports
+    assert [(name, module) for name, module in imports if module.startswith("scipy.optimize")] == []
+
+
+def test_percent_in_a_config_value_is_read_literally(tmp_path, capsys):
+    # no interpolation: "%" is an ordinary character, so the value is a bad number list, not a parser error
+    config = HPQ_CONFIG.replace("0.98, 0.98, 0.75, 0.54", "0.9%, 0.5")
+    assert main(["decompose", "--config", write(tmp_path / "run.ini", config), "--out-dir", str(tmp_path)]) == 2
+    assert "error: channels.transmissions: not a comma-separated number list: '0.9%, 0.5'" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(HPQ_CONFIG.replace("55.03", "55.03\xb5").encode("latin-1"))
+    assert main(["decompose", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"error: config {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_dataset_exits_two(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes(ONE_POINT_DATASET.replace("f01", "f01\xb5").encode("latin-1"))
+    argv = ["fit", str(data), "--config", write(tmp_path / "run.ini", FIT_CONFIG), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize._numdiff import approx_derivative
 from scipy.special import expit
 
@@ -133,6 +134,139 @@ class TestLorentzianFit:
             if abs(fit.f0 - 5.0) < fwhm / 5.0:
                 hits += 1
         assert hits >= 0.95 * n_seeds
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_curve_fit(self, seed):
+        """Oracle: scipy's curve_fit and the covariance it reports."""
+        grid = np.arange(4.5, 5.5, 0.005)
+        trace = synthesize_trace([(5.013, 0.9, 0.025)], grid, noise_sigma=0.05, seed=seed)
+        fit = lorentzian_fit(trace, (4.95, 5.07))
+        mask = (grid >= 4.95) & (grid <= 5.07)
+        f, y = grid[mask], trace.signal[mask]
+        start = (float(f[np.argmax(y)]), 0.02, float(np.max(y) - np.median(y)), float(np.median(y)))
+        popt, pcov = scipy.optimize.curve_fit(
+            fitstack._lorentz_model, f, y, p0=start, maxfev=5000, xtol=1e-12, ftol=1e-12, gtol=1e-12
+        )
+        assert fit.f0 == pytest.approx(popt[0], abs=1e-8)
+        assert fit.fwhm == pytest.approx(abs(popt[1]), rel=1e-6)
+        assert fit.amplitude == pytest.approx(popt[2], rel=1e-6)
+        assert fit.f0_sigma == pytest.approx(math.sqrt(pcov[0, 0]), rel=1e-5)
+
+    def test_analytic_jacobian_matches_complex_step(self):
+        f = np.linspace(4.9, 5.1, 41)
+        p = np.array([5.01, 0.03, 0.8, 0.1])
+        numeric = approx_derivative(lambda q: fitstack._lorentz_model(f, *q), p, method="cs")
+        assert np.allclose(fitstack._lorentz_jacobian(f, *p), numeric, rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the least-squares solver
+
+
+def rosenbrock(x: np.ndarray) -> np.ndarray:
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x: np.ndarray) -> np.ndarray:
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize(
+        "bounds, want",
+        [((-np.inf, np.inf), (1.0, 1.0)), (([-2.0, -2.0], [0.5, 2.0]), (0.5, 0.25))],
+        ids=["interior", "upper-bound-active"],
+    )
+    def test_matches_trf(self, bounds, want):
+        """Oracle: scipy's trf with the column scaling the fit used, at the minimum and at a bound."""
+        x0 = np.array([-1.2, 1.0])
+        got = fitstack.least_squares(rosenbrock, x0, jac=rosenbrock_jacobian, bounds=bounds)
+        trf = scipy.optimize.least_squares(
+            rosenbrock, x0, jac=rosenbrock_jacobian, bounds=bounds, method="trf", x_scale="jac"
+        )
+        assert got.status > 0
+        assert got.x == pytest.approx(trf.x, abs=1e-6)
+        assert got.x == pytest.approx(want, abs=1e-6)
+        assert got.cost == pytest.approx(trf.cost, abs=1e-12)
+
+    def test_matches_trf_on_a_noisy_fit(self, monkeypatch):
+        cfg = SMALL_CFG_FIXED
+        ds = make_dataset(TRUE_PARAMS, (0.8, 0.4, 0.2), 0.0, cfg, noise_rng=np.random.default_rng(4))
+        got = fit_global([ds], [3], cfg, initial_transmissions=[(0.7, 0.5, 0.3)])
+
+        def trf(fun, x0, **options):
+            return scipy.optimize.least_squares(fun, x0, method="trf", x_scale="jac", **options)
+
+        monkeypatch.setattr(fitstack, "least_squares", trf)
+        want = fit_global([ds], [3], cfg, initial_transmissions=[(0.7, 0.5, 0.3)])
+        assert got.converged and want.converged
+        assert got.cost <= want.cost * (1.0 + 1e-9)
+        assert got.channels[0].transmissions == pytest.approx(want.channels[0].transmissions, abs=1e-6)
+
+    @pytest.mark.parametrize("budget", range(1, 9))
+    def test_budget_caps_the_evaluations(self, budget):
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return rosenbrock(x)
+
+        result = fitstack.least_squares(fun, np.array([-1.2, 1.0]), jac=rosenbrock_jacobian, max_nfev=budget)
+        assert result.nfev == len(calls) <= budget
+        assert result.status == 0
+        assert result.message == "The maximum number of function evaluations is exceeded."
+        assert np.array_equal(rosenbrock(result.x), result.fun)
+
+    def test_jacobian_only_at_the_last_evaluated_point(self):
+        evaluated, jacobians = [], []
+
+        def fun(x):
+            evaluated.append(x.copy())
+            return rosenbrock(x)
+
+        def jac(x):
+            assert np.array_equal(x, evaluated[-1])
+            jacobians.append(x.copy())
+            return rosenbrock_jacobian(x)
+
+        result = fitstack.least_squares(fun, np.array([-1.2, 1.0]), jac=jac)
+        assert result.status > 0
+        assert result.njev == len(jacobians) < result.nfev == len(evaluated)
+        assert np.array_equal(jacobians[-1], result.x)
+
+    def test_iterates_stay_in_the_box(self):
+        lower, upper = np.array([-1.5, 0.0]), np.array([0.5, 0.2])
+        seen = []
+
+        def fun(x):
+            seen.append(x.copy())
+            return rosenbrock(x)
+
+        x0 = np.array([-1.2, 0.1])
+        result = fitstack.least_squares(fun, x0, jac=rosenbrock_jacobian, bounds=(lower, upper))
+        trf = scipy.optimize.least_squares(rosenbrock, x0, jac=rosenbrock_jacobian, bounds=(lower, upper))
+        assert result.status > 0
+        assert all(np.all(lower <= x) and np.all(x <= upper) for x in seen)
+        assert result.x[1] == 0.2
+        assert result.x == pytest.approx(trf.x, abs=1e-6)
+
+    def test_non_finite_residuals_are_refused(self):
+        # the residual is NaN beyond x = 2, where the undamped first step lands
+        def fun(x):
+            return np.array([x[0] - 3.0 if x[0] <= 2.0 else math.nan, 0.1 * x[0]])
+
+        result = fitstack.least_squares(fun, np.array([0.0]), jac=lambda x: np.array([[1.0], [0.1]]))
+        assert result.status > 0
+        assert result.x[0] <= 2.0
+        assert np.all(np.isfinite(result.fun))
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(ValueError, match="not finite at the initial point"):
+            fitstack.least_squares(lambda x: x * math.nan, np.array([1.0]), jac=lambda x: np.eye(1))
+
+    def test_zero_residual_stops_on_the_gradient(self):
+        result = fitstack.least_squares(lambda x: x - 2.0, np.array([2.0]), jac=lambda x: np.eye(1))
+        assert (result.status, result.nfev, result.njev, result.cost) == (1, 1, 1, 0.0)
 
 
 class TestExtraction:

@@ -69,6 +69,15 @@ class TestCircuitParams:
         p = CircuitParams(ej1=ej1, ej2=ej2, ecj=0.5, ec=0.2, gap=40.0)
         assert 0.0 < p.lam <= 1.0
 
+    @pytest.mark.parametrize("ej", [55.02591307073187, 58.41363697536405])
+    def test_equal_junctions_whose_quotient_rounds_above_one(self, ej):
+        # 4 ej^2 / (2 ej)^2 reads 1 + 2**-52 here; sqrt(1 - lam) would be NaN
+        p = CircuitParams(ej1=ej, ej2=ej, ecj=0.675, ec=0.28, gap=40.06)
+        assert p.lam == 1.0
+        assert np.all(np.isfinite(fourier_u(p, 10)))
+        potential = total_potential(PHI, p, NanowireChannels((0.9, 0.5)), FluxBias.from_phi0(0.5))
+        assert np.all(np.isfinite(potential))
+
 
 class TestNanowireChannels:
     def test_sorted_descending(self):

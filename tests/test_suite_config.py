@@ -11,10 +11,21 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
+
 import hpqkit
+from hpqkit import fitstack
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """The benchmark's tracer module, loaded from its file (``perfbench`` is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_failing_property_is_reported_and_later_tests_still_run(tmp_path):
@@ -81,9 +92,7 @@ def test_only_the_kernel_takes_include_bo():
 def test_every_name_the_benchmark_tracer_wraps_exists():
     """The benchmark's tracer replaces named package callables and raises on a missing one; a rename in
     the package must fail here, since no test under ``tests/`` runs a traced pass."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     missing = [
         f"{module}.{attr}"
         for module, attr in spans.WRAPPED.values()
@@ -96,3 +105,17 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
     ]
     assert spans.WRAPPED and spans.WRAPPED_METHODS
     assert missing == []
+
+
+def test_a_solver_result_carries_what_the_tracer_reads():
+    """The benchmark's tracer counts ``nfev``, ``njev`` and ``status == 0`` of every
+    ``fitstack.least_squares`` result; the solver's result must carry all three."""
+    spans = load_spans()
+    result = fitstack.least_squares(lambda x: x - 1.0, np.zeros(2), jac=lambda x: np.eye(2), max_nfev=1)
+    tracer = spans.Tracer()
+    spans.ON_RESULT["fitstack.least_squares"](tracer, (), {}, result)
+    assert dict(tracer.counters) == {
+        "fitstack.least_squares.nfev": 1,
+        "fitstack.least_squares.njev": 1,
+        "fitstack.least_squares.budget_exhausted": 1,
+    }
