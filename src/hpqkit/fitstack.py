@@ -29,16 +29,9 @@ import numpy as np
 from .config import MAX_ENERGY_GHZ, MAX_FLUX_PHI0
 from .potentials import K_MAX, CircuitParams, NanowireChannels, fourier_u
 from .potentials import _junction_terms, _nanowire_v, _power_amplitudes
-from .spectrum import (
-    CUTOFF_HEADROOM,
-    ChargeBasisConfig,
-    FluxGrid,
-    SolverError,
-    levels_read,
-    parse_transition_label,
-    solve_flux_grid,
-)
-from .spectrum import _average_clusters, _transition
+from .spectrum import CUTOFF_HEADROOM, ChargeBasisConfig, FluxGrid, SolverError, levels_read
+from .spectrum import _average_clusters, _flux_layout, _FluxLayout, _solve_flux_layout, _transition
+from .spectrum import parse_transition_label
 from .synth import Trace, lorentzian
 from .tables import fmt, write_csv, write_ini
 
@@ -350,7 +343,7 @@ class FitConfig:
         if not self.rmse_factor >= 1.0:
             raise ValueError(f"rmse_factor must be >= 1, got {self.rmse_factor!r}")
         if self.max_nfev is not None and self.max_nfev < 1:
-            raise ValueError(f"max_nfev must be >= 1 or None (unlimited), got {self.max_nfev!r}")
+            raise ValueError(f"max_nfev must be >= 1, got {self.max_nfev!r} (unset: 100 per fitted parameter)")
 
 
 @dataclass(frozen=True)
@@ -419,22 +412,23 @@ class ThetaLayout:
 class _Plan:
     """What every evaluation of one fit reads of one dataset's ``points``, made once per fit.
 
-    ``flux`` holds each distinct flux once, in first-seen order; ``rows``
-    maps each point to its flux's row, ``levels`` holds each point's
-    ``(i, j, divisor)`` as three rows, ``sigmas`` are floored at
-    ``cfg.sigma_floor`` and ``phase`` is the Jacobian's ``exp(i k phi)``
-    at each flux. With fixed globals the first solve keeps its junction
-    arm in ``u``.
+    ``flux_layout`` is the :func:`~hpqkit.spectrum._flux_layout` of the
+    distinct fluxes, in first-seen order, in the basis of the levels the
+    points read. ``rows`` maps each point to its flux's row, ``levels``
+    holds each point's ``(i, j, divisor)`` as three rows, ``sigmas`` are
+    floored at ``cfg.sigma_floor`` and ``phase`` is the Jacobian's
+    ``exp(i k phi)`` at each flux. With fixed globals the first solve
+    keeps its junction arm in ``u``. An evaluation then makes only what
+    its parameters change: the arms, their interference and the solve.
     """
 
     gate: float
     points: tuple[TransitionPoint, ...]
-    flux: np.ndarray
+    flux_layout: _FluxLayout
     rows: np.ndarray
     levels: np.ndarray
     data: np.ndarray
     sigmas: np.ndarray
-    basis: ChargeBasisConfig
     phase: np.ndarray
     u: np.ndarray | None = None
 
@@ -450,12 +444,13 @@ def _plan(gate: float, points: Sequence[TransitionPoint], cfg: FitConfig) -> _Pl
     basis = ChargeBasisConfig(n_cut=cfg.n_cut, n_g=cfg.n_g, n_levels=levels_read(1, [p.label for p in points]))
     phase = np.exp(1j * np.outer(flux, np.arange(1, cfg.k_max + 1)))[:, np.newaxis, :]
     data, sigmas = np.array([(p.freq, max(p.sigma, cfg.sigma_floor)) for p in points]).T
-    return _Plan(gate, tuple(points), flux, point_rows, levels, data, sigmas, basis, phase)
+    flux_layout = _flux_layout(flux, cfg.ec, basis, cfg.k_max)
+    return _Plan(gate, tuple(points), flux_layout, point_rows, levels, data, sigmas, phase)
 
 
 @dataclass(frozen=True)
 class _GridSolution:
-    """One dataset's points on their solved flux grid.
+    """One dataset's points on their solved flux grid, at the parameters ``params`` of its evaluation.
 
     ``amplitudes[channel]`` holds ``A(T, 1/2)`` and ``A(T, -1/2)``: the
     first gives the nanowire arm, and the Jacobian reads both.
@@ -464,6 +459,7 @@ class _GridSolution:
     grid: FluxGrid
     plan: _Plan
     amplitudes: np.ndarray
+    params: CircuitParams
 
     def model(self) -> np.ndarray:
         """Model frequency of each point."""
@@ -479,7 +475,7 @@ def _solve_points(
         plan.u = u
     amplitudes = _power_amplitudes(np.array(channels.transmissions)[:, None], (0.5, -0.5), cfg.k_max)
     v = _nanowire_v(amplitudes[:, 0], params.gap)
-    return _GridSolution(solve_flux_grid(u, v, plan.flux, cfg.ec, plan.basis), plan, amplitudes)
+    return _GridSolution(_solve_flux_layout(plan.flux_layout, u, v), plan, amplitudes, params)
 
 
 def dataset_model_frequencies(
@@ -571,14 +567,14 @@ def _level_derivatives(grid: FluxGrid, phase: np.ndarray, du: np.ndarray, dv: np
     vectors = grid.vectors
     conj = vectors.conj()
     g = np.stack([np.einsum("rml,rml->rl", conj[:, :-k], vectors[:, k:]) for k in range(1, len(du) + 1)], -1)
-    return _average_clusters(g.real @ du + (phase * g).real @ dv, grid.energies)
+    return _average_clusters(g.real @ du + (phase * g).real @ dv, grid.close)
 
 
 def _model_jacobian(
     theta: np.ndarray, cfg: FitConfig, layout: ThetaLayout, solutions: Sequence[_GridSolution]
 ) -> np.ndarray:
-    """Jacobian of :func:`model_residuals` at ``theta`` from the grids it solved there."""
-    params, _ = layout.unpack(theta, cfg)
+    """Jacobian of :func:`model_residuals` at ``theta`` from the grids and parameters of its evaluation there."""
+    params = solutions[0].params
     # d u_k / d theta for k = 1..k_max; nonzero only in the free-globals columns
     du = np.zeros((cfg.k_max, layout.n_params))
     if layout.globals_free:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -388,11 +389,21 @@ def _power_amplitudes(m: np.ndarray | float, nu: np.ndarray | float, k_max: int)
 
     m = np.asarray(m, dtype=float)[..., None]
     nu = np.asarray(nu, dtype=float)[..., None]
-    k = np.arange(k_max + 1)
+    k, weight, k_plus_one = _orders(k_max)
     r = np.sqrt(1.0 - m)
     rho = m / (1.0 + r) ** 2
-    scale = np.where(k == 0, 1.0, 2.0) * ((1.0 + r) / 2.0) ** (2.0 * nu)
-    return scale * binom(nu, k) * rho**k * hyp2f1(-nu, k - nu, k + 1, rho * rho)
+    scale = weight * ((1.0 + r) / 2.0) ** (2.0 * nu)
+    return scale * binom(nu, k) * rho**k * hyp2f1(-nu, k - nu, k_plus_one, rho * rho)
+
+
+@lru_cache(maxsize=16)
+def _orders(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k-only factors of :func:`_power_amplitudes`: ``k``, the weight 1 or 2 of ``A_k``, and ``k + 1``."""
+    k = np.arange(k_max + 1)
+    orders = (k, np.where(k == 0, 1.0, 2.0), k + 1)
+    for array in orders:
+        array.flags.writeable = False
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +473,33 @@ def interfere_arms(
 
     ``c[p, k] = u[k] + cos(k phi_p) v[k]`` and ``s[p, k] = sin(k phi_p) v[k]``;
     at half flux quantum the sine content vanishes and odd-k cosine
-    amplitudes become differences of the two arms.
+    amplitudes become differences of the two arms. It is the fluxes'
+    :func:`_flux_table` and its one product with the arms, :func:`_interfere`.
     """
+    phi = np.array([flux.phi_e for flux in fluxes], dtype=float)
+    return _interfere(u, v, _flux_table(phi, np.size(u) - 1))
+
+
+def _flux_table(phi: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``cos(k phi)``, ``sin(k phi)`` (k = 0..k_max) at each canonical flux ``phi``, and which are half flux."""
+    k = np.arange(k_max + 1)
+    return np.cos(k * phi[:, None]), np.sin(k * phi[:, None]), phi == -math.pi
+
+
+def _interfere(
+    u: np.ndarray, v: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`interfere_arms` at the fluxes of a :func:`_flux_table`."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"u and v must be 1-d arrays of equal length, got {u.shape} vs {v.shape}")
-    phi = np.array([flux.phi_e for flux in fluxes], dtype=float)[:, None]
-    k = np.arange(len(u))
-    c = u + np.cos(k * phi) * v
-    s = np.sin(k * phi) * v
+    cos, sin, half = table
+    c = u + cos * v
+    s = sin * v
     # sin(k * -pi) rounds to about k * 1e-16, not 0; half flux (wrapped to
     # -pi) gets exactly zero sine content, so its potential stays even
-    s[phi[:, 0] == -math.pi] = 0.0
+    s[half] = 0.0
     return c, s
 
 

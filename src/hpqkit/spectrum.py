@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .potentials import K_MAX, CircuitParams, FluxBias, HarmonicSpectrum, NanowireChannels
-from .potentials import fourier_u, fourier_v, interfere_arms
+from .potentials import _flux_table, _interfere, fourier_u, fourier_v
 from .tables import write_csv
 
 __all__ = [
@@ -198,15 +198,15 @@ def _rotate_clusters(vectors: np.ndarray, close: np.ndarray) -> None:
         vectors[:, start : stop + 1] = cluster @ rotation[:, ::-1]
 
 
-def _average_clusters(values: np.ndarray, energies: np.ndarray) -> np.ndarray:
+def _average_clusters(values: np.ndarray, close: np.ndarray) -> np.ndarray:
     """``values[point, level, ...]`` with each degenerate cluster's levels set, in place, to their mean.
 
-    The clusters of ``energies[point]`` are those :func:`_rotate_clusters`
+    ``close`` is :func:`_close_to_next` of the energies (a grid's
+    ``close``), so the clusters are those :func:`_rotate_clusters`
     rotates. For Hellmann-Feynman derivatives the mean is the trace of
     dH/dtheta over the cluster, which no choice of basis inside it
     changes; for sorted levels it is the limit of a central difference.
     """
-    close = _close_to_next(energies)
     for point in np.flatnonzero(close.any(axis=1)):
         for start, stop in _clusters(close[point]):
             values[point, start : stop + 1] = values[point, start : stop + 1].mean(axis=0)
@@ -524,13 +524,15 @@ class FluxGrid:
     """Lowest eigenpairs on a flux grid: ``energies[point, level]``, ``vectors[point, :, level]``.
 
     It holds the levels :func:`solve_flux_grid` solved, and a failed point
-    holds NaN.
+    holds NaN. ``close`` is :func:`_close_to_next` of the energies: the
+    degenerate clusters the solve rotated.
     """
 
     flux: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     failed: np.ndarray
+    close: np.ndarray
 
 
 def solve_flux_grid(
@@ -546,14 +548,7 @@ def solve_flux_grid(
 
     ``u`` and ``v`` are the arm amplitudes, which
     :func:`~hpqkit.potentials.interfere_arms` interferes at every flux at
-    once. Each point's matrix is gathered from its band row through the
-    slots :func:`build_hamiltonian` uses, real without sine content and
-    complex otherwise. At n_g = 0 a point with sine content is solved in
-    its real form instead, gathered in one step through
-    :func:`_real_form_map` from a table of the same cells, its band row
-    followed by the charging energies; the tables are built
-    :data:`REAL_FORM_CHUNK` points at a time.
-    Each point takes one LAPACK call and gives ``eigensolve(
+    once. Each point takes one LAPACK call and gives ``eigensolve(
     build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg),
     levels)`` bit for bit in the levels eigensolve returns, where
     ``levels`` are those the grid solves, or one fewer at a point whose
@@ -568,54 +563,103 @@ def solve_flux_grid(
     the top level asked for never loses its doublet partner and each
     doublet is rotated whole.
 
-    The bookkeeping is per grid: finiteness is checked once over the band
-    rows (a non-finite point fails before any LAPACK call), real-form
-    vectors are mapped back straight into ``vectors``, and degenerate
-    clusters are found once and rotated only at the points that have one.
+    The call lays the grid out (:func:`_flux_layout`: everything that
+    depends on the grid alone) and solves that layout
+    (:func:`_solve_flux_layout`: everything the amplitudes change). A fit
+    keeps one layout per dataset and repeats only the solve.
     """
-    flux_values = np.asarray(flux_values, dtype=float)
-    if not np.all(np.isfinite(flux_values)):
+    return _solve_flux_layout(_flux_layout(flux_values, ec, cfg, np.size(u) - 1), u, v, strict=strict)
+
+
+@dataclass(frozen=True, eq=False)
+class _FluxLayout:
+    """What a solve on one flux grid reads that the arm amplitudes do not change.
+
+    ``flux`` holds the fluxes as given and ``arms`` the
+    :func:`~hpqkit.potentials._flux_table` of their canonical values.
+    ``charging`` is :data:`REAL_FORM_CHUNK` rows of the charging
+    energies, the last cells of a chunk's real-form tables; ``reflected``
+    and ``finite`` say that they are charge-reflection symmetric (n_g = 0)
+    and finite. ``dense`` and ``real_form`` are the gather maps.
+    """
+
+    flux: np.ndarray
+    arms: tuple[np.ndarray, np.ndarray, np.ndarray]
+    basis: ChargeBasisConfig
+    charging: np.ndarray
+    reflected: bool
+    finite: bool
+    dense: np.ndarray
+    real_form: np.ndarray
+
+
+def _flux_layout(
+    flux_values: Sequence[float] | np.ndarray, ec: float, cfg: ChargeBasisConfig, k_max: int
+) -> _FluxLayout:
+    """Lay out a grid of :func:`solve_flux_grid` once: its fluxes, charging energies and gather maps."""
+    flux = np.asarray(flux_values, dtype=float)
+    if not np.all(np.isfinite(flux)):
         raise ValueError("flux values must be finite")
-    c, s = interfere_arms(u, v, (FluxBias(phi) for phi in flux_values))
-    dense = _slots(cfg.n_cut, c.shape[1] - 1)
+    arms = _flux_table(np.array([FluxBias(phi).phi_e for phi in flux], dtype=float), k_max)
     diag = _diagonal(ec, cfg)
-    sine = s[:, 1:].any(axis=1)
     # only the diagonal can break the charge-reflection symmetry (at n_g != 0)
-    reflected = sine & np.array_equal(diag, diag[::-1])
+    reflected, finite = np.array_equal(diag, diag[::-1]), bool(np.isfinite(diag).all())
+    charging = diag[None].repeat(REAL_FORM_CHUNK, axis=0)
+    maps = _slots(cfg.n_cut, k_max), _real_form_map(cfg.n_cut, k_max)
+    return _FluxLayout(flux, arms, cfg, charging, reflected, finite, *maps)
+
+
+def _solve_flux_layout(layout: _FluxLayout, u: np.ndarray, v: np.ndarray, *, strict: bool = True) -> FluxGrid:
+    """:func:`solve_flux_grid` on a laid-out grid.
+
+    Each point's matrix is gathered from its band row, followed by the
+    charging energies, through the slots :func:`build_hamiltonian` uses:
+    real without sine content and complex otherwise. At n_g = 0 a point
+    with sine content is solved in its real form instead, gathered through
+    :func:`_real_form_map` from a table of the same cells; the tables are
+    built :data:`REAL_FORM_CHUNK` points at a time. Finiteness is checked
+    once over the band rows (a non-finite point fails before any LAPACK
+    call), real-form vectors are mapped back straight into ``vectors``,
+    and degenerate clusters are found once and rotated only at the points
+    that have one.
+    """
+    cfg, flux, diag = layout.basis, layout.flux, layout.charging[0]
+    c, s = _interfere(u, v, layout.arms)
+    sine = s[:, 1:].any(axis=1)
     decoupled = not (c[:, 1::2].any(axis=1) | s[:, 1::2].any(axis=1)).all()
     n_levels = min(cfg.n_levels + 1, cfg.dim) if decoupled else cfg.n_levels
     rows = _band_entries(c, s)
-    finite = np.isfinite(rows).all(axis=1) & np.isfinite(diag).all()
-    # the points solved in the real form, and each one's place among them
-    real = reflected & finite
-    points, place = np.flatnonzero(real), np.cumsum(real) - 1
-    real_form = _real_form_map(cfg.n_cut, c.shape[1] - 1)
-    # a real-form point's cells: its band row, then the charging energies
-    charging = diag[None].repeat(REAL_FORM_CHUNK, axis=0)
+    finite = np.isfinite(rows).all(axis=1) & layout.finite
+    # the points solved in the real form, and how many of them are solved so far
+    real = sine & finite & layout.reflected
+    points, place = np.flatnonzero(real), 0
     energies = np.full((len(rows), n_levels), np.nan)
     vectors = np.full((len(rows), cfg.dim, n_levels), np.nan, rows.dtype)
-    for idx, row in enumerate(rows):
+    # Python bools, which the per-point tests read faster than numpy scalars
+    flags = zip(rows, finite.tolist(), real.tolist(), sine.tolist())
+    for idx, (row, is_finite, is_real, has_sine) in enumerate(flags):
         try:
-            _require_finite(finite[idx], cfg.dim)
-            if real[idx]:
-                at = place[idx] % REAL_FORM_CHUNK
+            _require_finite(is_finite, cfg.dim)
+            if is_real:
+                at = place % REAL_FORM_CHUNK
                 if at == 0:
-                    chunk = points[place[idx] : place[idx] + REAL_FORM_CHUNK]
-                    tables = _real_form_tables(np.concatenate((rows[chunk], charging[: len(chunk)]), axis=1))
-                r = _gather_real_form(tables[at], real_form)
+                    chunk = points[place : place + REAL_FORM_CHUNK]
+                    tables = _real_form_tables(np.concatenate((rows[chunk], layout.charging[: len(chunk)]), axis=1))
+                place += 1
+                r = _gather_real_form(tables[at], layout.real_form)
                 energies[idx], _ = _solve_real_form(r, n_levels, out=vectors[idx])
             else:
-                h = np.concatenate((row if sine[idx] else row.real, diag))[dense].T
+                h = np.concatenate((row if has_sine else row.real, diag))[layout.dense].T
                 energies[idx], vectors[idx] = _evr(h, n_levels, overwrite_a=True)
         except SolverError as exc:
             if strict:
-                raise SolverError(f"flux point {idx} (phi_e={flux_values[idx]:g}): {exc}") from exc
-            logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux_values[idx], exc)
+                raise SolverError(f"flux point {idx} (phi_e={flux[idx]:g}): {exc}") from exc
+            logger.warning("flux point %d (phi_e=%g) failed: %s", idx, flux[idx], exc)
     close = _close_to_next(energies)
     for idx in np.flatnonzero(close.any(axis=1)):
         # a point solved as a real matrix is rotated in real arithmetic, as eigensolve rotates it
         _rotate_clusters(vectors[idx] if sine[idx] else vectors[idx].real, close[idx])
-    return FluxGrid(flux_values, energies, vectors, np.isnan(energies[:, 0]))
+    return FluxGrid(flux, energies, vectors, np.isnan(energies[:, 0]), close)
 
 
 def spectrum_vs_flux(

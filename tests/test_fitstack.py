@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,16 @@ class TestLeastSquares:
         assert result.status == 0
         assert result.message == "The maximum number of function evaluations is exceeded."
         assert np.array_equal(rosenbrock(result.x), result.fun)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_default_budget_is_100_evaluations_per_variable(self, size):
+        """``max_nfev=None`` is not unlimited: with no tolerance to stop on, the solver spends ``100 * x.size``."""
+        # exp(-x) falls at every step and never reaches its infimum 0, so each step is accepted
+        result = fitstack.least_squares(
+            lambda x: np.exp(-x), np.zeros(size), jac=lambda x: np.diag(-np.exp(-x)),
+            max_nfev=None, ftol=0.0, xtol=0.0, gtol=0.0,
+        )
+        assert (result.nfev, result.njev, result.status) == (100 * size, 100 * size, 0)
 
     def test_jacobian_only_at_the_last_evaluated_point(self):
         evaluated, jacobians = [], []
@@ -505,13 +516,13 @@ class TestAnalyticJacobian:
         scale = np.max(np.abs(richardson), axis=0)
         assert np.allclose(analytic, richardson, rtol=0.0, atol=1e-6 * scale)
         solves = []
-        original = fitstack.solve_flux_grid
+        original = fitstack._solve_flux_layout
 
         def counted(*args, **kwargs):
             solves.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        monkeypatch.setattr(fitstack, "_solve_flux_layout", counted)
         result = fit_global(ds, [2], cfg, initial_transmissions=[(0.7, 0.5)])
         assert result.n_jacobian_evaluations > 0
         assert len(solves) == result.n_evaluations
@@ -520,13 +531,13 @@ class TestAnalyticJacobian:
         cfg = SMALL_CFG_FIXED
         ds = [make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, cfg, flux_values=FLUX_GRID[::2])]
         solves = []
-        original = fitstack.solve_flux_grid
+        original = fitstack._solve_flux_layout
 
         def counted(*args, **kwargs):
             solves.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        monkeypatch.setattr(fitstack, "_solve_flux_layout", counted)
         result = fit_global(ds, [2], cfg, initial_transmissions=[(0.6, 0.5)])
         assert result.n_jacobian_evaluations >= 2
         # one solve per residual evaluation; the Jacobians and the final RMSE reuse them
@@ -553,7 +564,8 @@ class TestAnalyticJacobian:
 def test_only_solve_points_reaches_the_eigenpairs():
     """``_solve_points`` is the fit's one route from parameters to eigenpairs."""
     source = Path(fitstack.__file__).read_text(encoding="utf-8")
-    assert source.count("solve_flux_grid(") == 1
+    assert source.count("_solve_flux_layout(") == 1
+    assert len(re.findall(r"\b_flux_layout\(", source)) == 1
     assert source.count("fourier_u(") == 1
     # one amplitude call per solve gives the nanowire arm and its Jacobian
     assert source.count("_power_amplitudes(") == 1
@@ -764,13 +776,13 @@ class TestChannelCountSelection:
     def test_evaluations_count_every_grid_solve(self, monkeypatch):
         ds = selection_dataset("three-channel truth")
         solves = []
-        original = fitstack.solve_flux_grid
+        original = fitstack._solve_flux_layout
 
         def counted(*args, **kwargs):
             solves.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(fitstack, "solve_flux_grid", counted)
+        monkeypatch.setattr(fitstack, "_solve_flux_layout", counted)
         fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
         n_solves = len(solves)
         monkeypatch.undo()
@@ -841,7 +853,7 @@ def per_evaluation_route(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Calls of fitstack's arm kernels, evaluations and fits; ``in_jacobian`` counts amplitude calls the Jacobian made."""
+    """Calls of fitstack's arm kernels, grid layouts, evaluations and fits; ``in_jacobian`` counts those the Jacobian made."""
     calls = collections.Counter()
     inside = []
 
@@ -850,12 +862,12 @@ def kernel_calls(monkeypatch):
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            calls["in_jacobian"] += name == "_power_amplitudes" and bool(inside)
+            calls["in_jacobian"] += bool(inside)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fitstack, name, wrapper)
 
-    for name in ("fourier_u", "_power_amplitudes", "model_residuals", "fit_global"):
+    for name in ("fourier_u", "_power_amplitudes", "_flux_layout", "model_residuals", "fit_global"):
         counted(name)
     jacobian = fitstack._model_jacobian
 
@@ -939,14 +951,15 @@ class TestPlannedEvaluation:
         ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FIXED, flux_values=FLUX_GRID[::2])
         kernel_calls.clear()
         result = fit_global([ds], [2], SMALL_CFG_FIXED)
-        assert result.n_jacobian_evaluations > 0
-        assert kernel_calls["fourier_u"] == 1
+        assert result.n_jacobian_evaluations > 0 and len(result.start_costs) > 1
+        # one grid layout serves every start and every evaluation
+        assert kernel_calls["fourier_u"] == kernel_calls["_flux_layout"] == 1
         assert kernel_calls["_power_amplitudes"] == kernel_calls["model_residuals"] == result.n_evaluations
         assert kernel_calls["in_jacobian"] == 0
         ds = selection_dataset("three-channel truth")
         kernel_calls.clear()
         fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
-        assert kernel_calls["fourier_u"] == kernel_calls["fit_global"] >= len(fits)
+        assert kernel_calls["fourier_u"] == kernel_calls["_flux_layout"] == kernel_calls["fit_global"] >= len(fits)
         assert kernel_calls["in_jacobian"] == 0
 
     def test_free_globals_remake_the_junction_arm_at_each_evaluation(self, kernel_calls):
@@ -960,6 +973,7 @@ class TestPlannedEvaluation:
         assert result.n_jacobian_evaluations > 0
         assert kernel_calls["model_residuals"] == result.n_evaluations
         assert kernel_calls["fourier_u"] == kernel_calls["_power_amplitudes"] == 2 * result.n_evaluations
+        assert kernel_calls["_flux_layout"] == 2
         assert kernel_calls["in_jacobian"] == 0
 
     def test_each_fit_plans_its_own_dataset(self, per_evaluation_route):

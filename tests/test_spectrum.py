@@ -128,6 +128,30 @@ def flux_grid_cases(draw):
     return u, v, np.array(flux), draw(st.floats(0.1, 1.0)), cfg
 
 
+@st.composite
+def reused_layout_cases(draw):
+    """A flux grid, a charging energy and a basis, with several arm draws to solve on that one grid.
+
+    The grids are empty, hold exact +-pi, values beyond +-pi or repeated
+    fluxes, or are arbitrary; ``v`` may be zero (an open nanowire), and
+    one draw may carry a non-finite amplitude.
+    """
+    k_max = draw(st.integers(1, 10))
+    named = [[], [math.pi, -math.pi, 0.0], [7.5, -9.0, 3.0 * math.pi, -5.0 * math.pi], [1.0, -2.0, 1.0, 1.0]]
+    flux = draw(st.sampled_from(named) | st.lists(st.floats(-20.0, 20.0), max_size=6))
+    cfg = ChargeBasisConfig(
+        n_cut=k_max + 5 + draw(st.integers(0, 6)),
+        n_g=draw(st.sampled_from([0.0, 0.3, -0.5])),
+        n_levels=draw(st.integers(1, 5)),
+    )
+    amplitudes = st.lists(st.floats(-60.0, 60.0), min_size=k_max + 1, max_size=k_max + 1).map(np.array)
+    arms = [(draw(amplitudes), draw(amplitudes | st.just(np.zeros(k_max + 1)))) for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        u, v = arms[draw(st.integers(0, len(arms) - 1))]
+        u[draw(st.integers(1, k_max))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(flux, dtype=float), draw(st.floats(0.1, 1.0)), cfg, arms
+
+
 def even_only_arms() -> tuple[np.ndarray, np.ndarray]:
     """Arms with only even harmonics: the even and odd charges decouple, and the levels pair into
     doublets (0, 1), (2, 3) split by less than ``DEGENERACY_TOL``."""
@@ -806,10 +830,12 @@ class TestSolveFluxGrid:
         cfg = ChargeBasisConfig(n_cut=25, n_levels=4)
         rng = np.random.default_rng(3)
         for name, (u, v, _) in self.cases(hpq_params, mixed_channels).items():
-            energies = solve_flux_grid(u, v, self.GRID, 0.28, cfg).energies
+            grid = solve_flux_grid(u, v, self.GRID, 0.28, cfg)
+            energies = grid.energies
+            assert np.array_equal(grid.close, spectrum._close_to_next(energies)), name
             values = rng.normal(size=(*energies.shape, 3))
             want = cluster_means(values, energies)
-            assert np.array_equal(spectrum._average_clusters(values.copy(), energies), want), name
+            assert np.array_equal(spectrum._average_clusters(values.copy(), grid.close), want), name
             # only the even-only arms pair levels, both doublets (0, 1) and (2, 3) at every point
             assert np.array_equal(want, values) == (name != "even-only doublet"), name
             if name == "even-only doublet":
@@ -846,6 +872,29 @@ class TestSolveFluxGrid:
             assert grid.energies[p, :read].tobytes() == want_e.tobytes(), flux[p]
             assert grid.vectors[p, :, :read].tobytes() == want_v.astype(grid.vectors.dtype).tobytes(), flux[p]
         assert not grid.failed.any()
+
+    @settings(max_examples=80)
+    @given(case=reused_layout_cases())
+    def test_a_reused_layout_matches_a_fresh_solve(self, case):
+        flux, ec, cfg, arms = case
+        layout = spectrum._flux_layout(flux, ec, cfg, len(arms[0][0]) - 1)
+
+        def outcome(solve):
+            try:
+                grid = solve()
+            except SolverError as exc:
+                return str(exc)
+            return [(a.dtype, a.shape, a.tobytes()) for a in (grid.flux, grid.energies, grid.vectors, grid.failed)]
+
+        for u, v in arms:
+            for strict in (True, False):
+                reused = outcome(lambda: spectrum._solve_flux_layout(layout, u, v, strict=strict))
+                assert reused == outcome(lambda: solve_flux_grid(u, v, flux, ec, cfg, strict=strict))
+                # a non-finite harmonic fails every point, which only the strict solve raises
+                fails = len(flux) > 0 and not np.isfinite(u).all()
+                assert isinstance(reused, str) == (fails and strict)
+                if fails and not strict:
+                    assert reused[3][2] == np.ones(len(flux), bool).tobytes()
 
     def test_real_form_points_across_table_chunks(self, hpq_params, mixed_channels):
         u, v, _ = self.cases(hpq_params, mixed_channels)["mixed"]
