@@ -181,9 +181,9 @@ def lorentzian_fit(trace: Trace, window: tuple[float, float]) -> LorentzianFit:
 
     try:
         solution = least_squares(
-            lambda p: _lorentz_model(f, *p) - y,
+            lambda p: (_lorentz_model(f, *p) - y, None),
             guess,
-            jac=lambda p: _lorentz_jacobian(f, *p),
+            jac=lambda p, _: _lorentz_jacobian(f, *p),
             max_nfev=5000,
             ftol=1e-12,
             xtol=1e-12,
@@ -649,7 +649,7 @@ TERMINATION = {
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
-    """Where :func:`least_squares` stopped: ``cost`` is ``|fun|^2 / 2`` and ``jac`` the Jacobian at ``x``."""
+    """Where :func:`least_squares` stopped: ``cost`` is ``|f|^2 / 2``; ``jac`` and ``evaluation`` are at ``x``."""
 
     x: np.ndarray
     cost: float
@@ -658,6 +658,7 @@ class LeastSquaresResult:
     status: int
     nfev: int
     njev: int
+    evaluation: object
 
     @property
     def message(self) -> str:
@@ -674,8 +675,10 @@ def least_squares(
     xtol: float = 1e-8,
     gtol: float = 1e-8,
 ) -> LeastSquaresResult:
-    """Minimize ``|fun(x)|^2 / 2`` in a box by damped Gauss-Newton (Levenberg-Marquardt) steps.
+    """Minimize ``|f|^2 / 2`` in a box by damped Gauss-Newton (Levenberg-Marquardt) steps.
 
+    ``fun(x)`` returns ``(f, evaluation)``: the residuals and whatever else
+    it made at ``x``, which ``jac(x, evaluation)`` gets back at that ``x``.
     Each step solves ``(Js^T Js + lam I) p = -Js^T f`` in variables scaled
     by the columns' running maximum norm ``D`` (trf's ``x_scale="jac"``),
     ``Js = J / D`` and ``dx = p / D``, and clips ``x + dx`` to the box. A
@@ -684,22 +687,22 @@ def least_squares(
     accepted and ``lam`` shrinks by Nielsen's rule
     ``max(1/3, 1 - (2 rho - 1)^3)``, ``rho`` being the actual over the
     predicted reduction; a step that does not, or whose residuals are not
-    finite, is refused and ``lam`` grows by :data:`DAMPING_GROWTH`, then
-    twice that, and so on. ``jac`` is called only at accepted points,
-    which are always the point ``fun`` saw last. Termination follows trf:
-    ``gtol`` bounds each gradient entry times its distance to the bound
-    it points at (status 1), ``ftol`` the relative reduction of a step
-    with ``rho > 0.25`` (2), ``xtol`` the step against ``|x|`` (3, or 4
-    with ``ftol``); when ``max_nfev`` evaluations (default
-    ``100 * x.size``) are spent the status is 0.
+    finite, is refused with its evaluation and ``lam`` grows by
+    :data:`DAMPING_GROWTH`, then twice that, and so on. ``jac`` is called
+    only at accepted points. Termination follows trf: ``gtol`` bounds each
+    gradient entry times its distance to the bound it points at (status 1),
+    ``ftol`` the relative reduction of a step with ``rho > 0.25`` (2),
+    ``xtol`` the step against ``|x|`` (3, or 4 with ``ftol``); when
+    ``max_nfev`` evaluations (default ``100 * x.size``) are spent the
+    status is 0.
     """
     lower, upper = (np.broadcast_to(np.asarray(bound, dtype=float), np.shape(x0)) for bound in bounds)
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     budget = 100 * x.size if max_nfev is None else max_nfev
-    f = fun(x)
+    f, evaluation = fun(x)
     if not np.all(np.isfinite(f)):
         raise ValueError("residuals are not finite at the initial point")
-    J = jac(x)
+    J = jac(x, evaluation)
     nfev = njev = 1
     cost = 0.5 * float(f @ f)
     scale = np.linalg.norm(J, axis=0)
@@ -723,7 +726,7 @@ def least_squares(
             p[free] = np.linalg.solve(normal + damping * np.eye(len(slope)), -slope) / scale[free]
             x_new = np.clip(x + p, lower, upper)
             step = x_new - x
-            f_new = fun(x_new)
+            f_new, evaluation_new = fun(x_new)
             nfev += 1
             # non-finite residuals refuse the step as a higher cost would
             cost_new = 0.5 * float(f_new @ f_new) if np.all(np.isfinite(f_new)) else math.inf
@@ -740,11 +743,11 @@ def least_squares(
                 status = 4 if small_f and small_x else 2 if small_f else 3
                 break
         if reduction > 0.0:
-            x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
+            x, f, cost, evaluation = x_new, f_new, cost_new, evaluation_new
+            J = jac(x, evaluation)
             njev += 1
             scale = np.maximum(scale, np.linalg.norm(J, axis=0))
-    return LeastSquaresResult(x=x, cost=cost, fun=f, jac=J, status=status or 0, nfev=nfev, njev=njev)
+    return LeastSquaresResult(x, cost, f, J, status or 0, nfev, njev, evaluation)
 
 
 def _default_starts(counts: tuple[int, ...]) -> list[list[list[float]]]:
@@ -766,15 +769,17 @@ def fit_global(
     analytic Jacobian and ``cfg.max_nfev`` evaluations per start; when
     no transmission start is supplied, a fixed documented grid of starts
     (flat levels plus a staircase) is tried and the lowest-cost solution
-    wins, ties resolved by start order. The result is flagged
-    non-converged (but still returned) when the iteration budget runs
-    out.
+    wins, ties resolved by start order. The RMSEs read the grids the best
+    start's evaluation solved at its ``x``; the result is flagged
+    non-converged (but still returned) when the iteration budget runs out.
     """
     if len(datasets) == 0:
         raise ValueError("need at least one dataset")
     counts = tuple(int(n) for n in channel_counts)
     if len(counts) != len(datasets):
         raise ValueError("one channel count per dataset required")
+    if min(counts) < 0:
+        raise ValueError(f"channel count {min(counts)} is below 0")
     plans = [_plan(dataset.gate, dataset.used_points, cfg) for dataset in datasets]
 
     layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=counts)
@@ -790,23 +795,9 @@ def fit_global(
     lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -LOGIT_BOUND)])
     upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), LOGIT_BOUND)])
 
-    # x and grids of the latest evaluation; least_squares asks for the
-    # Jacobian only at an accepted step, i.e. at the x it evaluated last.
-    # "read" keeps the x and grids the latest Jacobian used: it takes one
-    # at every accepted step, so they are the grids at the x a start returns
-    latest: dict[str, object] = {"x": None}
-
-    def objective(x: np.ndarray) -> np.ndarray:
+    def objective(x: np.ndarray) -> tuple[np.ndarray, list[_GridSolution]]:
         grids: list[_GridSolution] = []
-        r = model_residuals(x, plans, cfg, layout, grids=grids)
-        latest.update(x=x.copy(), grids=grids)
-        return r
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        if not np.array_equal(x, latest["x"]):
-            objective(x)
-        latest["read"] = (latest["x"], latest["grids"])
-        return _model_jacobian(x, cfg, layout, latest["grids"])
+        return model_residuals(x, plans, cfg, layout, grids=grids), grids
 
     best = None
     start_costs: list[float] = []
@@ -814,36 +805,33 @@ def fit_global(
     total_jacobians = 0
     for transmissions in start_sets:
         x0 = layout.pack(base_params, transmissions)
-        result = least_squares(objective, x0, jac=jacobian, bounds=(lower, upper), max_nfev=cfg.max_nfev)
+        result = least_squares(objective, x0, jac=lambda x, grids: _model_jacobian(x, cfg, layout, grids),
+                               bounds=(lower, upper), max_nfev=cfg.max_nfev)
         total_evals += result.nfev
         total_jacobians += result.njev
         start_costs.append(float(result.cost))
-        if best is None or result.cost < best[0].cost:
-            best = (result, latest["read"])
+        if best is None or result.cost < best.cost:
+            best = result
     assert best is not None
-    solution, (x_read, grids) = best
-    if not np.array_equal(solution.x, x_read):
-        grids = []
-        model_residuals(solution.x, plans, cfg, layout, grids=grids)
 
-    params, channel_sets = layout.unpack(solution.x, cfg)
-    models = [grid.model() for grid in grids]
+    params, channel_sets = layout.unpack(best.x, cfg)
+    models = [grid.model() for grid in best.evaluation]
     data = [plan.data for plan in plans]
     all_data = np.concatenate(data)
 
     boundary = tuple(
         tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets
     )
-    converged = solution.status > 0
-    message = solution.message if converged else f"iteration budget exhausted: {solution.message}"
+    converged = best.status > 0
+    message = best.message if converged else f"iteration budget exhausted: {best.message}"
 
     return FitResult(
         params=params,
         channels=channel_sets,
         rmse=rmse(np.concatenate(models), all_data),
         rmse_per_dataset=tuple(rmse(model, freqs) for model, freqs in zip(models, data)),
-        residuals=np.asarray(solution.fun),
-        cost=float(solution.cost),
+        residuals=np.asarray(best.fun),
+        cost=float(best.cost),
         converged=converged,
         message=message,
         n_evaluations=total_evals,
@@ -885,6 +873,8 @@ def select_channel_count(
     """
     if cfg.globals_mode != "fixed":
         raise ValueError("channel-count selection requires globals_mode='fixed'")
+    if not counts or min(counts) < 0:
+        raise ValueError(f"channel counts must be one or more counts >= 0, got {list(counts)}")
     fits: dict[int, FitResult] = {}
     errors: dict[int, str] = {}
     for count in sorted(set(counts)):

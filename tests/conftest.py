@@ -1,10 +1,12 @@
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from scipy.linalg import lapack
 from scipy.special import expit
 
 import hpqkit.fitstack as fitstack
@@ -21,6 +23,38 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def drivers(monkeypatch):
+    """Record the LAPACK eigensolver of every solve and the levels it asks for (``iu``); call
+    number ``fail_at`` reports ``info = 1``."""
+    record = SimpleNamespace(calls=[], levels=[], fail_at=None)
+
+    def wrap(name: str) -> None:
+        driver = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            record.calls.append(name)
+            record.levels.append(kwargs["iu"])
+            out = driver(*args, **kwargs)
+            return (*out[:-1], 1) if len(record.calls) == record.fail_at else out
+
+        monkeypatch.setattr(lapack, name, call)
+
+    wrap("dsyevr")
+    wrap("zheevr")
+    return record
+
+
+@pytest.fixture
+def fail_solve(drivers):
+    """``fail_solve(n)`` makes the LAPACK call of the n-th solve from then on fail."""
+
+    def arm(n: int) -> None:
+        drivers.fail_at = len(drivers.calls) + n
+
+    return arm
 
 
 @pytest.fixture(scope="session")

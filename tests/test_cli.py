@@ -282,6 +282,24 @@ class TestSweep:
         assert "error: sweep.matrix_elements: levels must be >= 0, got '0--1'" in capsys.readouterr().err
         assert not (tmp_path / "transitions.csv").exists()
 
+    def test_empty_label_list_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", re.sub(r"labels = .*", "labels = ,", SWEEP_CONFIG))
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert "error: sweep.labels: no transition labels given" in capsys.readouterr().err
+        assert not (tmp_path / "transitions.csv").exists()
+
+    def test_failed_flux_point_warns_and_leaves_a_nan_row(self, tmp_path, capsys, fail_solve):
+        cfg = write(tmp_path / "run.ini", SWEEP_CONFIG)
+        fail_solve(3)
+        assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "warning: 1 flux point(s) did not converge (NaN rows)" in err
+        assert f"wrote {tmp_path / 'transitions.csv'} (7 flux points)" in out
+        rows = [line.split(",") for line in (tmp_path / "transitions.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 7
+        failed = [row for row in rows if any(math.isnan(float(cell)) for cell in row[1:])]
+        assert len(failed) == 1 and all(math.isnan(float(cell)) for cell in failed[0][1:])
+
     def test_two_photon_label_is_not_a_repeat(self, tmp_path):
         cfg = write(tmp_path / "run.ini", re.sub(r"labels = .*", "labels = f02, f02/2", SWEEP_CONFIG))
         assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
@@ -535,6 +553,35 @@ class TestFit:
         )
         assert main(["fit", str(data), "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         assert "bad.csv:2" in capsys.readouterr().err
+
+    def test_row_with_five_fields_exits_two(self, tmp_path, capsys):
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        data = write(tmp_path / "bad.csv", ONE_POINT_DATASET + "0.0,0.2,f01,5.0,0.01\n")
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: {data}:3: expected 6 fields, got 5" in capsys.readouterr().err
+        assert not (tmp_path / "fit_result.ini").exists()
+
+    def test_failed_solve_exits_one_naming_its_gate(self, tmp_path, capsys, fit_dataset_csv, fail_solve):
+        csv_path, _ = fit_dataset_csv
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        fail_solve(1)
+        assert main(["fit", csv_path, "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert re.search(r"^runtime failure: dataset gate=-0\.5: .*info=1$", capsys.readouterr().err, re.M)
+        assert not (tmp_path / "fit_result.ini").exists()
+
+    def test_selection_whose_every_count_fails_exits_one(self, tmp_path, capsys, monkeypatch):
+        def failing(datasets, counts, cfg, **kwargs):
+            raise hpqkit.SolverError("forced failure")
+
+        monkeypatch.setattr(hpqkit.fitstack, "fit_global", failing)
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path), "--channels", "2..3"]) == 1
+        assert (
+            "runtime failure: all channel-count fits failed (2 channels: forced failure; 3 channels: forced failure)"
+            in capsys.readouterr().err
+        )
+        assert not (tmp_path / "rmse_by_count.csv").exists()
 
     def test_fixed_globals_report_the_ec_they_solved_with(self, tmp_path, fit_dataset_csv):
         csv_path, _ = fit_dataset_csv
@@ -884,6 +931,12 @@ def test_non_utf8_config_exits_two(tmp_path, capsys):
     path.write_bytes(HPQ_CONFIG.replace("55.03", "55.03\xb5").encode("latin-1"))
     assert main(["decompose", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
     assert f"error: config {path} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_config_that_is_not_ini_exits_two(tmp_path, capsys):
+    path = write(tmp_path / "run.ini", "ej1 = 55.03\n" + HPQ_CONFIG)
+    assert main(["decompose", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    assert f"error: malformed config {path}: " in capsys.readouterr().err
 
 
 def test_non_utf8_dataset_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import logging
 import math
 import re
 from pathlib import Path
@@ -118,6 +119,38 @@ class TestLorentzianFit:
         with pytest.raises(ValueError):
             lorentzian_fit(trace, (5.0, 5.1))
 
+    @pytest.mark.parametrize(
+        "failure, reason",
+        [("budget", "The maximum number of function evaluations is exceeded."),
+         ("non-finite", "residuals are not finite at the initial point")],
+    )
+    def test_solver_failure_rejected_as_no_convergence(self, monkeypatch, failure, reason):
+        trace = synthesize_trace([(5.0, 0.7, 0.01)], np.linspace(4.9, 5.1, 801))
+        original = fitstack.least_squares
+
+        def failing(fun, x0, **options):
+            if failure == "budget":
+                return original(fun, x0, **{**options, "max_nfev": 1})
+            return original(lambda p: (fun(p)[0] * math.nan, None), x0, **options)
+
+        monkeypatch.setattr(fitstack, "least_squares", failing)
+        with pytest.raises(FitRejection, match=f"^no convergence: {re.escape(reason)}$"):
+            lorentzian_fit(trace, (4.95, 5.05))
+
+    def test_singular_covariance_of_an_inexact_fit_rejected(self, monkeypatch):
+        trace = synthesize_trace([(5.0, 0.7, 0.01)], np.linspace(4.9, 5.1, 801), noise_sigma=0.05, seed=1)
+        original = fitstack.least_squares
+
+        def offset_column_zeroed(*args, **kwargs):
+            result = original(*args, **kwargs)
+            jac = result.jac.copy()
+            jac[:, 3] = 0.0
+            return dataclasses.replace(result, jac=jac)
+
+        monkeypatch.setattr(fitstack, "least_squares", offset_column_zeroed)
+        with pytest.raises(FitRejection, match=r"^ill-conditioned fit \(singular covariance\)$"):
+            lorentzian_fit(trace, (4.95, 5.05))
+
     def test_monte_carlo_center_accuracy(self):
         # noise at 10% of the amplitude: center within FWHM/5 in >= 95%
         grid = np.linspace(4.7, 5.3, 601)
@@ -168,8 +201,13 @@ def rosenbrock(x: np.ndarray) -> np.ndarray:
     return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
 
-def rosenbrock_jacobian(x: np.ndarray) -> np.ndarray:
+def rosenbrock_jacobian(x: np.ndarray, evaluation=None) -> np.ndarray:
     return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def paired(fun):
+    """``fun`` in the solver's convention: its residuals, paired with no evaluation."""
+    return lambda x: (fun(x), None)
 
 
 class TestLeastSquares:
@@ -181,7 +219,7 @@ class TestLeastSquares:
     def test_matches_trf(self, bounds, want):
         """Oracle: scipy's trf with the column scaling the fit used, at the minimum and at a bound."""
         x0 = np.array([-1.2, 1.0])
-        got = fitstack.least_squares(rosenbrock, x0, jac=rosenbrock_jacobian, bounds=bounds)
+        got = fitstack.least_squares(paired(rosenbrock), x0, jac=rosenbrock_jacobian, bounds=bounds)
         trf = scipy.optimize.least_squares(
             rosenbrock, x0, jac=rosenbrock_jacobian, bounds=bounds, method="trf", x_scale="jac"
         )
@@ -195,8 +233,20 @@ class TestLeastSquares:
         ds = make_dataset(TRUE_PARAMS, (0.8, 0.4, 0.2), 0.0, cfg, noise_rng=np.random.default_rng(4))
         got = fit_global([ds], [3], cfg, initial_transmissions=[(0.7, 0.5, 0.3)])
 
-        def trf(fun, x0, **options):
-            return scipy.optimize.least_squares(fun, x0, method="trf", x_scale="jac", **options)
+        def trf(fun, x0, jac, **options):
+            """scipy's trf in the solver's convention: each evaluation kept under its point."""
+            evaluations = {}
+
+            def residuals(x):
+                r, evaluations[x.tobytes()] = fun(x)
+                return r
+
+            result = scipy.optimize.least_squares(
+                residuals, x0, jac=lambda x: jac(x, evaluations[x.tobytes()]),
+                method="trf", x_scale="jac", **options,
+            )
+            result.evaluation = evaluations[result.x.tobytes()]
+            return result
 
         monkeypatch.setattr(fitstack, "least_squares", trf)
         want = fit_global([ds], [3], cfg, initial_transmissions=[(0.7, 0.5, 0.3)])
@@ -210,40 +260,45 @@ class TestLeastSquares:
 
         def fun(x):
             calls.append(x.copy())
-            return rosenbrock(x)
+            return rosenbrock(x), calls[-1]
 
         result = fitstack.least_squares(fun, np.array([-1.2, 1.0]), jac=rosenbrock_jacobian, max_nfev=budget)
         assert result.nfev == len(calls) <= budget
         assert result.status == 0
         assert result.message == "The maximum number of function evaluations is exceeded."
         assert np.array_equal(rosenbrock(result.x), result.fun)
+        # when the last trial is refused, the result still carries the evaluation made at its x
+        assert np.array_equal(result.evaluation, result.x)
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_default_budget_is_100_evaluations_per_variable(self, size):
         """``max_nfev=None`` is not unlimited: with no tolerance to stop on, the solver spends ``100 * x.size``."""
         # exp(-x) falls at every step and never reaches its infimum 0, so each step is accepted
         result = fitstack.least_squares(
-            lambda x: np.exp(-x), np.zeros(size), jac=lambda x: np.diag(-np.exp(-x)),
+            paired(lambda x: np.exp(-x)), np.zeros(size), jac=lambda x, _: np.diag(-np.exp(-x)),
             max_nfev=None, ftol=0.0, xtol=0.0, gtol=0.0,
         )
         assert (result.nfev, result.njev, result.status) == (100 * size, 100 * size, 0)
 
     def test_jacobian_only_at_the_last_evaluated_point(self):
+        """Each ``jac`` call gets the evaluation ``fun`` made at its point; the result carries the one at ``x``."""
         evaluated, jacobians = [], []
 
         def fun(x):
             evaluated.append(x.copy())
-            return rosenbrock(x)
+            return rosenbrock(x), evaluated[-1]
 
-        def jac(x):
-            assert np.array_equal(x, evaluated[-1])
-            jacobians.append(x.copy())
+        def jac(x, evaluation):
+            assert evaluation is evaluated[-1]
+            assert np.array_equal(evaluation, x)
+            jacobians.append(evaluation)
             return rosenbrock_jacobian(x)
 
         result = fitstack.least_squares(fun, np.array([-1.2, 1.0]), jac=jac)
         assert result.status > 0
         assert result.njev == len(jacobians) < result.nfev == len(evaluated)
-        assert np.array_equal(jacobians[-1], result.x)
+        assert result.evaluation is jacobians[-1]
+        assert np.array_equal(result.evaluation, result.x)
 
     def test_iterates_stay_in_the_box(self):
         lower, upper = np.array([-1.5, 0.0]), np.array([0.5, 0.2])
@@ -251,7 +306,7 @@ class TestLeastSquares:
 
         def fun(x):
             seen.append(x.copy())
-            return rosenbrock(x)
+            return rosenbrock(x), None
 
         x0 = np.array([-1.2, 0.1])
         result = fitstack.least_squares(fun, x0, jac=rosenbrock_jacobian, bounds=(lower, upper))
@@ -266,17 +321,17 @@ class TestLeastSquares:
         def fun(x):
             return np.array([x[0] - 3.0 if x[0] <= 2.0 else math.nan, 0.1 * x[0]])
 
-        result = fitstack.least_squares(fun, np.array([0.0]), jac=lambda x: np.array([[1.0], [0.1]]))
+        result = fitstack.least_squares(paired(fun), np.array([0.0]), jac=lambda x, _: np.array([[1.0], [0.1]]))
         assert result.status > 0
         assert result.x[0] <= 2.0
         assert np.all(np.isfinite(result.fun))
 
     def test_non_finite_start_raises(self):
         with pytest.raises(ValueError, match="not finite at the initial point"):
-            fitstack.least_squares(lambda x: x * math.nan, np.array([1.0]), jac=lambda x: np.eye(1))
+            fitstack.least_squares(paired(lambda x: x * math.nan), np.array([1.0]), jac=lambda x, _: np.eye(1))
 
     def test_zero_residual_stops_on_the_gradient(self):
-        result = fitstack.least_squares(lambda x: x - 2.0, np.array([2.0]), jac=lambda x: np.eye(1))
+        result = fitstack.least_squares(paired(lambda x: x - 2.0), np.array([2.0]), jac=lambda x, _: np.eye(1))
         assert (result.status, result.nfev, result.njev, result.cost) == (1, 1, 1, 0.0)
 
 
@@ -320,6 +375,17 @@ class TestExtraction:
         crossing = [p for p in points if abs(rising[int(p.flux)] - falling[int(p.flux)]) < 0.4]
         assert not crossing
 
+    def test_rejected_fit_is_logged_and_dropped(self, caplog):
+        grid = np.linspace(3.0, 7.0, 1001)
+        # the second trace is flat: its window fits an amplitude of exactly zero
+        traces = [synthesize_trace([(5.0, 1.0, 0.05)], grid, phi_e=0.0), synthesize_trace([], grid, phi_e=1.0)]
+        hints = {"f01": TransitionHint(centers=np.array([5.0, 5.0]), halfwidth=0.2)}
+        with caplog.at_level(logging.DEBUG, logger="hpqkit.fitstack"):
+            points = extract_transitions(traces, hints)
+        assert [(p.flux, p.label) for p in points] == [(0.0, "f01")]
+        assert points[0].freq == pytest.approx(5.0, abs=1e-6)
+        assert "reject f01 at flux index 1: amplitude consistent with zero" in caplog.messages
+
     def test_nan_hint_skipped(self):
         grid = np.linspace(3.0, 7.0, 1001)
         traces = [synthesize_trace([(5.0, 1.0, 0.05)], grid, phi_e=0.0)]
@@ -350,6 +416,16 @@ class TestExtraction:
 # residuals and parameter packing
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [({"freq": math.nan}, "freq must be finite, got nan"), ({"flux": math.inf}, "flux must be finite, got inf"),
+     ({"sigma": 0.0}, "sigma must be > 0, got 0.0"), ({"sigma": -1e-3}, "sigma must be > 0, got -0.001")],
+)
+def test_transition_point_rejects_a_bad_field(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransitionPoint(**{"flux": 0.0, "label": "f01", "freq": 5.0, "sigma": 1e-3, **fields})
+
+
 class TestFitConfig:
     @pytest.mark.parametrize(
         "field, value",
@@ -361,6 +437,16 @@ class TestFitConfig:
         # below rmse_factor 1 select_channel_count finds no count within the factor of the best
         with pytest.raises(ValueError, match=f"^{field} must be"):
             FitConfig(**{"ec": 0.28, "k_max": 6, "n_cut": 11, field: value})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"globals_mode": "both"}, "globals_mode must be 'free' or 'fixed', got 'both'"),
+         ({"globals_mode": "fixed"}, "globals_mode='fixed' requires fixed_params"),
+         ({"n_cut": 7}, "n_cut=7 too small for k_max=6")],
+    )
+    def test_inconsistent_setting_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FitConfig(**{"ec": 0.28, "k_max": 6, "n_cut": 11, **fields})
 
     def test_fixed_params_must_carry_the_fit_ec(self):
         with pytest.raises(ValueError, match=r"^fixed_params\.ec=0\.28 differs from ec=0\.35"):
@@ -386,6 +472,18 @@ class TestThetaLayout:
         assert len(x) == 2
         params, channels = layout.unpack(x, SMALL_CFG_FIXED)
         assert params is TRUE_PARAMS
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [(lambda layout: layout.pack(TRUE_PARAMS, [(0.5, 0.5)]), "one transmission list per dataset required"),
+         (lambda layout: layout.pack(None, [(0.5, 0.5), (0.5,)]), "free globals need initial CircuitParams"),
+         (lambda layout: layout.pack(TRUE_PARAMS, [(0.5, 0.5), (0.5, 0.5)]), "expected 1 transmissions, got 2"),
+         (lambda layout: layout.unpack(np.zeros(5), SMALL_CFG_FREE), "theta has length 5, layout needs 6")],
+        ids=["datasets", "globals", "transmissions", "theta"],
+    )
+    def test_length_mismatch_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(ThetaLayout(globals_free=True, channel_counts=(2, 1)))
 
 
 class TestModelResiduals:
@@ -430,6 +528,25 @@ class TestModelResiduals:
         mask = np.abs(central) > 1e-6 * scale
         rel = np.abs(forward[mask] - central[mask]) / np.abs(central[mask])
         assert np.max(rel) < 1e-4
+
+    def test_failed_solve_names_its_dataset(self, monkeypatch):
+        cfg = SMALL_CFG_FIXED
+        ds = [make_dataset(TRUE_PARAMS, (0.8, 0.4), -1.0, cfg), make_dataset(TRUE_PARAMS, (0.6, 0.5), 1.0, cfg)]
+        layout = ThetaLayout(globals_free=False, channel_counts=(2, 2))
+        original = fitstack._solve_flux_layout
+        solves = []
+
+        def second_fails(*args):
+            solves.append(1)
+            if len(solves) == 2:
+                raise SolverError("forced failure")
+            return original(*args)
+
+        monkeypatch.setattr(fitstack, "_solve_flux_layout", second_fails)
+        with pytest.raises(SolverError, match=r"^dataset gate=1\.0: forced failure$") as failure:
+            model_residuals(layout.pack(None, [(0.8, 0.4), (0.6, 0.5)]), ds, cfg, layout)
+        assert isinstance(failure.value.__cause__, SolverError)
+        assert str(failure.value.__cause__) == "forced failure"
 
     def test_unused_points_never_enter(self):
         cfg = SMALL_CFG_FIXED
@@ -543,22 +660,30 @@ class TestAnalyticJacobian:
         # one solve per residual evaluation; the Jacobians and the final RMSE reuse them
         assert len(solves) == result.n_evaluations
 
-    def test_final_rmse_solves_again_when_the_last_jacobian_was_elsewhere(self, monkeypatch):
-        cfg = SMALL_CFG_FIXED
-        ds = [make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, cfg, flux_values=FLUX_GRID[::2])]
-        start = [(0.6, 0.5)]
-        plain = fit_global(ds, [2], cfg, initial_transmissions=start)
-        original = fitstack.least_squares
-
-        def then_jacobian_at_the_start(fun, x0, **options):
-            result = original(fun, x0, **options)
-            options["jac"](x0)
-            return result
-
-        monkeypatch.setattr(fitstack, "least_squares", then_jacobian_at_the_start)
-        moved = fit_global(ds, [2], cfg, initial_transmissions=start)
-        assert moved.rmse == plain.rmse
-        assert moved.rmse_per_dataset == plain.rmse_per_dataset
+    @pytest.mark.parametrize(
+        "cfg, start",
+        [(SMALL_CFG_FIXED, {}),
+         (SMALL_CFG_FREE, {"initial_params": START, "initial_transmissions": [(0.6, 0.5), (0.7, 0.3)]})],
+        ids=["fixed-default-starts", "free"],
+    )
+    def test_rmse_is_the_model_at_the_returned_parameters(self, cfg, start):
+        """Oracle: each dataset's model frequencies solved anew at the fit's parameters, bit for bit."""
+        ds = [
+            make_dataset(TRUE_PARAMS, (0.8, 0.4), -1.0, cfg, noise_rng=np.random.default_rng(6),
+                         flux_values=FLUX_GRID[::2]),
+            make_dataset(TRUE_PARAMS, (0.6, 0.5), 1.0, cfg, noise_rng=np.random.default_rng(7),
+                         flux_values=FLUX_GRID[1::2]),
+        ]
+        fit = fit_global(ds, [2, 2], dataclasses.replace(cfg, max_nfev=15), **start)
+        # with the default starts the best is not the last one, whose grids must not be read
+        assert start or fit.cost < fit.start_costs[-1]
+        models = [
+            dataset_model_frequencies(fit.params, channels, d.used_points, cfg)
+            for d, channels in zip(ds, fit.channels)
+        ]
+        data = [np.array([p.freq for p in d.used_points]) for d in ds]
+        assert fit.rmse_per_dataset == tuple(rmse(m, f) for m, f in zip(models, data))
+        assert fit.rmse == rmse(np.concatenate(models), np.concatenate(data))
 
 
 def test_only_solve_points_reaches_the_eigenpairs():
@@ -580,6 +705,12 @@ class TestRmse:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rmse([], [])
+
+    @pytest.mark.parametrize("model, data", [([5.0, 6.0], [5.0]), ([[5.0]], [[5.0]]), (5.0, 5.0)],
+                             ids=["lengths", "two-d", "scalar"])
+    def test_bad_shapes_rejected(self, model, data):
+        with pytest.raises(ValueError, match="^model and data must be 1-d arrays of equal length$"):
+            rmse(model, data)
 
     def test_coherence_with_weighted_residuals(self):
         cfg = SMALL_CFG_FIXED
@@ -683,6 +814,25 @@ class TestFitGlobal:
         with pytest.raises(ValueError, match="no fittable points"):
             fit_global([unused], [2], cfg)
 
+    @pytest.mark.parametrize(
+        "datasets, counts, cfg, message",
+        [(0, [], SMALL_CFG_FIXED, "need at least one dataset"),
+         (1, [2, 2], SMALL_CFG_FIXED, "one channel count per dataset required"),
+         (1, [2], SMALL_CFG_FREE, "free globals require initial_params"),
+         (2, [2, -1], SMALL_CFG_FIXED, "channel count -1 is below 0")],
+        ids=["no-datasets", "count-list-length", "free-without-start", "negative-count"],
+    )
+    def test_bad_arguments_rejected(self, datasets, counts, cfg, message):
+        ds = make_dataset(TRUE_PARAMS, (0.7, 0.3), 0.0, cfg, flux_values=FLUX_GRID[::3])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_global([ds] * datasets, counts, cfg)
+
+    def test_zero_channels_fit_an_open_nanowire(self):
+        ds = make_dataset(TRUE_PARAMS, (0.0,), 0.0, SMALL_CFG_FIXED, flux_values=FLUX_GRID[::3])
+        result = fit_global([ds], [0], SMALL_CFG_FIXED)
+        assert result.channels == (NanowireChannels(()),)
+        assert result.converged and result.rmse < 1e-9
+
     def test_estimator_consistency_under_noise(self):
         cfg = FitConfig(
             ec=0.28, k_max=6, n_cut=11, globals_mode="fixed", fixed_params=TRUE_PARAMS
@@ -738,6 +888,24 @@ class TestChannelCountSelection:
         ds = make_dataset(TRUE_PARAMS, (0.8, 0.4), 0.0, SMALL_CFG_FREE)
         with pytest.raises(ValueError, match="globals_mode='fixed'"):
             select_channel_count(ds, (1, 2), SMALL_CFG_FREE)
+
+    @pytest.mark.parametrize("counts", [(-2, 1), ()], ids=["negative", "empty"])
+    def test_bad_count_list_rejected_before_any_fit(self, monkeypatch, counts):
+        monkeypatch.setattr(fitstack, "fit_global", None)
+        message = f"channel counts must be one or more counts >= 0, got {list(counts)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            select_channel_count(selection_dataset("two-channel truth"), counts, SELECT_CFG)
+
+    def test_every_count_failing_raises_naming_each(self, monkeypatch):
+        def failing(datasets, counts, cfg, **kwargs):
+            raise SolverError(f"forced failure of {counts[0]}")
+
+        monkeypatch.setattr(fitstack, "fit_global", failing)
+        with pytest.raises(RuntimeError) as failure:
+            select_channel_count(selection_dataset("two-channel truth"), (3, 2), SELECT_CFG)
+        assert str(failure.value) == (
+            "all channel-count fits failed (2 channels: forced failure of 2; 3 channels: forced failure of 3)"
+        )
 
     def test_three_channel_truth_chooses_three(self):
         selection = select_channel_count(selection_dataset("three-channel truth"), (2, 3, 4), SELECT_CFG)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -406,6 +407,19 @@ class TestCombineHarmonics:
 
 
 class TestHarmonicSpectrum:
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: HarmonicSpectrum(u=np.zeros(2), v=np.zeros(3), c=np.zeros(3), s=np.zeros(3)),
+          "u must have the length of c, 3, got (2,)"),
+         (lambda: HarmonicSpectrum(u=np.zeros(3), v=np.zeros(3), c=np.zeros(3), s=np.zeros((3, 1))),
+          "s must have the length of c, 3, got (3, 1)"),
+         (lambda: HarmonicSpectrum.from_cosine([0.0, 1.0], s=[0.0]), "c and s must have the same length")],
+        ids=["u", "s", "from-cosine"],
+    )
+    def test_length_mismatch_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_sine_constant_always_zero(self, hpq_params, mixed_channels):
         u = fourier_u(hpq_params, 6)
         v = fourier_v(mixed_channels, hpq_params.gap, 6)

@@ -4,14 +4,12 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lapack
 
 import hpqkit.spectrum as spectrum
 from hpqkit.cli import main
@@ -48,38 +46,6 @@ def transmon_oracle(ej: float, ec: float, ng: float, n_cut: int, n_levels: int) 
     return scipy.linalg.eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_levels - 1), eigvals_only=True
     )
-
-
-@pytest.fixture
-def drivers(monkeypatch):
-    """Record the LAPACK eigensolver of every solve and the levels it asks for (``iu``); call
-    number ``fail_at`` reports ``info = 1``."""
-    record = SimpleNamespace(calls=[], levels=[], fail_at=None)
-
-    def wrap(name: str) -> None:
-        driver = getattr(lapack, name)
-
-        def call(*args, **kwargs):
-            record.calls.append(name)
-            record.levels.append(kwargs["iu"])
-            out = driver(*args, **kwargs)
-            return (*out[:-1], 1) if len(record.calls) == record.fail_at else out
-
-        monkeypatch.setattr(lapack, name, call)
-
-    wrap("dsyevr")
-    wrap("zheevr")
-    return record
-
-
-@pytest.fixture
-def fail_solve(drivers):
-    """``fail_solve(n)`` makes the LAPACK call of the n-th solve from then on fail."""
-
-    def arm(n: int) -> None:
-        drivers.fail_at = len(drivers.calls) + n
-
-    return arm
 
 
 def reflection_basis(n_cut: int) -> np.ndarray:
@@ -316,6 +282,11 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             eigensolve(h, 4)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=f"^expected a square matrix, got {re.escape(str(shape))}$"):
+            eigensolve(np.zeros(shape), 1)
+
 
 class TestSolverForms:
     """The real form at n_g = 0 against the complex solve, and the driver each matrix takes."""
@@ -527,6 +498,20 @@ class TestChargeStructure:
     def test_unnormalized_vector_rejected(self):
         with pytest.raises(ValueError):
             parity_weights(np.array([1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("vec", [np.full(4, 0.5), np.eye(3)], ids=["even-dimension", "two-d"])
+    def test_parity_weights_reject_a_non_odd_vector(self, vec):
+        with pytest.raises(ValueError, match="^expected an odd-dimension 1-d eigenvector$"):
+            parity_weights(vec)
+
+    @pytest.mark.parametrize(
+        "bra, ket",
+        [(np.ones(3), np.ones(5)), (np.ones(4), np.ones(4)), (np.ones((3, 3)), np.ones((3, 3)))],
+        ids=["lengths", "even-dimension", "two-d"],
+    )
+    def test_matrix_element_rejects_bad_shapes(self, bra, ket):
+        with pytest.raises(ValueError, match="^eigenvectors must be equal-length odd-dimension 1-d arrays$"):
+            charge_matrix_element(bra, ket)
 
     def test_gauge_shift_of_offset_charge(self):
         spec = HarmonicSpectrum.from_cosine([0.0, -7.0, 1.5, -0.3])

@@ -111,7 +111,7 @@ def test_a_solver_result_carries_what_the_tracer_reads():
     """The benchmark's tracer counts ``nfev``, ``njev`` and ``status == 0`` of every
     ``fitstack.least_squares`` result; the solver's result must carry all three."""
     spans = load_spans()
-    result = fitstack.least_squares(lambda x: x - 1.0, np.zeros(2), jac=lambda x: np.eye(2), max_nfev=1)
+    result = fitstack.least_squares(lambda x: (x - 1.0, None), np.zeros(2), jac=lambda x, _: np.eye(2), max_nfev=1)
     tracer = spans.Tracer()
     spans.ON_RESULT["fitstack.least_squares"](tracer, (), {}, result)
     assert dict(tracer.counters) == {

@@ -29,6 +29,11 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(phi_e=0.0, freqs=np.array([1.0, 2.0]), signal=np.array([0.0, np.inf]))
 
+    @pytest.mark.parametrize("signal", [np.zeros(3), np.zeros((2, 1))], ids=["longer", "two-d"])
+    def test_rejects_signal_of_another_shape(self, signal):
+        with pytest.raises(ValueError, match="^signal must match the frequency grid$"):
+            Trace(phi_e=0.0, freqs=np.array([1.0, 2.0]), signal=signal)
+
 
 class TestSynthesizeTrace:
     def test_single_line_peak_amplitude(self):
