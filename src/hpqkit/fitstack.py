@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -423,7 +423,6 @@ class _Plan:
     """
 
     gate: float
-    points: tuple[TransitionPoint, ...]
     flux_layout: _FluxLayout
     rows: np.ndarray
     levels: np.ndarray
@@ -445,7 +444,7 @@ def _plan(gate: float, points: Sequence[TransitionPoint], cfg: FitConfig) -> _Pl
     phase = np.exp(1j * np.outer(flux, np.arange(1, cfg.k_max + 1)))[:, np.newaxis, :]
     data, sigmas = np.array([(p.freq, max(p.sigma, cfg.sigma_floor)) for p in points]).T
     flux_layout = _flux_layout(flux, cfg.ec, basis, cfg.k_max)
-    return _Plan(gate, tuple(points), flux_layout, point_rows, levels, data, sigmas, phase)
+    return _Plan(gate, flux_layout, point_rows, levels, data, sigmas, phase)
 
 
 @dataclass(frozen=True)
@@ -502,8 +501,8 @@ def model_residuals(
     evaluation with the offending dataset identified. When ``grids`` is
     a list, each dataset's solved flux grid (energies and eigenvectors)
     is appended to it, so the Jacobian at the same ``theta`` needs no
-    new solve. :func:`fit_global` passes the plans it made of its
-    datasets in their place.
+    new solve. A model fit passes the plans it made of its datasets in
+    their place.
     """
     params, channel_sets = layout.unpack(theta, cfg)
     chunks: list[np.ndarray] = []
@@ -752,7 +751,56 @@ def least_squares(
 
 def _default_starts(counts: tuple[int, ...]) -> list[list[list[float]]]:
     starts = [[[level] * n for n in counts] for level in START_LEVELS]
-    return starts + [[[max(0.9 - 0.2 * i, 0.1) for i in range(n)] for n in counts]]
+    starts += [[[max(0.9 - 0.2 * i, 0.1) for i in range(n)] for n in counts]]
+    # with no transmission to fit, every start is the same point
+    return starts if any(counts) else starts[:1]
+
+
+def _fit_start(
+    plans: Sequence[_Plan], layout: ThetaLayout, cfg: FitConfig, initial_params: CircuitParams | None,
+    transmissions: Sequence[Sequence[float]],
+) -> LeastSquaresResult:
+    """One start of a model fit, from ``transmissions`` (and ``initial_params`` when the globals are free)."""
+    n_logits = layout.n_params - layout.n_globals
+    lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(n_logits, -LOGIT_BOUND)])
+    upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(n_logits, LOGIT_BOUND)])
+
+    def objective(x: np.ndarray) -> tuple[np.ndarray, list[_GridSolution]]:
+        grids: list[_GridSolution] = []
+        return model_residuals(x, plans, cfg, layout, grids=grids), grids
+
+    return least_squares(objective, layout.pack(initial_params, transmissions),
+                         jac=lambda x, grids: _model_jacobian(x, cfg, layout, grids),
+                         bounds=(lower, upper), max_nfev=cfg.max_nfev)
+
+
+def _fit_result(
+    plans: Sequence[_Plan], layout: ThetaLayout, cfg: FitConfig, starts: Sequence[LeastSquaresResult]
+) -> FitResult:
+    """The result of a model fit from its ``starts`` on ``plans``, listed in run order.
+
+    The first lowest-cost start gives the parameters, and the grids of its evaluation the RMSEs; the evaluation
+    counts and start costs cover every start.
+    """
+    best = min(starts, key=lambda start: start.cost)
+    params, channel_sets = layout.unpack(best.x, cfg)
+    models = [grid.model() for grid in best.evaluation]
+    data = [plan.data for plan in plans]
+    converged = best.status > 0
+    return FitResult(
+        params=params,
+        channels=channel_sets,
+        rmse=rmse(np.concatenate(models), np.concatenate(data)),
+        rmse_per_dataset=tuple(rmse(model, freqs) for model, freqs in zip(models, data)),
+        residuals=np.asarray(best.fun),
+        cost=best.cost,
+        converged=converged,
+        message=best.message if converged else f"iteration budget exhausted: {best.message}",
+        n_evaluations=sum(start.nfev for start in starts),
+        boundary_active=tuple(tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets),
+        start_costs=tuple(start.cost for start in starts),
+        n_jacobian_evaluations=sum(start.njev for start in starts),
+    )
 
 
 def fit_global(
@@ -765,13 +813,15 @@ def fit_global(
 ) -> FitResult:
     """Joint least-squares fit of shared device constants and per-gate channels.
 
-    Runs :func:`least_squares` in transformed coordinates, with the
-    analytic Jacobian and ``cfg.max_nfev`` evaluations per start; when
-    no transmission start is supplied, a fixed documented grid of starts
-    (flat levels plus a staircase) is tried and the lowest-cost solution
-    wins, ties resolved by start order. The RMSEs read the grids the best
-    start's evaluation solved at its ``x``; the result is flagged
-    non-converged (but still returned) when the iteration budget runs out.
+    Plans each dataset once, then runs :func:`least_squares` on the plans
+    in transformed coordinates, with the analytic Jacobian and
+    ``cfg.max_nfev`` evaluations per start; when no transmission start is
+    supplied, a fixed documented grid of starts (flat levels plus a
+    staircase; one start if no channel is fitted) is tried and the
+    lowest-cost solution wins, ties resolved by start order. The RMSEs
+    read the grids the best start's evaluation solved at its ``x``; the
+    result is flagged non-converged (but still returned) when the
+    iteration budget runs out.
     """
     if len(datasets) == 0:
         raise ValueError("need at least one dataset")
@@ -781,64 +831,15 @@ def fit_global(
     if min(counts) < 0:
         raise ValueError(f"channel count {min(counts)} is below 0")
     plans = [_plan(dataset.gate, dataset.used_points, cfg) for dataset in datasets]
-
     layout = ThetaLayout(globals_free=cfg.globals_mode == "free", channel_counts=counts)
     if layout.globals_free and initial_params is None:
         raise ValueError("free globals require initial_params")
-    base_params = initial_params if layout.globals_free else cfg.fixed_params
-
     if initial_transmissions is not None:
         start_sets = [[list(ts) for ts in initial_transmissions]]
     else:
         start_sets = _default_starts(counts)
-
-    lower = np.concatenate([np.full(layout.n_globals, -20.0), np.full(sum(counts), -LOGIT_BOUND)])
-    upper = np.concatenate([np.full(layout.n_globals, 15.0), np.full(sum(counts), LOGIT_BOUND)])
-
-    def objective(x: np.ndarray) -> tuple[np.ndarray, list[_GridSolution]]:
-        grids: list[_GridSolution] = []
-        return model_residuals(x, plans, cfg, layout, grids=grids), grids
-
-    best = None
-    start_costs: list[float] = []
-    total_evals = 0
-    total_jacobians = 0
-    for transmissions in start_sets:
-        x0 = layout.pack(base_params, transmissions)
-        result = least_squares(objective, x0, jac=lambda x, grids: _model_jacobian(x, cfg, layout, grids),
-                               bounds=(lower, upper), max_nfev=cfg.max_nfev)
-        total_evals += result.nfev
-        total_jacobians += result.njev
-        start_costs.append(float(result.cost))
-        if best is None or result.cost < best.cost:
-            best = result
-    assert best is not None
-
-    params, channel_sets = layout.unpack(best.x, cfg)
-    models = [grid.model() for grid in best.evaluation]
-    data = [plan.data for plan in plans]
-    all_data = np.concatenate(data)
-
-    boundary = tuple(
-        tuple(t < 1e-3 or t > 1.0 - 1e-3 for t in ch.transmissions) for ch in channel_sets
-    )
-    converged = best.status > 0
-    message = best.message if converged else f"iteration budget exhausted: {best.message}"
-
-    return FitResult(
-        params=params,
-        channels=channel_sets,
-        rmse=rmse(np.concatenate(models), all_data),
-        rmse_per_dataset=tuple(rmse(model, freqs) for model, freqs in zip(models, data)),
-        residuals=np.asarray(best.fun),
-        cost=float(best.cost),
-        converged=converged,
-        message=message,
-        n_evaluations=total_evals,
-        boundary_active=boundary,
-        start_costs=tuple(start_costs),
-        n_jacobian_evaluations=total_jacobians,
-    )
+    starts = [_fit_start(plans, layout, cfg, initial_params, transmissions) for transmissions in start_sets]
+    return _fit_result(plans, layout, cfg, starts)
 
 
 @dataclass(frozen=True)
@@ -858,16 +859,17 @@ def select_channel_count(
     """Fit one gate with each candidate channel count and keep the leanest.
 
     The globals stay at ``cfg.fixed_params``, so ``cfg.globals_mode`` must
-    be ``"fixed"``. Counts are fitted in ascending order. The smallest
-    count runs the default starts of :func:`fit_global`. Each larger
-    count first runs one warm start: the previous fitted count's
-    transmissions plus one channel at :data:`WARM_T` for each channel it
-    adds, a point that nests the smaller model. The default starts run
-    as well only if that warm fit would change the selection, i.e. if
-    its RMSE times ``cfg.rmse_factor`` is below every RMSE fitted so
-    far; the lower-cost fit of the two is kept, and it counts the
-    evaluations of both. A warm fit that fails falls back to the default
-    starts. The chosen count is the smallest whose RMSE is within
+    be ``"fixed"``. The gate is planned once, so a dataset with no used
+    points raises ``ValueError``. Counts are fitted in ascending order,
+    each from one list of starts that :func:`fit_global`'s rule judges.
+    The smallest count runs the default starts. Each larger count first
+    runs one warm start: the previous fitted count's transmissions plus
+    one channel at :data:`WARM_T` for each channel it adds, a point that
+    nests the smaller model. The default starts follow it only if the
+    warm fit would change the selection, i.e. if its RMSE times
+    ``cfg.rmse_factor`` is below every RMSE fitted so far; a tie of costs
+    goes to the warm start. A warm start that fails leaves the default
+    starts alone. The chosen count is the smallest whose RMSE is within
     ``cfg.rmse_factor`` of the best count's RMSE (a parsimony rule:
     additional channels must buy real fit quality).
     """
@@ -875,11 +877,12 @@ def select_channel_count(
         raise ValueError("channel-count selection requires globals_mode='fixed'")
     if not counts or min(counts) < 0:
         raise ValueError(f"channel counts must be one or more counts >= 0, got {list(counts)}")
+    plan = _plan(dataset.gate, dataset.used_points, cfg)
     fits: dict[int, FitResult] = {}
     errors: dict[int, str] = {}
     for count in sorted(set(counts)):
         try:
-            fits[count] = _fit_count(dataset, count, cfg, fits)
+            fits[count] = _fit_count(plan, count, cfg, fits)
         except (SolverError, ValueError) as exc:
             errors[count] = str(exc)
     if not fits:
@@ -891,27 +894,22 @@ def select_channel_count(
     return ChannelSelection(chosen=chosen, rmse_by_count=rmse_by_count, fits_by_count=fits)
 
 
-def _fit_count(
-    dataset: SpectroscopyDataset, count: int, cfg: FitConfig, fits: Mapping[int, FitResult]
-) -> FitResult:
-    """One count of :func:`select_channel_count`; ``fits`` holds the smaller counts fitted so far."""
-    if not fits:
-        return fit_global([dataset], [count], cfg)
-    below = list(fits.values())[-1].channels[0].transmissions
-    start = [*below, *[WARM_T] * (count - len(below))]
-    try:
-        warm = fit_global([dataset], [count], cfg, initial_transmissions=[start])
-    except (SolverError, ValueError):
-        return fit_global([dataset], [count], cfg)
-    if not warm.rmse * cfg.rmse_factor < min(fit.rmse for fit in fits.values()):
-        return warm
-    cold = fit_global([dataset], [count], cfg)
-    return replace(
-        cold if cold.cost < warm.cost else warm,
-        n_evaluations=warm.n_evaluations + cold.n_evaluations,
-        n_jacobian_evaluations=warm.n_jacobian_evaluations + cold.n_jacobian_evaluations,
-        start_costs=warm.start_costs + cold.start_costs,
-    )
+def _fit_count(plan: _Plan, count: int, cfg: FitConfig, fits: Mapping[int, FitResult]) -> FitResult:
+    """One count of :func:`select_channel_count` on its gate's plan; ``fits`` holds the smaller counts fitted so far."""
+    layout = ThetaLayout(globals_free=False, channel_counts=(count,))
+    starts: list[LeastSquaresResult] = []
+    if fits:
+        below = list(fits.values())[-1].channels[0].transmissions
+        try:
+            starts.append(_fit_start([plan], layout, cfg, None, [[*below, *[WARM_T] * (count - len(below))]]))
+        except (SolverError, ValueError):
+            pass
+        else:
+            warm = _fit_result([plan], layout, cfg, starts)
+            if not warm.rmse * cfg.rmse_factor < min(fit.rmse for fit in fits.values()):
+                return warm
+    starts += [_fit_start([plan], layout, cfg, None, transmissions) for transmissions in _default_starts((count,))]
+    return _fit_result([plan], layout, cfg, starts)
 
 
 def _merge_single_gate_fits(

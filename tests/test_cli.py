@@ -570,10 +570,10 @@ class TestFit:
         assert not (tmp_path / "fit_result.ini").exists()
 
     def test_selection_whose_every_count_fails_exits_one(self, tmp_path, capsys, monkeypatch):
-        def failing(datasets, counts, cfg, **kwargs):
+        def failing(plans, layout, cfg, initial_params, transmissions):
             raise hpqkit.SolverError("forced failure")
 
-        monkeypatch.setattr(hpqkit.fitstack, "fit_global", failing)
+        monkeypatch.setattr(hpqkit.fitstack, "_fit_start", failing)
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
         data = write(tmp_path / "data.csv", ONE_POINT_DATASET)
         assert main(["fit", data, "--config", cfg, "--out-dir", str(tmp_path), "--channels", "2..3"]) == 1
@@ -645,14 +645,14 @@ class TestFit:
         csv_path, _ = fit_dataset_csv
         later = write(tmp_path / "later.csv",
                       re.sub(r"^-0\.5,", "3,", Path(csv_path).read_text(), flags=re.M))
-        fit_global = hpqkit.fitstack.fit_global
+        fit_start = hpqkit.fitstack._fit_start
 
-        def failing_three_at_the_first_gate(datasets, counts, *args, **kwargs):
-            if list(counts) == [3] and datasets[0].gate == -0.5:
+        def failing_three_at_the_first_gate(plans, layout, *args):
+            if layout.channel_counts == (3,) and plans[0].gate == -0.5:
                 raise ValueError("count 3 fails at this gate")
-            return fit_global(datasets, counts, *args, **kwargs)
+            return fit_start(plans, layout, *args)
 
-        monkeypatch.setattr(hpqkit.fitstack, "fit_global", failing_three_at_the_first_gate)
+        monkeypatch.setattr(hpqkit.fitstack, "_fit_start", failing_three_at_the_first_gate)
         cfg = write(tmp_path / "run.ini", FIT_CONFIG + "max_nfev = 2\n")
         argv = ["fit", csv_path, later, "--config", cfg, "--out-dir", str(tmp_path), "--channels", "2..3"]
         assert main(argv) == 0

@@ -1,3 +1,4 @@
+import ast
 import collections
 import dataclasses
 import logging
@@ -696,6 +697,21 @@ def test_only_solve_points_reaches_the_eigenpairs():
     assert source.count("_power_amplitudes(") == 1
 
 
+def test_one_spelling_of_a_model_fit():
+    """A model fit calls the solver in ``_fit_start`` and builds its result in ``_fit_result``; selection runs no ``fit_global``."""
+    callers = collections.defaultdict(list)
+    for function in ast.parse(Path(fitstack.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers[node.func.id].append(function.name)
+    assert callers["FitResult"] == ["_fit_result", "_merge_single_gate_fits"]
+    # the line fit is the solver's one other caller
+    assert callers["least_squares"] == ["lorentzian_fit", "_fit_start"]
+    assert not {"select_channel_count", "_fit_count"} & set(callers["fit_global"])
+    assert callers["replace"] == []
+
+
 class TestRmse:
     def test_exact_values(self):
         assert rmse([5.0, 6.0], [5.0, 6.0]) == 0.0
@@ -832,6 +848,8 @@ class TestFitGlobal:
         result = fit_global([ds], [0], SMALL_CFG_FIXED)
         assert result.channels == (NanowireChannels(()),)
         assert result.converged and result.rmse < 1e-9
+        # with no transmission to fit, every default start is the same point, so one runs
+        assert result.n_evaluations == 1 and len(result.start_costs) == 1
 
     def test_estimator_consistency_under_noise(self):
         cfg = FitConfig(
@@ -891,16 +909,22 @@ class TestChannelCountSelection:
 
     @pytest.mark.parametrize("counts", [(-2, 1), ()], ids=["negative", "empty"])
     def test_bad_count_list_rejected_before_any_fit(self, monkeypatch, counts):
-        monkeypatch.setattr(fitstack, "fit_global", None)
+        ds = selection_dataset("two-channel truth")
+        monkeypatch.setattr(fitstack, "_plan", None)
         message = f"channel counts must be one or more counts >= 0, got {list(counts)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            select_channel_count(selection_dataset("two-channel truth"), counts, SELECT_CFG)
+            select_channel_count(ds, counts, SELECT_CFG)
+
+    def test_dataset_without_used_points_is_rejected_once(self):
+        point = TransitionPoint(flux=0.0, label="f01", freq=5.0, sigma=0.1, used=False)
+        with pytest.raises(ValueError, match=r"^dataset gate=0\.0 has no fittable points$"):
+            select_channel_count(SpectroscopyDataset(gate=0.0, points=(point,)), (1, 2), SELECT_CFG)
 
     def test_every_count_failing_raises_naming_each(self, monkeypatch):
-        def failing(datasets, counts, cfg, **kwargs):
-            raise SolverError(f"forced failure of {counts[0]}")
+        def failing(plans, layout, cfg, initial_params, transmissions):
+            raise SolverError(f"forced failure of {layout.channel_counts[0]}")
 
-        monkeypatch.setattr(fitstack, "fit_global", failing)
+        monkeypatch.setattr(fitstack, "_fit_start", failing)
         with pytest.raises(RuntimeError) as failure:
             select_channel_count(selection_dataset("two-channel truth"), (3, 2), SELECT_CFG)
         assert str(failure.value) == (
@@ -971,32 +995,33 @@ class TestChannelCountSelection:
     @pytest.mark.parametrize("error", [SolverError, ValueError])
     def test_failed_warm_start_falls_back_to_the_default_starts(self, monkeypatch, error):
         ds = selection_dataset("two-channel truth")
-        original = fitstack.fit_global
+        original = fitstack._fit_start
 
-        def warm_starts_fail(datasets, counts, cfg, **kwargs):
-            if kwargs.get("initial_transmissions") is not None:
+        def warm_starts_fail(plans, layout, cfg, initial_params, transmissions):
+            if transmissions not in fitstack._default_starts(layout.channel_counts):
                 raise error("forced warm-start failure")
-            return original(datasets, counts, cfg, **kwargs)
+            return original(plans, layout, cfg, initial_params, transmissions)
 
-        monkeypatch.setattr(fitstack, "fit_global", warm_starts_fail)
+        monkeypatch.setattr(fitstack, "_fit_start", warm_starts_fail)
         selection = select_channel_count(ds, (3, 2), SELECT_CFG)
+        monkeypatch.undo()
         assert list(selection.fits_by_count) == list(selection.rmse_by_count) == [2, 3]
         for n, fit in selection.fits_by_count.items():
-            assert_same_fit(fit, original([ds], [n], SELECT_CFG))
+            assert_same_fit(fit, fit_global([ds], [n], SELECT_CFG))
 
     def test_count_whose_every_start_fails_is_skipped(self, monkeypatch):
         ds = selection_dataset("three-channel truth")
-        original = fitstack.fit_global
+        original = fitstack._fit_start
         warm_starts = []
 
-        def count_three_fails(datasets, counts, cfg, **kwargs):
-            if list(counts) == [3]:
+        def count_three_fails(plans, layout, cfg, initial_params, transmissions):
+            if layout.channel_counts == (3,):
                 raise SolverError("forced failure")
-            if kwargs.get("initial_transmissions") is not None:
-                warm_starts.append(kwargs["initial_transmissions"])
-            return original(datasets, counts, cfg, **kwargs)
+            if transmissions not in fitstack._default_starts(layout.channel_counts):
+                warm_starts.append(transmissions)
+            return original(plans, layout, cfg, initial_params, transmissions)
 
-        monkeypatch.setattr(fitstack, "fit_global", count_three_fails)
+        monkeypatch.setattr(fitstack, "_fit_start", count_three_fails)
         selection = select_channel_count(ds, (4, 3, 2), SELECT_CFG)
         assert list(selection.fits_by_count) == [2, 4]
         # count 4 starts from count 2, with one new channel for each count it skips
@@ -1006,13 +1031,21 @@ class TestChannelCountSelection:
 
 @pytest.fixture
 def per_evaluation_route(monkeypatch):
-    """Calling the returned function makes ``fit_global`` evaluate through the per-evaluation reference."""
+    """Calling the returned function makes every model fit evaluate through the per-evaluation reference."""
+    points_of = {}
+    make_plan = fitstack._plan
+
+    def recording(gate, points, cfg):
+        made = make_plan(gate, points, cfg)
+        points_of[made] = tuple(points)
+        return made
 
     def residuals(theta, plans, cfg, layout, *, grids=None):
-        datasets = [SpectroscopyDataset(plan.gate, plan.points) for plan in plans]
+        datasets = [SpectroscopyDataset(plan.gate, points_of[plan]) for plan in plans]
         return per_evaluation_residuals(theta, datasets, cfg, layout, grids=grids)
 
     def use() -> None:
+        monkeypatch.setattr(fitstack, "_plan", recording)
         monkeypatch.setattr(fitstack, "model_residuals", residuals)
         monkeypatch.setattr(fitstack, "_model_jacobian", per_evaluation_jacobian)
 
@@ -1035,7 +1068,7 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(fitstack, name, wrapper)
 
-    for name in ("fourier_u", "_power_amplitudes", "_flux_layout", "model_residuals", "fit_global"):
+    for name in ("fourier_u", "_power_amplitudes", "_flux_layout", "model_residuals", "fit_global", "_plan"):
         counted(name)
     jacobian = fitstack._model_jacobian
 
@@ -1127,7 +1160,11 @@ class TestPlannedEvaluation:
         ds = selection_dataset("three-channel truth")
         kernel_calls.clear()
         fits = select_channel_count(ds, (2, 3, 4), SELECT_CFG).fits_by_count
-        assert kernel_calls["fourier_u"] == kernel_calls["_flux_layout"] == kernel_calls["fit_global"] >= len(fits)
+        # selection plans its gate once for every count and runs no fit_global of its own
+        assert len(fits) == 3 and kernel_calls["_plan"] == 1
+        assert kernel_calls["fourier_u"] == kernel_calls["_flux_layout"] == 1 and kernel_calls["fit_global"] == 0
+        assert kernel_calls["_power_amplitudes"] == kernel_calls["model_residuals"]
+        assert kernel_calls["model_residuals"] == sum(fit.n_evaluations for fit in fits.values())
         assert kernel_calls["in_jacobian"] == 0
 
     def test_free_globals_remake_the_junction_arm_at_each_evaluation(self, kernel_calls):
