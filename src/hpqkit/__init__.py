@@ -27,7 +27,6 @@ from .potentials import (
     fourier_v,
     interfere_arms,
     internal_mode_freq,
-    locate_minimum,
     parity_sums,
     sissis_potential,
     sns_potential,

@@ -228,6 +228,8 @@ class TransitionHint:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", np.asarray(self.centers, dtype=float))
+        if self.centers.ndim != 1:
+            raise ValueError(f"centers must be a 1-d array, got {self.centers.ndim}-d")
         if not self.halfwidth > 0.0:
             raise ValueError("halfwidth must be > 0")
 
@@ -251,8 +253,11 @@ def extract_transitions(
     reaches past either end of the trace's frequency grid: a fit on a
     cut-off line is pulled toward the grid's edge. Failed fits are
     logged and dropped; the per-point frequency uncertainty is floored
-    at :data:`SIGMA_FLOOR`.
+    at :data:`SIGMA_FLOOR`. Every hint needs one center per trace.
     """
+    for lab, hint in hints.items():
+        if len(hint.centers) != len(traces):
+            raise ValueError(f"hint {lab} has {len(hint.centers)} centers for {len(traces)} traces")
     points: list[TransitionPoint] = []
     labels = list(hints)
     for idx, trace in enumerate(traces):

@@ -48,7 +48,6 @@ __all__ = [
     "parity_sums",
     "find_phi_min",
     "find_phi_mins",
-    "locate_minimum",
     "classify_regime",
     "internal_mode_freq",
     "validate_bo",
@@ -520,22 +519,6 @@ def parity_sums(spec: HarmonicSpectrum) -> ParitySums:
 # minima and regimes
 
 
-def locate_minimum(potential: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Global minimizer of an even periodic potential over [0, pi].
-
-    The one-curve case of the search behind :func:`find_phi_mins`: the
-    lowest point of a :data:`MINIMUM_GRID_POINTS` grid brackets the
-    minimum, and a golden-section polish of that bracket fixes it to
-    about 1e-7 rad (the well bottom is flat to double precision). The
-    result snaps to the landmark points {0, pi/2, pi} when within
-    :data:`MINIMUM_TOL` so the symmetric cases come out exact.
-    ``potential`` must accept an array of phases.
-    """
-    values = np.asarray(potential(_MINIMUM_GRID), dtype=float)
-    best = np.array([np.argmin(values)])
-    return float(_polish(lambda phi: np.asarray(potential(phi), dtype=float), best, values[best])[0])
-
-
 def _polish(
     potential: Callable[[np.ndarray], np.ndarray], best: np.ndarray, low: np.ndarray
 ) -> np.ndarray:
@@ -547,8 +530,8 @@ def _polish(
     :data:`_POLISH_STEPS` steps on every bracket
     ``[grid[best] - h, grid[best] + h]`` clipped to [0, pi], so one
     curve's result never depends on the others. The grid point wins if
-    it is lower than the polished one, and the result snaps to a
-    landmark as :func:`locate_minimum` describes.
+    it is lower than the polished one, and a result within
+    :data:`MINIMUM_TOL` of 0, pi/2 or pi snaps there if no higher.
     """
     h = _MINIMUM_GRID[1] - _MINIMUM_GRID[0]
     a = np.maximum(_MINIMUM_GRID[best] - h, 0.0)
@@ -613,9 +596,11 @@ def find_phi_mins(
     with its internal-mode correction, not its truncated Fourier series,
     so shallow features near the junction cusps are kept.
     Each gate's grid values (:func:`_grid_rows`) bracket its minimum, and
-    one lockstep polish refines every bracket at once, channels padded to
-    the widest gate (see :func:`locate_minimum`). A gate's result does
-    not depend on the other gates in the list.
+    one lockstep polish (:func:`_polish`) fixes every bracket at once to
+    about 1e-7 rad, channels padded to the widest gate; a result within
+    :data:`MINIMUM_TOL` of 0, pi/2 or pi snaps to that landmark, so the
+    symmetric cases come out exact. A gate's result does not depend on
+    the other gates in the list.
     """
     channel_sets = list(channel_sets)
     if not channel_sets:

@@ -186,16 +186,17 @@ def synthesize_map(
 def write_map_csv(traces: Sequence[Trace], path: str) -> None:
     """Long-format CSV: one row per (flux, drive frequency) cell, one block of columns per trace.
 
-    A trace's flux cell and each distinct frequency-grid array are
-    formatted once (the traces of one map share one grid), so only the
-    signal is formatted per row.
+    A trace's flux cell is formatted once, and so is its frequency grid
+    unless it is the previous trace's very array (the traces of one map
+    share one grid), so only the signal is formatted per row. The
+    previous array is held, not its ``id``, which a freed grid hands on.
     """
-    grids: dict[int, list[str]] = {}
+    last_grid, freqs = None, []
 
     def block(trace: Trace) -> tuple[list[str], list[str], list[float]]:
-        freqs = grids.get(id(trace.freqs))
-        if freqs is None:
-            freqs = grids[id(trace.freqs)] = [fmt(f) for f in trace.freqs.tolist()]
+        nonlocal last_grid, freqs
+        if trace.freqs is not last_grid:
+            last_grid, freqs = trace.freqs, [fmt(f) for f in trace.freqs.tolist()]
         return [fmt(trace.phi_e / (2.0 * math.pi))] * len(freqs), freqs, trace.signal.tolist()
 
     write_csv(path, ("flux_phi0", "drive_freq_ghz", "signal"), map(block, traces))

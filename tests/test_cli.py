@@ -34,7 +34,7 @@ from hpqkit import (
 from hpqkit import cli
 from hpqkit.analysis import write_gate_harmonics_csv
 from hpqkit.cli import main
-from hpqkit.config import circuit_from_config, load_config, read_gate_channels
+from hpqkit.config import ConfigError, circuit_from_config, load_config, read_gate_channels
 
 HPQ_CONFIG = """
 [circuit]
@@ -765,6 +765,13 @@ class TestParameterDocuments:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_items_of_a_missing_section_names_it(self, tmp_path):
+        path = write(tmp_path / "run.ini", "[circuit]\nej1 = 1\n")
+        cfg = load_config(path)
+        assert cfg.items("circuit") == [("ej1", "1")]
+        with pytest.raises(ConfigError, match=re.escape(f"missing section [gates] in {path}")):
+            cfg.items("gates")
 
 
 class TestClassify:

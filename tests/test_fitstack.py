@@ -393,6 +393,23 @@ class TestExtraction:
         hints = {"f01": TransitionHint(centers=np.array([np.nan]), halfwidth=0.2)}
         assert extract_transitions(traces, hints) == []
 
+    @pytest.mark.parametrize("n_centers", [1, 4], ids=["fewer", "more"])
+    def test_one_center_per_trace_required_before_any_fit(self, monkeypatch, n_centers):
+        grid = np.linspace(3.0, 7.0, 1001)
+        lines = [(5.0, 1.0, 0.05), (6.0, 1.0, 0.05)]
+        traces = [synthesize_trace(lines, grid, phi_e=float(i)) for i in range(3)]
+        hints = {
+            "f01": TransitionHint(centers=np.full(3, 5.0), halfwidth=0.2),
+            "f12": TransitionHint(centers=np.full(n_centers, 6.0), halfwidth=0.2),
+        }
+        monkeypatch.setattr(fitstack, "lorentzian_fit", None)
+        with pytest.raises(ValueError, match=f"^hint f12 has {n_centers} centers for 3 traces$"):
+            extract_transitions(traces, hints)
+
+    def test_centers_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="^centers must be a 1-d array, got 2-d$"):
+            TransitionHint(centers=np.full((3, 1), 5.0), halfwidth=0.2)
+
     @pytest.mark.parametrize("halfwidth", [0.0, -0.2, math.nan])
     def test_halfwidth_must_be_positive(self, halfwidth):
         # a NaN halfwidth would skip every window without a word

@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from hpqkit import (
     fourier_v,
     interfere_arms,
     internal_mode_freq,
-    locate_minimum,
     parity_sums,
     sissis_potential,
     sns_potential,
@@ -37,6 +38,7 @@ from hpqkit.potentials import _MINIMUM_GRID, _grid_rows, _power_amplitudes
 
 from conftest import exact_phi_min, project_cosine_sine
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "hpqkit"
 PHI = np.linspace(-np.pi, np.pi, 301)
 
 
@@ -432,6 +434,10 @@ class TestHarmonicSpectrum:
         flat = HarmonicSpectrum.from_cosine([0.0, 1.0, 0.9, 0.8])
         assert not flat.converged
 
+    @pytest.mark.parametrize("c", [[3.0], [3.0, 0.0, 0.0]], ids=["k-max-0", "all-zero-harmonics"])
+    def test_no_harmonic_content_is_converged(self, c):
+        assert HarmonicSpectrum.from_cosine(c).converged
+
     def test_series_evaluation_matches_direct_sum(self):
         spec = HarmonicSpectrum.from_cosine([0.5, -1.0, 0.3], s=[0.0, 0.2, -0.1])
         phi = np.linspace(-2.0, 2.0, 7)
@@ -491,17 +497,22 @@ class TestParitySums:
 
 
 class TestMinimaAndRegimes:
-    def test_pure_first_harmonic_minimum_exact_zero(self):
-        spec = HarmonicSpectrum.from_cosine([0.0, -5.0])
-        assert locate_minimum(spec.potential) == 0.0
+    # devices whose exact minimum lies on a landmark, which the search returns exactly
+    def test_zero_flux_minimum_exact_zero(self):
+        p = CircuitParams(ej1=5.0, ej2=4.0, ecj=0.1, ec=0.05, gap=1.0)
+        [label] = find_phi_mins(p, [NanowireChannels((0.3,))], FluxBias(0.0))
+        assert label.phi_min == 0.0
 
-    def test_pure_second_harmonic_minimum_exact_half_pi(self):
-        spec = HarmonicSpectrum.from_cosine([0.0, 0.0, 5.0])
-        assert locate_minimum(spec.potential) == math.pi / 2.0
+    def test_matched_arms_minimum_exact_half_pi(self):
+        # -40|cos(phi/2)| - 40|sin(phi/2)| at half flux, lowest at pi/2
+        p = CircuitParams(ej1=20.0, ej2=20.0, ecj=1e-30, ec=0.3, gap=40.0)
+        [label] = find_phi_mins(p, [NanowireChannels((1.0,))], FluxBias.from_phi0(0.5))
+        assert label.phi_min == math.pi / 2.0
 
-    def test_reversed_first_harmonic_minimum_exact_pi(self):
-        spec = HarmonicSpectrum.from_cosine([0.0, 5.0])
-        assert locate_minimum(spec.potential) == math.pi
+    def test_nanowire_dominated_minimum_exact_pi(self):
+        p = CircuitParams(ej1=1.0, ej2=1.0, ecj=0.1, ec=0.05, gap=40.0)
+        [label] = find_phi_mins(p, [NanowireChannels((0.9,))], FluxBias.from_phi0(0.5))
+        assert label.phi_min == math.pi
 
     def test_classification_bands(self):
         assert classify_regime(0.0) is Regime.ODD_DOMINATED
@@ -574,6 +585,26 @@ class TestFindPhiMins:
         for label, channels in zip(labels, self.SETS):
             oracle = exact_phi_min(params, channels, self.HALF.phi_e)
             assert abs(label.phi_min - oracle) < 1e-6, channels
+
+
+def test_one_spelling_of_a_minimum_search():
+    """Every minimum comes from ``find_phi_mins``: it alone polishes, and the minimum grid stays in its module."""
+    polish_callers, grid_readers, defined = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                defined.add(function.name)
+                polish_callers += [
+                    function.name
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_polish"
+                ]
+        if any(getattr(node, "id", getattr(node, "attr", None)) == "_MINIMUM_GRID" for node in ast.walk(tree)):
+            grid_readers.add(path.name)
+    assert polish_callers == ["find_phi_mins"]
+    assert grid_readers == {"potentials.py"}
+    assert "locate_minimum" not in defined
 
 
 class TestInternalMode:

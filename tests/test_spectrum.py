@@ -411,6 +411,19 @@ class TestSolverForms:
         with pytest.raises(SolverError, match=r"LAPACK (dsyevr|zheevr) failed for dim=25: info=1"):
             eigensolve(self.matrix(route), 4)
 
+    def test_workspace_query_failure_raises_solver_error(self, monkeypatch):
+        query = scipy.linalg.lapack.dsyevr_lwork
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dsyevr_lwork", lambda *args, **kwargs: (*query(*args, **kwargs)[:-1], -1)
+        )
+        # the sizes are cached per (form, dim): clear them so the query runs, and so no failed entry stays
+        spectrum._evr_workspace.cache_clear()
+        try:
+            with pytest.raises(SolverError, match="^LAPACK workspace query failed for dim=25: info=-1$"):
+                eigensolve(self.matrix("real"), 4)
+        finally:
+            spectrum._evr_workspace.cache_clear()
+
     @pytest.mark.parametrize("route", list(ROUTES))
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_matrix_raises_before_lapack(self, drivers, route, bad):

@@ -204,6 +204,17 @@ class TestSynthesizeMap:
         assert lines[0] == "flux_phi0,drive_freq_ghz,signal"
         assert len(lines) == 1 + 3 * 11
 
+    def test_map_csv_of_generated_traces_each_on_its_own_grid(self, tmp_path):
+        # each grid is freed once its trace is written, so a new grid may take its address
+        def traces():
+            for i in range(200):
+                yield Trace(phi_e=0.0, freqs=np.array([1.0, 2.0, 3.0]) + i, signal=np.zeros(3))
+
+        path = tmp_path / "map.csv"
+        write_map_csv(traces(), str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == [i + f for i in range(200) for f in (1.0, 2.0, 3.0)]
+
 
 class TestNoiseScaling:
     def test_fitted_center_error_scales_linearly(self):
