@@ -25,7 +25,6 @@ from .potentials import (
     find_phi_mins,
     fourier_u,
     fourier_v,
-    interfere_arms,
     internal_mode_freq,
     parity_sums,
     sissis_potential,

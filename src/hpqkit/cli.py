@@ -362,7 +362,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if not dataset.used_points:
             raise ConfigError(f"dataset gate={fmt(dataset.gate)}: no fittable points")
     gates = [d.gate for d in datasets]
-    if len({fmt(gate) for gate in gates}) != len(gates):
+    # compared as the fit result's reader parses the written tags: -0 and 0 are one gate
+    if len({float(fmt(gate)) for gate in gates}) != len(gates):
         raise ConfigError("datasets: each gate tag may appear in only one dataset file")
 
     if len(counts) > 1:

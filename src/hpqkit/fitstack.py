@@ -347,6 +347,10 @@ class FitConfig:
         # below 1 even the best count fails the selection rule
         if not self.rmse_factor >= 1.0:
             raise ValueError(f"rmse_factor must be >= 1, got {self.rmse_factor!r}")
+        for name in ("sigma_floor", "rmse_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_nfev is not None and self.max_nfev < 1:
             raise ValueError(f"max_nfev must be >= 1, got {self.max_nfev!r} (unset: 100 per fitted parameter)")
 
@@ -964,7 +968,10 @@ def write_dataset_csv(datasets: Sequence[SpectroscopyDataset], path: str) -> Non
 
 def _finite_cell(column: str, text: str) -> float:
     """The number in a dataset cell, or a ``ValueError`` naming its ``column``."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{column} must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{column} must be finite, got {value!r}")
     return value
@@ -1007,7 +1014,10 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
                     raise ValueError(
                         f"{column} must be in (0, {MAX_ENERGY_GHZ:g}] GHz, got {value!r}"
                     )
-            used = int(cells[5])
+            try:
+                used = int(cells[5])
+            except ValueError:
+                used = None
             if used not in (0, 1):
                 raise ValueError(f"used must be 0 or 1, got {cells[5]!r}")
             point = TransitionPoint(
@@ -1030,13 +1040,15 @@ def write_fit_result(
         "fit": {"rmse_ghz": result.rmse, "converged": bool(result.converged),
                 "n_evaluations": result.n_evaluations, "message": result.message},
     }
+    written: set[float] = set()
     for gate, channels, gate_rmse, boundary in zip(
         gates, result.channels, result.rmse_per_dataset, result.boundary_active
     ):
-        section = {"transmissions": channels, "rmse_ghz": gate_rmse, "boundary_active": any(boundary),
-                   "channel_count": len(channels)}
-        name = f"gate:{fmt(gate)}"
-        if name in sections:
-            raise ValueError(f"gate tag {fmt(gate)} appears more than once")
-        sections[name] = section
+        tag = fmt(gate)
+        # a reader parses each tag back to a float, so -0 and 0 are one gate
+        if float(tag) in written:
+            raise ValueError(f"gate tag {tag} appears more than once")
+        written.add(float(tag))
+        sections[f"gate:{tag}"] = {"transmissions": channels, "rmse_ghz": gate_rmse,
+                                   "boundary_active": any(boundary), "channel_count": len(channels)}
     write_ini(path, sections)

@@ -44,7 +44,6 @@ __all__ = [
     "fourier_u",
     "fourier_v",
     "combine_harmonics",
-    "interfere_arms",
     "parity_sums",
     "find_phi_min",
     "find_phi_mins",
@@ -409,7 +408,7 @@ def _orders(k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Fourier decomposition
 
 
-def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> np.ndarray:
+def fourier_u(params: CircuitParams, k_max: int) -> np.ndarray:
     """Cosine amplitudes of the double-junction arm.
 
     Index 0 stores the mean value; indices k >= 1 are the full amplitudes
@@ -424,15 +423,11 @@ def fourier_u(params: CircuitParams, k_max: int, *, include_bo: bool = True) -> 
         Device constants; the arm shape depends on ej1, ej2 and ecj.
     k_max:
         Truncation order, must be >= 1.
-    include_bo:
-        Include the internal-mode correction (the default). ``False``
-        gives the bare series for closed-form checks; above this kernel
-        the bare junction is the ``ecj -> 0`` limit.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     junction, correction = _junction_terms(params, k_max)
-    return junction + correction if include_bo else junction
+    return junction + correction
 
 
 def _junction_terms(params: CircuitParams, k_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,23 +455,9 @@ def _nanowire_v(amplitudes: np.ndarray, gap: float) -> np.ndarray:
 
 
 def combine_harmonics(u: np.ndarray, v: np.ndarray, flux: FluxBias) -> HarmonicSpectrum:
-    """Interfere the two arms at a flux bias: the one-point case of :func:`interfere_arms`."""
-    c, s = interfere_arms(u, v, [flux])
+    """Interfere the two arms at a flux bias: the one-point case of :func:`_interfere`."""
+    c, s = _interfere(u, v, _flux_table(np.array([flux.phi_e]), np.size(u) - 1))
     return HarmonicSpectrum(u=u, v=v, c=c[0], s=s[0])
-
-
-def interfere_arms(
-    u: np.ndarray, v: np.ndarray, fluxes: Iterable[FluxBias]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cosine and sine amplitudes ``c[p, k]``, ``s[p, k]`` of the arms interfered at each flux bias.
-
-    ``c[p, k] = u[k] + cos(k phi_p) v[k]`` and ``s[p, k] = sin(k phi_p) v[k]``;
-    at half flux quantum the sine content vanishes and odd-k cosine
-    amplitudes become differences of the two arms. It is the fluxes'
-    :func:`_flux_table` and its one product with the arms, :func:`_interfere`.
-    """
-    phi = np.array([flux.phi_e for flux in fluxes], dtype=float)
-    return _interfere(u, v, _flux_table(phi, np.size(u) - 1))
 
 
 def _flux_table(phi: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -488,7 +469,12 @@ def _flux_table(phi: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray, np
 def _interfere(
     u: np.ndarray, v: np.ndarray, table: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`interfere_arms` at the fluxes of a :func:`_flux_table`."""
+    """Cosine and sine amplitudes ``c[p, k]``, ``s[p, k]`` of the arms interfered at each flux of ``table``.
+
+    ``c[p, k] = u[k] + cos(k phi_p) v[k]`` and ``s[p, k] = sin(k phi_p) v[k]``;
+    at half flux quantum the sine content vanishes and odd-k cosine
+    amplitudes become differences of the two arms.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:

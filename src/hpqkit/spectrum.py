@@ -547,7 +547,7 @@ def solve_flux_grid(
     """Lowest ``cfg.n_levels`` eigenpairs at each flux, stacked in a :class:`FluxGrid`.
 
     ``u`` and ``v`` are the arm amplitudes, which
-    :func:`~hpqkit.potentials.interfere_arms` interferes at every flux at
+    :func:`~hpqkit.potentials._interfere` interferes at every flux at
     once. Each point takes one LAPACK call and gives ``eigensolve(
     build_hamiltonian(combine_harmonics(u, v, FluxBias(phi)), ec, cfg),
     levels)`` bit for bit in the levels eigensolve returns, where

@@ -80,8 +80,10 @@ class SynthConfig:
             raise ValueError(f"fwhm must be > 0, got {self.fwhm!r}")
         if not self.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        for name in ("fwhm", "amplitude", "noise_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def lorentzian(

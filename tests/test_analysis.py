@@ -21,6 +21,7 @@ from hpqkit import (
     solve_flux_grid,
 )
 from hpqkit.analysis import write_gate_harmonics_csv, write_regimes_csv
+from hpqkit.potentials import _junction_terms
 
 from conftest import exact_phi_min
 
@@ -135,8 +136,8 @@ class TestGateSweepRegimes:
 
 class TestParityTable:
     @staticmethod
-    def lowest_parity_weights(params, channels, flux, n_cut, n_states, include_bo=True):
-        u = fourier_u(params, 10, include_bo=include_bo)
+    def lowest_parity_weights(params, channels, flux, n_cut, n_states, bare_junction=False):
+        u = _junction_terms(params, 10)[0] if bare_junction else fourier_u(params, 10)
         v = fourier_v(channels, params.gap, 10)
         cfg = ChargeBasisConfig(n_cut=n_cut, n_levels=n_states)
         vectors = solve_flux_grid(u, v, [flux.phi_e], params.ec, cfg).vectors[0]
@@ -147,7 +148,7 @@ class TestParityTable:
         ej = 20.0
         params = CircuitParams(ej1=ej, ej2=ej, ecj=1e-6, ec=0.3, gap=2.0 * ej)
         w0, w1 = self.lowest_parity_weights(
-            params, NanowireChannels((1.0,)), FluxBias.from_phi0(0.5), 25, 2, include_bo=False
+            params, NanowireChannels((1.0,)), FluxBias.from_phi0(0.5), 25, 2, bare_junction=True
         )
         assert w0.even_weight == pytest.approx(1.0, abs=1e-10)
         assert w1.odd_weight == pytest.approx(1.0, abs=1e-10)

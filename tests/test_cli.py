@@ -545,6 +545,16 @@ class TestFit:
         assert "gate tag" in capsys.readouterr().err
         assert not (tmp_path / "fit_result.ini").exists()
 
+    def test_signed_zero_gates_across_files_are_one_gate(self, tmp_path, capsys):
+        # the fit result's reader parses tags -0 and 0 as one gate
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        first = write(tmp_path / "a.csv", ONE_POINT_DATASET.replace("\n0.0,", "\n-0,"))
+        second = write(tmp_path / "b.csv", ONE_POINT_DATASET.replace("\n0.0,", "\n0,"))
+        out = tmp_path / "out"
+        assert main(["fit", first, second, "--config", cfg, "--out-dir", str(out)]) == 2
+        assert "error: datasets: each gate tag may appear in only one dataset file" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unparseable_row_reports_line(self, tmp_path, capsys):
         cfg = write(tmp_path / "run.ini", FIT_CONFIG)
         data = tmp_path / "bad.csv"

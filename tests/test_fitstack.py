@@ -447,8 +447,8 @@ def test_transition_point_rejects_a_bad_field(fields, message):
 class TestFitConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("sigma_floor", -1e-9),
-         ("sigma_floor", math.nan), ("max_nfev", 0), ("ec", math.nan), ("ec", -1.0),
+        [("rmse_factor", 0.5), ("rmse_factor", math.nan), ("rmse_factor", math.inf), ("sigma_floor", -1e-9),
+         ("sigma_floor", math.nan), ("sigma_floor", math.inf), ("max_nfev", 0), ("ec", math.nan), ("ec", -1.0),
          ("n_g", math.inf), ("k_max", 0)],
     )
     def test_out_of_range_value_rejected(self, field, value):
@@ -1299,6 +1299,23 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError, match=rf"broken\.csv:3: {column} must be finite, got {value}$"):
             read_dataset_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "column, rule",
+        [("gate_v", "a number"), ("flux_phi0", "a number"), ("freq_ghz", "a number"),
+         ("sigma_ghz", "a number"), ("used", "0 or 1")],
+    )
+    def test_unparseable_cell_is_named_by_its_column(self, tmp_path, column, rule):
+        cells = {"gate_v": "0.0", "flux_phi0": "0.1", "label": "f01", "freq_ghz": "5.0",
+                 "sigma_ghz": "0.01", "used": "1"}
+        cells[column] = "yes"
+        path = tmp_path / "broken.csv"
+        path.write_text(
+            "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n"
+            "0.0,0.0,f01,5.0,0.01,1\n" + ",".join(cells.values()) + "\n"
+        )
+        with pytest.raises(DatasetFormatError, match=rf"broken\.csv:3: {column} must be {rule}, got 'yes'$"):
+            read_dataset_csv(str(path))
+
     def test_flux_beyond_its_range_is_named_by_its_column(self, tmp_path):
         # 1e308 is finite, though 2 pi times it is not
         path = tmp_path / "broken.csv"
@@ -1334,3 +1351,19 @@ class TestDatasetFiles:
         )
         with pytest.raises(ValueError, match="gate tag -7 appears more than once"):
             write_fit_result(twice, [-7.0, -7.0], str(tmp_path / "fit.ini"))
+
+    # a reader parses each written tag back to a float: -0 and 0, or two gates
+    # that agree to 12 digits, would be one gate in the document
+    @pytest.mark.parametrize("gates", [(-0.0, 0.0), (0.1, 0.1 + 1e-15)], ids=["signed-zero", "same-tag"])
+    def test_fit_result_rejects_gates_a_reader_parses_as_one(self, tmp_path, gates):
+        result = fake_fit((0.8, 0.4), 0.001)
+        twice = dataclasses.replace(
+            result,
+            channels=result.channels * 2,
+            rmse_per_dataset=result.rmse_per_dataset * 2,
+            boundary_active=result.boundary_active * 2,
+        )
+        path = tmp_path / "fit.ini"
+        with pytest.raises(ValueError, match="appears more than once"):
+            write_fit_result(twice, list(gates), str(path))
+        assert not path.exists()

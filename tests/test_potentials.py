@@ -23,7 +23,6 @@ from hpqkit import (
     find_phi_mins,
     fourier_u,
     fourier_v,
-    interfere_arms,
     internal_mode_freq,
     parity_sums,
     sissis_potential,
@@ -34,7 +33,7 @@ from hpqkit import (
     write_harmonics_csv,
 )
 
-from hpqkit.potentials import _MINIMUM_GRID, _grid_rows, _power_amplitudes
+from hpqkit.potentials import _MINIMUM_GRID, _grid_rows, _junction_terms, _power_amplitudes
 
 from conftest import exact_phi_min, project_cosine_sine
 
@@ -132,8 +131,7 @@ class TestFluxBias:
         assert FluxBias(phi).phi_e == -math.pi
         u = fourier_u(hpq_params, 10)
         v = fourier_v(mixed_channels, hpq_params.gap, 10)
-        _, s = interfere_arms(u, v, [FluxBias(phi)])
-        assert not s.any()
+        assert not combine_harmonics(u, v, FluxBias(phi)).s.any()
         cfg = ChargeBasisConfig(n_cut=15, n_levels=4)
         grid = solve_flux_grid(u, v, [phi], hpq_params.ec, cfg)
         half = solve_flux_grid(u, v, [FluxBias.from_phi0(0.5).phi_e], hpq_params.ec, cfg)
@@ -230,19 +228,19 @@ class TestFourierU:
     def test_closed_form_at_unit_lambda_without_correction(self):
         # analytic oracle: the series of -E * |cos(phi/2)|
         p = CircuitParams(ej1=59.96, ej2=59.96, ecj=0.583, ec=0.28, gap=40.06)
-        u = fourier_u(p, 40, include_bo=False)
+        u = _junction_terms(p, 40)[0]
         for k in range(1, 41):
             expected = closed_form_sqrt_series(p.ej_sigma, k)
             assert u[k] == pytest.approx(expected, rel=1e-8), f"k={k}"
 
     def test_second_to_first_ratio_at_unit_lambda(self):
         p = CircuitParams(ej1=7.0, ej2=7.0, ecj=0.1, ec=0.05, gap=1.0)
-        u = fourier_u(p, 4, include_bo=False)
+        u = _junction_terms(p, 4)[0]
         assert u[2] / u[1] == pytest.approx(-0.2, abs=1e-6)
 
     def test_flat_potential_limit(self):
         p = CircuitParams(ej1=2.0, ej2=1e-12, ecj=1e-9, ec=1e-10, gap=1.0)
-        u = fourier_u(p, 6, include_bo=False)
+        u = _junction_terms(p, 6)[0]
         assert np.all(np.abs(u[1:]) < 1e-10)
 
     def test_double_junction_harmonic_ratio(self, dj_params):
@@ -331,7 +329,8 @@ class TestKernelAgainstOracles:
         # the kernel's two series, sampled from the arm functions it sums
         sampled = sissis_potential(ORACLE_PHI, p) + (bo_correction(ORACLE_PHI, p) if include_bo else 0.0)
         cos_ref, scale = oracle_cosines(sampled, k_max)
-        assert np.allclose(fourier_u(p, k_max, include_bo=include_bo), cos_ref, rtol=0.0, atol=1e-9 * scale)
+        u = fourier_u(p, k_max) if include_bo else _junction_terms(p, k_max)[0]
+        assert np.allclose(u, cos_ref, rtol=0.0, atol=1e-9 * scale)
 
     @given(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4), st.integers(1, 40))
     def test_fourier_v_matches_independent_projector(self, transmissions, k_max):
@@ -367,8 +366,8 @@ class TestKernelAgainstOracles:
     @pytest.mark.parametrize("m", [1.0 - 1e-7, 1.0])
     def test_k60_amplitudes_finite_at_the_cusp(self, m):
         p = params_with_lambda(m)
-        for include_bo in (True, False):
-            assert np.all(np.isfinite(fourier_u(p, 60, include_bo=include_bo)))
+        for u in (fourier_u(p, 60), _junction_terms(p, 60)[0]):
+            assert np.all(np.isfinite(u))
         assert np.all(np.isfinite(fourier_v(NanowireChannels((m, 0.5)), 40.06, 60)))
 
 
@@ -605,6 +604,23 @@ def test_one_spelling_of_a_minimum_search():
     assert polish_callers == ["find_phi_mins"]
     assert grid_readers == {"potentials.py"}
     assert "locate_minimum" not in defined
+
+
+def test_one_spelling_of_interfering_the_arms():
+    """The arms interfere in one product, ``_interfere`` on a ``_flux_table``: ``combine_harmonics`` is its
+    one-point case and the grid solver its only other caller."""
+    callers: dict[str, list[str]] = {"_interfere": [], "_flux_table": []}
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                defined.add(function.name)
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                        callers[node.func.id].append(f"{path.stem}.{function.name}")
+    assert "interfere_arms" not in defined
+    assert sorted(callers["_interfere"]) == ["potentials.combine_harmonics", "spectrum._solve_flux_layout"]
+    assert sorted(callers["_flux_table"]) == ["potentials.combine_harmonics", "spectrum._flux_layout"]
 
 
 class TestInternalMode:

@@ -66,10 +66,9 @@ def test_export_lists_name_only_what_exists():
     assert unexported == []
 
 
-def test_only_the_kernel_takes_include_bo():
-    """The internal-mode correction is part of the device model: of every exported function, class and
-    public method, only the harmonic kernel ``potentials.fourier_u`` keeps ``include_bo``, its
-    validation switch for closed forms."""
+def test_no_exported_callable_takes_include_bo():
+    """The internal-mode correction is part of the device model: no exported function, class or public
+    method takes ``include_bo``. Closed-form checks of the bare series read ``potentials._junction_terms``."""
     takers = []
     for info in pkgutil.iter_modules(hpqkit.__path__):
         module = importlib.import_module(f"hpqkit.{info.name}")
@@ -86,7 +85,7 @@ def test_only_the_kernel_takes_include_bo():
                     continue
                 if "include_bo" in parameters:
                     takers.append(f"{info.name}.{qualname}")
-    assert takers == ["potentials.fourier_u"]
+    assert takers == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():

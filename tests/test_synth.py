@@ -75,6 +75,8 @@ class TestSynthesizeTrace:
             ({"amplitude": math.nan}, "amplitude must be finite, got nan"),
             ({"amplitude": -math.inf}, "amplitude must be finite, got -inf"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"fwhm": math.inf}, "fwhm must be finite, got inf"),
+            ({"noise_sigma": math.inf}, "noise_sigma must be finite, got inf"),
         ],
     )
     def test_nan_or_negative_setting_rejected(self, fields, message):
