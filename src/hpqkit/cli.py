@@ -363,8 +363,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
             raise ConfigError(f"dataset gate={fmt(dataset.gate)}: no fittable points")
     gates = [d.gate for d in datasets]
     # compared as the fit result's reader parses the written tags: -0 and 0 are one gate
-    if len({float(fmt(gate)) for gate in gates}) != len(gates):
-        raise ConfigError("datasets: each gate tag may appear in only one dataset file")
+    tags = [float(fmt(gate)) for gate in gates]
+    for idx, gate in enumerate(gates):
+        if tags[idx] in tags[:idx]:
+            raise ConfigError(f"datasets: each gate tag may appear in only one dataset file; {fmt(gate)} repeats")
 
     if len(counts) > 1:
         if fit_cfg.globals_mode != "fixed":

@@ -393,7 +393,10 @@ class ThetaLayout:
         for count, ts in zip(self.channel_counts, transmissions):
             if len(ts) != count:
                 raise ValueError(f"expected {count} transmissions, got {len(ts)}")
-            for t in ts:
+            for t in map(float, ts):
+                # NaN fails the comparison too
+                if not 0.0 <= t <= 1.0:
+                    raise ValueError(f"transmission {t!r} outside [0, 1]")
                 parts.append(float(logit(np.clip(t, t_floor, 1.0 - t_floor))))
         return np.array(parts)
 
@@ -983,8 +986,12 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
     Frequencies and uncertainties must lie in (0, ``MAX_ENERGY_GHZ``] GHz,
     ``|flux_phi0|`` must not exceed ``MAX_FLUX_PHI0`` and ``used`` must be 0
     or 1; a bad row raises :class:`DatasetFormatError` naming its path and line.
+    So does a gate whose written tag (:func:`fmt`) a fit result's reader
+    parses as an earlier, different gate's; ``-0`` and ``0`` are one gate.
     """
     grouped: dict[float, list[TransitionPoint]] = {}
+    # each gate by the float its tag parses to
+    tagged: dict[float, float] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -1025,6 +1032,11 @@ def read_dataset_csv(path: str) -> list[SpectroscopyDataset]:
             )
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{line_no}: {exc}") from exc
+        earlier = tagged.setdefault(float(fmt(gate)), gate)
+        if earlier != gate:
+            raise DatasetFormatError(
+                f"{path}:{line_no}: gate_v {gate!r} has the tag {fmt(gate)} of the earlier gate_v {earlier!r}"
+            )
         grouped.setdefault(gate, []).append(point)
     return [SpectroscopyDataset(gate=gate, points=tuple(pts)) for gate, pts in grouped.items()]
 

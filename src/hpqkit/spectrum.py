@@ -294,27 +294,15 @@ def _gather_real_form(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.add(addends[0], addends[1], out=addends[0]).T
 
 
-def _real_form(h: np.ndarray) -> np.ndarray:
-    """A charge-reflection-symmetric matrix ``h`` in the basis ``|0>, (|n>+|-n>)/sqrt2, i(|n>-|-n>)/sqrt2``.
+def _from_real_form(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Charge-basis columns of real-form eigenvectors ``z``, undoing the basis change of :func:`_real_form_map`.
 
-    The result is real symmetric, in Fortran order, with the even
-    combinations n = 1..n_cut after ``|0>`` and the odd ones after them;
-    :func:`_real_form_map` spells out each cell.
-    """
-    return _gather_real_form(_real_form_tables(h.ravel()), _real_form_map((len(h) - 1) // 2))
-
-
-def _from_real_form(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Charge-basis columns of real-form eigenvectors ``z`` (the inverse basis change of :func:`_real_form`).
-
-    They are written into ``out`` (complex, shaped like ``z``; a new array
-    when not given) with ``even ± 1j * odd`` spelled as ufunc calls on its
-    rows, so each cell matches that complex arithmetic, signed zeros
-    included. ``1j * odd`` is the one temporary.
+    They are written into ``out`` (complex, shaped like ``z``) with
+    ``even ± 1j * odd`` spelled as ufunc calls on its rows, so each cell
+    matches that complex arithmetic, signed zeros included. ``1j * odd``
+    is the one temporary.
     """
     n_cut = (len(z) - 1) // 2
-    if out is None:
-        out = np.empty(z.shape, dtype=complex)
     scale = math.sqrt(0.5)
     # charges 1..n_cut, and -1..-n_cut in the same order
     pos, neg = out[n_cut + 1 :], out[:n_cut][::-1]
@@ -340,13 +328,16 @@ def _evr_workspace(complex_input: bool, dim: int) -> dict[str, int]:
     return {name: int(size) for name, size in sizes.items()}
 
 
-def _evr(a: np.ndarray, n_levels: int, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``n_levels`` eigenpairs from the lower triangle of ``a``, as ``scipy.linalg.eigh`` gives them."""
+def _evr(a: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_levels`` eigenpairs from the lower triangle of ``a``, as ``scipy.linalg.eigh`` gives them.
+
+    ``a`` is overwritten when it is a Fortran-ordered array of the driver's
+    dtype, so a caller passes a matrix it owns.
+    """
     complex_input = np.iscomplexobj(a)
     name = "zheevr" if complex_input else "dsyevr"
     energies, vectors, found, _, info = getattr(lapack, name)(
-        a, range="I", lower=1, il=1, iu=n_levels, overwrite_a=overwrite_a,
-        **_evr_workspace(complex_input, len(a)),
+        a, range="I", lower=1, il=1, iu=n_levels, overwrite_a=True, **_evr_workspace(complex_input, len(a))
     )
     if info != 0:
         raise SolverError(f"LAPACK {name} failed for dim={len(a)}: info={info}")
@@ -365,11 +356,12 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     at the top level is rotated whole, as :func:`solve_flux_grid` does.
 
     A complex ``h`` of odd dimension with ``h[::-1, ::-1] == conj(h)``
-    (any n_g = 0 Hamiltonian) is solved in its :func:`_real_form`, and its
-    vectors are mapped back to the charge basis; they match the complex
-    solve up to a phase. A real ``h`` is solved as it is, and any other
-    complex ``h`` with ``zheevr``; both give ``scipy.linalg.eigh``'s result bit for
-    bit. A non-finite entry or a LAPACK failure raises :class:`SolverError`.
+    (any n_g = 0 Hamiltonian) is solved in its real form, whose cells
+    :func:`_real_form_map` spells out, and its vectors are mapped back to
+    the charge basis; they match the complex solve up to a phase. A real
+    ``h`` is solved as it is, and any other complex ``h`` with ``zheevr``;
+    both give ``scipy.linalg.eigh``'s result bit for bit. A non-finite
+    entry or a LAPACK failure raises :class:`SolverError`.
     """
     dim = h.shape[0]
     if h.shape != (dim, dim):
@@ -382,9 +374,11 @@ def eigensolve(h: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     decoupled = not (h[::2, 1::2].any() or h[1::2, ::2].any())
     solved = min(n_levels + 1, dim) if decoupled else n_levels
     if np.iscomplexobj(h) and dim % 2 and np.array_equal(h, h[::-1, ::-1].conj()):
-        energies, vectors = _solve_real_form(_real_form(h), solved)
+        energies, z = _evr(_gather_real_form(_real_form_tables(h.ravel()), _real_form_map(dim // 2)), solved)
+        vectors = _from_real_form(z, np.empty(z.shape, dtype=complex))
     else:
-        energies, vectors = _evr(h, solved)
+        # a copy, so that the caller's ``h`` is never overwritten
+        energies, vectors = _evr(np.array(h, order="F"), solved)
     _rotate_clusters(vectors, _close_to_next(energies))
     return energies[:n_levels], vectors[:, :n_levels]
 
@@ -393,17 +387,6 @@ def _require_finite(finite: bool, dim: int) -> None:
     """Raise :class:`SolverError` unless ``finite``: the entries of a dim x dim matrix are all finite."""
     if not finite:
         raise SolverError(f"matrix of dim={dim} has non-finite entries")
-
-
-def _solve_real_form(
-    r: np.ndarray, n_levels: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest eigenpairs, in the charge basis, of a charge-reflection-symmetric matrix of real form ``r``.
-
-    ``r`` is overwritten, and the vectors are written into ``out`` when it is given.
-    """
-    energies, z = _evr(r, n_levels, overwrite_a=True)
-    return energies, _from_real_form(z, out)
 
 
 def parse_transition_label(label: str) -> tuple[int, int, int]:
@@ -646,11 +629,11 @@ def _solve_flux_layout(layout: _FluxLayout, u: np.ndarray, v: np.ndarray, *, str
                     chunk = points[place : place + REAL_FORM_CHUNK]
                     tables = _real_form_tables(np.concatenate((rows[chunk], layout.charging[: len(chunk)]), axis=1))
                 place += 1
-                r = _gather_real_form(tables[at], layout.real_form)
-                energies[idx], _ = _solve_real_form(r, n_levels, out=vectors[idx])
+                energies[idx], z = _evr(_gather_real_form(tables[at], layout.real_form), n_levels)
+                _from_real_form(z, vectors[idx])
             else:
                 h = np.concatenate((row if has_sine else row.real, diag))[layout.dense].T
-                energies[idx], vectors[idx] = _evr(h, n_levels, overwrite_a=True)
+                energies[idx], vectors[idx] = _evr(h, n_levels)
         except SolverError as exc:
             if strict:
                 raise SolverError(f"flux point {idx} (phi_e={flux[idx]:g}): {exc}") from exc

@@ -103,7 +103,7 @@ def project_cosine_sine(values: np.ndarray, k_max: int) -> tuple[np.ndarray, np.
 
 
 def real_form(h: np.ndarray) -> np.ndarray:
-    """Slice-based oracle for ``spectrum._real_form`` and the grid's gathered real form.
+    """Slice-based oracle for the real form ``eigensolve`` and the grid gather through ``spectrum._real_form_map``.
 
     A charge-reflection-symmetric ``h`` in the basis ``|0>``,
     ``(|n>+|-n>)/sqrt2``, ``i(|n>-|-n>)/sqrt2`` (n = 1..n_cut), built block

@@ -542,8 +542,20 @@ class TestFit:
         first = write(tmp_path / "a.csv", ONE_POINT_DATASET)
         second = write(tmp_path / "b.csv", ONE_POINT_DATASET)
         assert main(["fit", first, second, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
-        assert "gate tag" in capsys.readouterr().err
+        message = "error: datasets: each gate tag may appear in only one dataset file; 0 repeats"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "fit_result.ini").exists()
+
+    def test_gates_sharing_a_tag_in_one_file_exit_two(self, tmp_path, capsys):
+        # 1.0 and 1.0000000000001 are both written as [gate:1]
+        cfg = write(tmp_path / "run.ini", FIT_CONFIG)
+        rows = "1.0,0.1,f01,5.0,0.01,1\n1.0000000000001,0.2,f01,5.0,0.01,1\n"
+        data = write(tmp_path / "data.csv", ONE_POINT_DATASET + rows)
+        out = tmp_path / "out"
+        assert main(["fit", data, "--config", cfg, "--out-dir", str(out)]) == 2
+        message = f"error: {data}:4: gate_v 1.0000000000001 has the tag 1 of the earlier gate_v 1.0"
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_signed_zero_gates_across_files_are_one_gate(self, tmp_path, capsys):
         # the fit result's reader parses tags -0 and 0 as one gate

@@ -824,6 +824,22 @@ class TestFitGlobal:
         assert seen
         assert all(0.0 < t < 1.0 for t in seen)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.3, math.nan], ids=["above", "below", "nan"])
+    def test_bad_start_transmission_rejected_before_any_evaluation(self, monkeypatch, bad):
+        cfg = SMALL_CFG_FIXED
+        ds = make_dataset(TRUE_PARAMS, (0.7, 0.3), 0.0, cfg)
+        calls: list[int] = []
+        original = fitstack.model_residuals
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fitstack, "model_residuals", counting)
+        with pytest.raises(ValueError, match=rf"^transmission {re.escape(repr(bad))} outside \[0, 1\]$"):
+            fit_global([ds], [2], cfg, initial_transmissions=[[0.6, bad]])
+        assert calls == []
+
     def test_boundary_flag_reported(self):
         cfg = SMALL_CFG_FIXED
         ds = make_dataset(TRUE_PARAMS, (0.9995, 0.4), 0.0, cfg)
@@ -1323,6 +1339,28 @@ class TestDatasetFiles:
         message = r"broken\.csv:2: flux_phi0 must be in \[-1000, 1000\], got 1e\+308$"
         with pytest.raises(DatasetFormatError, match=message):
             read_dataset_csv(str(path))
+
+    def test_gates_sharing_a_tag_in_one_file_rejected(self, tmp_path):
+        # both gates are written as [gate:1], which a fit result's reader takes for one gate
+        path = tmp_path / "broken.csv"
+        path.write_text(
+            "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n"
+            "1.0,0.0,f01,5.0,0.01,1\n"
+            "1.0000000000001,0.1,f01,5.0,0.01,1\n"
+        )
+        message = r"broken\.csv:3: gate_v 1\.0000000000001 has the tag 1 of the earlier gate_v 1\.0$"
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset_csv(str(path))
+
+    def test_signed_zero_gates_in_one_file_are_one_gate(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            "gate_v,flux_phi0,label,freq_ghz,sigma_ghz,used\n"
+            "-0,0.0,f01,5.0,0.01,1\n"
+            "0,0.1,f01,5.0,0.01,1\n"
+        )
+        (loaded,) = read_dataset_csv(str(path))
+        assert len(loaded.points) == 2
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import logging
 import math
@@ -323,7 +324,9 @@ class TestSolverForms:
         q = reflection_basis(cfg.n_cut)
         full = q.conj().T @ h @ q
         atol = 8.0 * np.finfo(float).eps * np.max(np.abs(h))
-        assert np.max(np.abs(full.real - spectrum._real_form(h))) <= atol
+        # the real form as eigensolve gathers it from the dense matrix
+        r = spectrum._gather_real_form(spectrum._real_form_tables(h.ravel()), spectrum._real_form_map(cfg.n_cut))
+        assert np.max(np.abs(full.real - r)) <= atol
         assert np.max(np.abs(full.imag)) <= atol
 
     @given(
@@ -344,7 +347,8 @@ class TestSolverForms:
         assert spectrum._from_real_form(z, out) is out
         assert grid[1].tobytes() == want.tobytes()
         assert np.isnan(grid[[0, 2]]).all()
-        assert spectrum._from_real_form(z).tobytes() == want.tobytes()
+        # a fresh array, as eigensolve passes it
+        assert spectrum._from_real_form(z, np.empty(z.shape, dtype=complex)).tobytes() == want.tobytes()
 
     @given(
         k_max=st.integers(1, 10),
@@ -361,9 +365,10 @@ class TestSolverForms:
         s = np.array([0.0, *data.draw(amplitudes)])
         s[data.draw(st.integers(1, k_max))] = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(0.1, 60.0))
         cfg = ChargeBasisConfig(n_cut=k_max + 5 + headroom, n_levels=1)
-        want = real_form(build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg))
+        h = build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg)
+        want = real_form(h)
         # from the dense matrix, as eigensolve gathers it
-        dense = spectrum._real_form(build_hamiltonian(HarmonicSpectrum.from_cosine(c, s=s), ec, cfg))
+        dense = spectrum._gather_real_form(spectrum._real_form_tables(h.ravel()), spectrum._real_form_map(cfg.n_cut))
         # from the band row and the charging energies, as the grid gathers it
         cells = np.concatenate((spectrum._band_entries(c, s), spectrum._diagonal(ec, cfg)))
         tables = spectrum._real_form_tables(cells[None])
@@ -396,6 +401,15 @@ class TestSolverForms:
         assert drivers.calls == ["zheevr"]
         assert energies.tobytes() == want_e.tobytes()
         assert vectors.dtype == want_v.dtype and vectors.tobytes() == want_v.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_input_is_left_unchanged(self, route, order):
+        # a Fortran-ordered matrix of the driver's dtype is one LAPACK could overwrite in place
+        h = np.array(self.matrix(route), order=order)
+        before = h.tobytes(order="A")
+        eigensolve(h, 4)
+        assert h.tobytes(order="A") == before
 
     def test_real_and_off_symmetry_inputs_match_scipy_bit_for_bit(self):
         for route in ("real", "complex, n_g = 0.3", "complex, n_g = 0.5"):
@@ -1018,6 +1032,38 @@ def test_one_spelling_of_the_band_fill_and_the_real_form():
     assert re.findall(r"def (\w*real_form_(?:map|index)\w*)\(([^)]*)\)", spectrum_text) == [
         ("_real_form_map", "n_cut: int, k_max: int | None = None")
     ]
+
+
+def test_one_real_form_pipeline_for_both_solve_routes():
+    """``eigensolve`` and the grid each gather a real form, ``_evr`` it and ``_from_real_form`` the vectors
+    into an array they give: no wrapper spells the pipeline a second time, and neither step keeps an option."""
+    callers: dict[str, list[str]] = {"_evr": [], "_from_real_form": []}
+    functions: dict[str, ast.FunctionDef] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                functions[f"{path.stem}.{function.name}"] = function
+                for call in (node for node in ast.walk(function) if isinstance(node, ast.Call)):
+                    # ``_evr(...)`` or ``spectrum._evr(...)``
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in callers:
+                        assert not call.keywords, (path.stem, function.name, name)
+                        callers[name].append(f"{path.stem}.{function.name}")
+    assert not {"spectrum._real_form", "spectrum._solve_real_form"} & set(functions)
+    assert {name: sorted(set(sites)) for name, sites in callers.items()} == dict.fromkeys(
+        callers, ["spectrum._solve_flux_layout", "spectrum.eigensolve"]
+    )
+    signatures = {name: ast.unparse(functions[f"spectrum.{name}"].args) for name in callers}
+    assert signatures == {"_evr": "a: np.ndarray, n_levels: int", "_from_real_form": "z: np.ndarray, out: np.ndarray"}
+    # the one array to write into is a required argument, and no spectrum function asks whether to overwrite
+    params = [
+        (name, arg.arg)
+        for name, function in functions.items()
+        if name.startswith("spectrum.")
+        for arg in ast.walk(function.args)
+        if isinstance(arg, ast.arg) and arg.arg in ("out", "overwrite_a")
+    ]
+    assert params == [("spectrum._from_real_form", "out")]
 
 
 def test_one_spelling_of_each_formula_a_solved_grid_yields():
